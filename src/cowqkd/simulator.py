@@ -1,11 +1,12 @@
 """Pulse-level Monte-Carlo model of the two-decoy coherent one-way protocol.
 
-Each round draws one emitted state and Bernoulli click indicators for four
-detection gates: the two data-line time bins and the two monitoring-line
-ports.  Photon clicks fire with probability 1 - exp(-mean photon number) per
-gate, dark counts with probability p_d, independently.  Tallies apply the
-same exclusivity conventions as the closed-form gains, so every analytic gain
-is the exact expectation of its empirical counterpart:
+Each round emits one state and has eight independent Bernoulli events: a
+photon click and a dark count at each of four detection gates, the two
+data-line time bins (d0, d1) and the two monitoring-line ports (m0, m1).
+Photon clicks fire with probability 1 - exp(-mean photon number) per gate,
+dark counts with probability p_d.  Tallies apply the same exclusivity
+conventions as the closed-form gains, so every analytic gain is the exact
+expectation of its empirical counterpart:
 
   state      tally        condition (P photon click, D dark, C any click)
   bit 0z     tau0 click   P[d0] and not D[d1], not D[m0], not D[m1]
@@ -20,8 +21,18 @@ dark-only events because the closed-form value models the destructive port as
 light-free; the residual-light suppression factors differ by far less than
 one Monte-Carlo standard deviation at any tested scale.
 
-Rounds are processed in fixed-size chunks, each with its own RNG stream
-spawned from the seed, so results are reproducible and chunk-parallelizable.
+Most rounds register nothing, so only rounds where some event fires are
+drawn, by thinning (Lewis & Shedler, Naval Res. Logist. Q. 26, 1979): with
+q_k the probability that any event fires for state k, candidates are spaced
+by geometric gaps at rate max q_k, draw a state from the source distribution
+and are accepted with probability q_k / max q_k.  An accepted candidate draws
+its eight events one by one, conditioned on at least one firing.  Candidates
+keep their drawn states; one multinomial draw gives those of all other rounds.
+
+The accepted candidates form the one event list that the tallies, the
+streaming dead-time filter and detection_events read.  Rounds are processed
+in fixed-size chunks, each with its own RNG stream spawned from the seed, so
+results are a deterministic function of seed, round count and chunk size.
 """
 
 from __future__ import annotations
@@ -35,12 +46,11 @@ from typing import Iterator
 import numpy as np
 
 from .concentration import CountRecord, validate_record
-from .gains import GainSet
-from .params import SystemParams, ValidationError, channel_transmittance
+from .gains import GainSet, _line_intensities
+from .params import SystemParams, ValidationError
 
 __all__ = [
     "StateKind",
-    "EmittedState",
     "DetectionEvent",
     "SimConfig",
     "MissingCountError",
@@ -82,10 +92,8 @@ class StateKind(IntEnum):
     DECOY_VAC = 3
 
 
-@dataclass(frozen=True)
-class EmittedState:
-    kind: StateKind
-    round_index: int
+#: Emission-count tally of each StateKind, in StateKind order.
+_SENT_FIELDS = ("n_sent_0z", "n_sent_1z", "n_sent_alpha_alpha", "n_sent_vac")
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,10 @@ class DetectionEvent:
     detector: str
     time_bin: str
     is_dark: bool
+
+
+def _is_integer(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -112,8 +124,12 @@ class SimConfig:
     mode: str = "per_pair"
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.rounds):
+            raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be at least 1, got {self.rounds}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.mode not in SIM_MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {SIM_MODES}")
 
@@ -154,125 +170,159 @@ class CountFileError(ValueError):
     """Count-log file is malformed; message carries line diagnostics."""
 
 
-def _gate_probabilities(params: SystemParams) -> dict[str, np.ndarray]:
-    """Photon-click probability per gate, indexed by StateKind.
-
-    Gates: data tau0, data tau1, monitoring m0, monitoring m1.  The
-    monitoring feed b splits per the interferometer phase for the both-bins
-    decoy and into two temporal copies totalling b/2 for lone pulses.
-    """
-    eta_data = channel_transmittance(params.channel, params.detectors)
-    eta_mon = channel_transmittance(params.channel, params.detectors, monitoring=True)
-    mu = params.source.mu
-    t_b = params.receiver.t_b
-    a = t_b * mu * eta_data
-    b = (1.0 - t_b) * mu * eta_mon
-    m0_aa = b * (1.0 + math.cos(params.receiver.phase_shift)) / 2.0
-    m1_aa = b * (1.0 - math.cos(params.receiver.phase_shift)) / 2.0
-    s = b / 2.0
-    means = {
-        "d0": np.array([a, 0.0, a, 0.0]),
-        "d1": np.array([0.0, a, a, 0.0]),
-        "m0": np.array([s, s, m0_aa, 0.0]),
-        "m1": np.array([s, s, m1_aa, 0.0]),
-    }
-    return {gate: 1.0 - np.exp(-m) for gate, m in means.items()}
-
-
 _GATE_ORDER = ("d0", "d1", "m0", "m1")
 
+#: Gates of each physical detector, half a period apart within a round: one
+#: data-line detector covers both bins, each monitoring port is its own.
+_DETECTOR_GATES = {"data": [0, 1], "m0": [2], "m1": [3]}
 
-def _simulate_chunk(
-    rng: np.random.Generator,
-    n: int,
-    state_cum: np.ndarray,
-    p_photon: dict[str, np.ndarray],
-    p_dark: float,
-) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Sample one chunk; returns (kinds, photon clicks, dark fires) per gate.
 
-    Draw order is fixed (kinds, then photon and dark per gate in gate order)
-    so that identical seeds give identical samples.
+def _event_probabilities(params: SystemParams) -> np.ndarray:
+    """Firing probability of each event per StateKind, shape (4, 8).
+
+    Columns 0-3 are photon clicks at d0, d1, m0, m1 and columns 4-7 dark
+    counts at the same gates.  The monitoring feed b splits per the
+    interferometer phase for the both-bins decoy and into two temporal copies
+    totalling b/2 for lone pulses.
     """
-    kinds = np.searchsorted(state_cum, rng.random(n), side="right").astype(np.uint8)
-    photon: dict[str, np.ndarray] = {}
-    dark: dict[str, np.ndarray] = {}
-    for gate in _GATE_ORDER:
-        photon[gate] = rng.random(n) < p_photon[gate][kinds]
-        dark[gate] = rng.random(n) < p_dark
-    return kinds, photon, dark
+    a, b = _line_intensities(params)
+    cos = math.cos(params.receiver.phase_shift)
+    s = b / 2.0
+    means = np.array([
+        [a, 0.0, s, s],
+        [0.0, a, s, s],
+        [a, a, b * (1.0 + cos) / 2.0, b * (1.0 - cos) / 2.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    dark = np.full((4, 4), params.detectors.dark_count_prob)
+    return np.hstack([-np.expm1(-means), dark])
 
 
-class _DeadTimeFilter:
-    """Greedy non-paralyzable dead-time suppression for one detector."""
+@dataclass(frozen=True)
+class _Sampler:
+    """Per-state tables of the thinning sampler, built once per session."""
 
-    def __init__(self, dead_time_s: float):
-        self.dead_time = dead_time_s
-        self.last_kept = -math.inf
+    probs: np.ndarray    # state distribution
+    cum: np.ndarray      # its cumulative sum, ending at exactly 1
+    fire: np.ndarray     # (4, 8) unconditional event probabilities
+    first: np.ndarray    # (4, 8) P(event j | none before j, at least one from j on)
+    accept: np.ndarray   # q_k / q_max
+    q_max: float
 
-    def keep(self, times: np.ndarray) -> np.ndarray:
-        kept = np.zeros(times.shape[0], dtype=bool)
-        last = self.last_kept
-        dt = self.dead_time
-        for i, t in enumerate(times):
-            if t - last >= dt:
-                kept[i] = True
-                last = t
-        self.last_kept = last
-        return kept
+    @classmethod
+    def build(cls, params: SystemParams) -> _Sampler:
+        s = params.source
+        probs = np.array([s.p_z0, s.p_z1, s.p_decoy_alpha_alpha, s.p_decoy_vacuum])
+        if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-9:
+            raise ValidationError([f"state probabilities must be a distribution, got {probs}"])
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0
+        fire = _event_probabilities(params)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # tail[k, j]: probability that at least one of events j..7 fires.
+            tail = -np.expm1(np.cumsum(np.log1p(-fire[:, ::-1]), axis=1)[:, ::-1])
+            first = np.where(tail > 0.0, fire / tail, 0.0)
+        q = tail[:, 0]
+        q_max = float(q.max())
+        accept = q / q_max if q_max > 0.0 else q
+        return cls(probs, cum, fire, first, accept, q_max)
 
 
-def _apply_dead_time(
-    start_round: int,
-    round_period: float,
-    photon: dict[str, np.ndarray],
-    dark: dict[str, np.ndarray],
-    filters: dict[str, _DeadTimeFilter],
-) -> None:
-    """Suppress clicks in place; a suppressed gate registers nothing at all.
+@dataclass
+class _Chunk:
+    """The rounds of one chunk where some event fired, in round order."""
 
-    The data line is one physical detector covering both bins, half a period
-    apart; each monitoring port is its own detector gated once per round.
+    sent: np.ndarray     # emissions per StateKind over the whole chunk
+    rounds: np.ndarray   # round index of each event
+    kinds: np.ndarray    # StateKind of each event
+    photon: np.ndarray   # (4, events) photon click per gate
+    dark: np.ndarray     # (4, events) dark count per gate
+
+
+def _candidate_rounds(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
+    """Ascending rounds below n of a Bernoulli(q) process, by geometric gaps."""
+    if q == 0.0:
+        return np.empty(0, dtype=np.int64)
+    parts = []
+    last = -1
+    while True:
+        expected = (n - 1 - last) * q
+        gaps = rng.geometric(q, int(expected + 4.0 * math.sqrt(expected) + 16))
+        # Any gap past the chunk's end ends it; clipping keeps the sum from overflowing.
+        pos = last + np.cumsum(np.minimum(gaps, n + 1))
+        if pos[-1] >= n:
+            parts.append(pos[: np.searchsorted(pos, n)])
+            return np.concatenate(parts)
+        parts.append(pos)
+        last = int(pos[-1])
+
+
+def _sample_chunk(rng: np.random.Generator, start: int, n: int, sampler: _Sampler) -> _Chunk:
+    """Sample one chunk.  Draw order is fixed, so identical seeds give
+    identical samples."""
+    cand = _candidate_rounds(rng, n, sampler.q_max)
+    kinds = np.searchsorted(sampler.cum, rng.random(cand.size), side="right")
+    sent = np.bincount(kinds, minlength=4) + rng.multinomial(n - cand.size, sampler.probs)
+    hit = rng.random(cand.size) < sampler.accept[kinds]
+    rounds, kinds = start + cand[hit], kinds[hit]
+    u = rng.random((8, rounds.size))
+    fired = np.empty((8, rounds.size), dtype=bool)
+    some = np.zeros(rounds.size, dtype=bool)
+    for j in range(8):
+        fired[j] = u[j] < np.where(some, sampler.fire[kinds, j], sampler.first[kinds, j])
+        some |= fired[j]
+    return _Chunk(sent, rounds, kinds, fired[:4], fired[4:])
+
+
+def _apply_dead_time(chunk: _Chunk, dead: int, last_kept: dict[str, int]) -> None:
+    """Greedy non-paralyzable dead time per detector, applied in place; a
+    suppressed gate registers nothing at all.
+
+    Times are integer half-period ticks, so the spacing test is exact, and
+    each kept click is found by one binary search past the previous one.
+    last_kept holds each detector's last kept tick across chunks.
     """
-    n = photon["d0"].shape[0]
-    offsets = np.arange(start_round, start_round + n) * round_period
-    groups = {
-        "data": ("d0", "d1"),
-        "m0": ("m0",),
-        "m1": ("m1",),
-    }
-    bin_shift = {"d0": 0.0, "d1": round_period / 2.0, "m0": 0.0, "m1": 0.0}
-    for det, gates in groups.items():
-        times_list = []
-        tags = []
-        for gate in gates:
-            clicked = photon[gate] | dark[gate]
-            idx = np.flatnonzero(clicked)
-            times_list.append(offsets[idx] + bin_shift[gate])
-            tags.append((gate, idx))
-        if len(gates) == 2:
-            t0, t1 = times_list
-            merged = np.concatenate([t0, t1])
-            order = np.argsort(merged, kind="stable")
-            kept = np.empty(merged.shape[0], dtype=bool)
-            kept[order] = filters[det].keep(merged[order])
-            splits = np.split(kept, [t0.shape[0]])
-        else:
-            kept = filters[det].keep(times_list[0])
-            splits = [kept]
-        for (gate, idx), keep_mask in zip(tags, splits):
-            drop = idx[~keep_mask]
-            photon[gate][drop] = False
-            dark[gate][drop] = False
+    clicked = chunk.photon | chunk.dark
+    for det, gates in _DETECTOR_GATES.items():
+        gate_of, event_of = np.nonzero(clicked[gates])
+        ticks = 2 * chunk.rounds[event_of] + gate_of
+        order = np.argsort(ticks)
+        ticks = ticks[order]
+        drop = np.ones(order.size, dtype=bool)
+        i = ticks.searchsorted(last_kept[det] + dead)
+        while i < ticks.size:
+            drop[i] = False
+            last_kept[det] = int(ticks[i])
+            i = ticks.searchsorted(last_kept[det] + dead)
+        gate, event = np.asarray(gates)[gate_of[order[drop]]], event_of[order[drop]]
+        chunk.photon[gate, event] = False
+        chunk.dark[gate, event] = False
 
 
-def _tally_chunk(
-    tallies: dict[str, int],
-    kinds: np.ndarray,
-    photon: dict[str, np.ndarray],
-    dark: dict[str, np.ndarray],
-) -> None:
+def _chunks(params: SystemParams, cfg: SimConfig) -> Iterator[_Chunk]:
+    """Sampled chunks in round order, with dead time applied in streaming mode."""
+    sampler = _Sampler.build(params)
+    streaming = cfg.mode == "streaming" and params.detectors.dead_time_s > 0
+    # Dead time in half-period ticks, at least one; rounding to a millionth of
+    # a tick first keeps a whole number of ticks whole despite float error.
+    ticks = 2.0 * params.detectors.dead_time_s * params.source.pulse_pair_rate
+    dead = max(1, math.ceil(round(ticks, 6)))
+    last_kept = dict.fromkeys(_DETECTOR_GATES, -dead)
+    n_chunks = (cfg.rounds + _CHUNK_ROUNDS - 1) // _CHUNK_ROUNDS
+    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_chunks)):
+        start = i * _CHUNK_ROUNDS
+        rng = np.random.Generator(np.random.PCG64(child))
+        chunk = _sample_chunk(rng, start, min(_CHUNK_ROUNDS, cfg.rounds - start), sampler)
+        if streaming:
+            _apply_dead_time(chunk, dead, last_kept)
+        yield chunk
+
+
+def _tally_chunk(tallies: dict[str, int], chunk: _Chunk) -> None:
+    photon = dict(zip(_GATE_ORDER, chunk.photon))
+    dark = dict(zip(_GATE_ORDER, chunk.dark))
     click = {g: photon[g] | dark[g] for g in _GATE_ORDER}
+    kinds = chunk.kinds
     is_z0 = kinds == StateKind.Z0
     is_z1 = kinds == StateKind.Z1
     is_aa = kinds == StateKind.DECOY_AA
@@ -283,10 +333,8 @@ def _tally_chunk(
     def count(mask: np.ndarray) -> int:
         return int(np.count_nonzero(mask))
 
-    tallies["n_sent_0z"] += count(is_z0)
-    tallies["n_sent_1z"] += count(is_z1)
-    tallies["n_sent_alpha_alpha"] += count(is_aa)
-    tallies["n_sent_vac"] += count(is_vac)
+    for field, sent in zip(_SENT_FIELDS, chunk.sent):
+        tallies[field] += int(sent)
     tallies["n_z"] += count((is_z0 | is_z1) & (click["d0"] | click["d1"]))
 
     tallies["n_0z_tau0"] += count(is_z0 & photon["d0"] & ~dark["d1"] & no_mon_dark)
@@ -310,25 +358,6 @@ def _tally_chunk(
     tallies["n_vac_m1"] += count(is_vac & click["m1"] & ~dark["m0"] & quiet_vac)
 
 
-def _state_cumulative(params: SystemParams) -> np.ndarray:
-    s = params.source
-    probs = np.array([s.p_z0, s.p_z1, s.p_decoy_alpha_alpha, s.p_decoy_vacuum])
-    if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValidationError([f"state probabilities must be a distribution, got {probs}"])
-    return np.cumsum(probs)
-
-
-def _chunk_streams(seed: int, rounds: int) -> list[tuple[int, int, np.random.Generator]]:
-    n_chunks = (rounds + _CHUNK_ROUNDS - 1) // _CHUNK_ROUNDS
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    out = []
-    for i, child in enumerate(children):
-        start = i * _CHUNK_ROUNDS
-        size = min(_CHUNK_ROUNDS, rounds - start)
-        out.append((start, size, np.random.Generator(np.random.PCG64(child))))
-    return out
-
-
 def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
     """Simulate one session and return its validated count record.
 
@@ -337,62 +366,30 @@ def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
     detector before tallying, so suppression can only remove counts relative
     to per_pair mode on the same seed.
     """
-    p_photon = _gate_probabilities(params)
-    p_dark = params.detectors.dark_count_prob
-    state_cum = _state_cumulative(params)
-    round_period = 1.0 / params.source.pulse_pair_rate
-    tallies = {
-        key: 0
-        for key in (
-            "n_z", "n_sent_alpha_alpha", "n_sent_vac", "n_aa_m0", "n_aa_m1",
-            "n_vac_m0", "n_vac_m1", "n_sent_0z", "n_sent_1z", "n_0z_tau0",
-            "n_0z_tau1", "n_1z_tau0", "n_1z_tau1", "n_0z_m0", "n_0z_m1",
-            "n_1z_m0", "n_1z_m1",
-        )
-    }
-    filters = {
-        det: _DeadTimeFilter(params.detectors.dead_time_s) for det in ("data", "m0", "m1")
-    }
-    for start, size, rng in _chunk_streams(cfg.seed, cfg.rounds):
-        kinds, photon, dark = _simulate_chunk(rng, size, state_cum, p_photon, p_dark)
-        if cfg.mode == "streaming" and params.detectors.dead_time_s > 0:
-            _apply_dead_time(start, round_period, photon, dark, filters)
-        _tally_chunk(tallies, kinds, photon, dark)
+    tallies = dict.fromkeys((f for f in CountRecord.__dataclass_fields__ if f != "rounds"), 0)
+    for chunk in _chunks(params, cfg):
+        _tally_chunk(tallies, chunk)
     return validate_record(CountRecord(rounds=cfg.rounds, **tallies))
 
 
 def detection_events(params: SystemParams, cfg: SimConfig) -> Iterator[DetectionEvent]:
-    """Yield every surviving click of a session, for small diagnostic runs.
+    """Yield every surviving click of a session in round order, for small
+    diagnostic runs.
 
-    Uses the same sampling and dead-time logic as simulate_session, so the
+    Reads the same events and dead-time logic as simulate_session, so the
     event stream is consistent with the tallies for the same seed.
     """
-    p_photon = _gate_probabilities(params)
-    p_dark = params.detectors.dark_count_prob
-    state_cum = _state_cumulative(params)
-    round_period = 1.0 / params.source.pulse_pair_rate
-    filters = {
-        det: _DeadTimeFilter(params.detectors.dead_time_s) for det in ("data", "m0", "m1")
-    }
-    gate_detector = {"d0": "data", "d1": "data", "m0": "mon_m0", "m1": "mon_m1"}
-    gate_bin = {"d0": "tau0", "d1": "tau1", "m0": "interference", "m1": "interference"}
-    for start, size, rng in _chunk_streams(cfg.seed, cfg.rounds):
-        _, photon, dark = _simulate_chunk(rng, size, state_cum, p_photon, p_dark)
-        if cfg.mode == "streaming" and params.detectors.dead_time_s > 0:
-            _apply_dead_time(start, round_period, photon, dark, filters)
-        per_round: dict[int, list[DetectionEvent]] = {}
-        for gate in _GATE_ORDER:
-            clicked = photon[gate] | dark[gate]
-            for i in np.flatnonzero(clicked):
-                event = DetectionEvent(
-                    round_index=start + int(i),
-                    detector=gate_detector[gate],
-                    time_bin=gate_bin[gate],
-                    is_dark=bool(dark[gate][i] and not photon[gate][i]),
-                )
-                per_round.setdefault(int(i), []).append(event)
-        for i in sorted(per_round):
-            yield from per_round[i]
+    gate_detector = ("data", "data", "mon_m0", "mon_m1")
+    gate_bin = ("tau0", "tau1", "interference", "interference")
+    for chunk in _chunks(params, cfg):
+        photon, dark = chunk.photon.T, chunk.dark.T
+        for event, gate in zip(*np.nonzero(photon | dark)):
+            yield DetectionEvent(
+                round_index=int(chunk.rounds[event]),
+                detector=gate_detector[gate],
+                time_bin=gate_bin[gate],
+                is_dark=bool(dark[event, gate] and not photon[event, gate]),
+            )
 
 
 def empirical_gains(record: CountRecord, params: SystemParams | None = None) -> EmpiricalGains:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import pytest
 
@@ -40,6 +41,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(seed=1, rounds=100, mode="batch")
 
+    @pytest.mark.parametrize("rounds", [1e5, 2.5, True, "100"])
+    def test_rejects_non_integer_rounds(self, rounds):
+        with pytest.raises(ValueError, match="rounds"):
+            SimConfig(seed=1, rounds=rounds)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, False])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=seed, rounds=100)
+
 
 class TestSimulateSession:
     def test_deterministic_across_runs(self):
@@ -75,6 +86,14 @@ class TestSimulateSession:
         assert r.n_0z_tau0 == r.n_0z_tau1 == 0
         assert r.n_sent_0z > 0 and r.n_sent_vac > 0
 
+    def test_vanishing_click_probability(self):
+        # Geometric gaps between candidate rounds overflow int64 here; they
+        # must still end the chunk rather than wrap around.
+        p = sim_params(length_km=OPAQUE_KM, dark_count_prob=1e-300)
+        r = simulate_session(p, SimConfig(seed=11, rounds=100_000))
+        assert r.n_z == r.n_vac_m0 == r.n_aa_m0 == 0
+        assert r.n_sent_0z + r.n_sent_1z + r.n_sent_alpha_alpha + r.n_sent_vac == r.rounds
+
     def test_vacuum_decoy_clicks_are_pure_darks(self):
         # Nearly every round sends the vacuum decoy; its monitoring-port
         # frequency must reproduce the dark-count gain.
@@ -96,6 +115,19 @@ class TestSimulateSession:
         n_signal = r.n_sent_0z + r.n_sent_1z
         sigma = math.sqrt(p_click * (1.0 - p_click) * n_signal)
         assert abs(r.n_z - n_signal * p_click) < 4.0 * sigma
+
+    def test_emission_counts_follow_source_distribution(self):
+        # Every round's state, clicking or not, must follow the source
+        # distribution, including the rounds the sampler never looks at.
+        p = make_params(length_km=20.0, p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
+        rounds = 1 << 22
+        r = simulate_session(p, SimConfig(seed=37, rounds=rounds))
+        src = p.source
+        for sent, prob in ((r.n_sent_0z, src.p_z0), (r.n_sent_1z, src.p_z1),
+                           (r.n_sent_alpha_alpha, src.p_decoy_alpha_alpha),
+                           (r.n_sent_vac, src.p_decoy_vacuum)):
+            sigma = math.sqrt(rounds * prob * (1.0 - prob))
+            assert abs(sent - rounds * prob) < 4.0 * sigma
 
     def test_mean_gains_match_analytic_across_seeds(self):
         p = sim_params()
@@ -163,6 +195,36 @@ class TestDetectionEvents:
         sigma = math.sqrt(0.01 * 0.99 / rounds)
         for gate, n in counts.items():
             assert abs(n / rounds - 0.01) < 3.0 * sigma, gate
+
+    def test_dark_gate_multiplicity_per_round(self):
+        # Darks fire independently at the four gates, so the number of dark
+        # gates in a round is binomial: exactly two with 6 p_d^2 (1-p_d)^2.
+        p_d = 0.05
+        p = make_params(length_km=OPAQUE_KM, dark_count_prob=p_d)
+        rounds = 200_000
+        per_round = Counter(e.round_index for e in detection_events(p, SimConfig(seed=41, rounds=rounds)))
+        multiplicity = Counter(per_round.values())
+        for k in (1, 2, 3):
+            expected = math.comb(4, k) * p_d**k * (1.0 - p_d) ** (4 - k)
+            sigma = math.sqrt(expected * (1.0 - expected) / rounds)
+            assert abs(multiplicity[k] / rounds - expected) < 4.0 * sigma, k
+
+    def test_streaming_clicks_respect_dead_time(self):
+        # The data line is one detector: both bins, half a period apart,
+        # share its dead time.
+        p = make_params(length_km=5.0, efficiency=0.2, dark_count_prob=1e-3, dead_time_s=1.01e-7)
+        cfg = SimConfig(seed=43, rounds=300_000, mode="streaming")
+        period = 1.0 / p.source.pulse_pair_rate
+        times: dict[str, list[float]] = {}
+        for e in detection_events(p, cfg):
+            shift = period / 2.0 if e.time_bin == "tau1" else 0.0
+            times.setdefault(e.detector, []).append(e.round_index * period + shift)
+        assert set(times) == {"data", "mon_m0", "mon_m1"}
+        per_pair = sum(1 for _ in detection_events(p, SimConfig(seed=43, rounds=300_000)))
+        assert sum(map(len, times.values())) < per_pair / 2
+        for detector, ts in times.items():
+            gaps = [b - a for a, b in zip(ts, ts[1:])]
+            assert min(gaps) >= p.detectors.dead_time_s * (1.0 - 1e-9), detector
 
     def test_photonic_clicks_flagged(self):
         p = sim_params(dark_count_prob=0.0)
