@@ -15,8 +15,8 @@ threshold search finds no crossing inside its bracket.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -39,7 +39,10 @@ from .scan import (
     ScanSpec,
     emit,
     find_threshold,
+    json_safe,
+    key_rate_bps,
     run_scan,
+    write_text,
 )
 from .simulator import SIM_MODES, SimConfig, format_counts, replay_counts, simulate_session
 
@@ -68,48 +71,26 @@ def _to_int(text: str) -> int:
     return int(value)
 
 
-def _to_str(text: str) -> str:
-    return text
-
-
-#: Every accepted configuration key and its value parser.
-CONFIG_KEYS: dict[str, Callable[[str], object]] = {
-    "source.mu": _to_float,
-    "source.pulse_pair_rate": _to_float,
-    "source.p_decoy_alpha_alpha": _to_float,
-    "source.p_decoy_vacuum": _to_float,
-    "source.p_z0": _to_float,
-    "source.p_z1": _to_float,
-    "channel.length_km": _to_float,
-    "channel.attenuation_db_per_km": _to_float,
-    "channel.extra_loss_db": _to_float,
-    "detectors.efficiency": _to_float,
-    "detectors.dark_count_prob": _to_float,
-    "detectors.dead_time_s": _to_float,
-    "receiver.t_b": _to_float,
-    "receiver.phase_shift": _to_float,
-    "receiver.disclose_rate": _to_float,
-    "receiver.compression_ratio": _to_float,
-    "security.eps_cor": _to_float,
-    "security.eps_sec": _to_float,
-    "security.eps_1": _to_float,
-    "security.eps_2": _to_float,
-    "security.f_ec": _to_float,
-    "security.qber_abort_threshold": _to_float,
-    "rounds": _to_int,
-    "analysis.delta_provider": _to_str,
-    "analysis.cross_term": _to_str,
-    "analysis.remainder_terms": _to_str,
-    "analysis.m1_model": _to_str,
-    "scan.variable": _to_str,
-    "scan.start": _to_float,
-    "scan.stop": _to_float,
-    "scan.step": _to_float,
-    "scan.mode": _to_str,
-    "scan.sim_seed": _to_int,
-    "scan.sim_rounds": _to_int,
-    "scan.replay_path": _to_str,
+#: The SystemParams sections, each built from the keys under its prefix.
+_PARAM_SECTIONS = {
+    "source": SourceParams,
+    "channel": ChannelParams,
+    "detectors": DetectorParams,
+    "receiver": ReceiverParams,
+    "security": SecurityParams,
 }
+
+#: Value parser of each field annotation (annotations are postponed, so text).
+_PARSERS = {"float": _to_float, "int": _to_int, "str": str, "str | None": str}
+
+#: Every accepted configuration key and its value parser: one key per field
+#: of each section, plus the block size.
+CONFIG_KEYS: dict[str, Callable[[str], object]] = {
+    f"{prefix}.{f.name}": _PARSERS[f.type]
+    for prefix, cls in {**_PARAM_SECTIONS, "analysis": AnalysisConfig, "scan": ScanSpec}.items()
+    for f in dataclasses.fields(cls)
+}
+CONFIG_KEYS["rounds"] = _to_int
 
 
 def _parse_entry(key: str, value_text: str, where: str) -> object:
@@ -178,11 +159,7 @@ def build_params(cfg: dict[str, object]) -> SystemParams:
     if "rounds" in cfg:
         kwargs["rounds"] = cfg["rounds"]
     params = SystemParams(
-        source=SourceParams(**_section(cfg, "source")),
-        channel=ChannelParams(**_section(cfg, "channel")),
-        detectors=DetectorParams(**_section(cfg, "detectors")),
-        receiver=ReceiverParams(**_section(cfg, "receiver")),
-        security=SecurityParams(**_section(cfg, "security")),
+        **{prefix: cls(**_section(cfg, prefix)) for prefix, cls in _PARAM_SECTIONS.items()},
         **kwargs,
     )
     return validate(params)
@@ -198,33 +175,17 @@ def build_analysis(cfg: dict[str, object]) -> AnalysisConfig:
 def build_scan_spec(cfg: dict[str, object], args: argparse.Namespace) -> ScanSpec:
     """Scan settings: config scan.* keys, overridden by command flags."""
     merged = _section(cfg, "scan")
-    for key, flag in (
-        ("variable", args.variable),
-        ("start", args.start),
-        ("stop", args.stop),
-        ("step", args.step),
-        ("mode", args.mode),
-        ("sim_seed", args.sim_seed),
-        ("sim_rounds", args.sim_rounds),
-        ("replay_path", args.replay_path),
-    ):
-        if flag is not None:
-            merged[key] = flag
+    for f in dataclasses.fields(ScanSpec):
+        if getattr(args, f.name) is not None:
+            merged[f.name] = getattr(args, f.name)
     missing = [key for key in ("variable", "start", "stop") if key not in merged]
     if missing:
         raise ConfigError(f"scan requires {', '.join('scan.' + m for m in missing)}")
     merged.setdefault("step", 1.0)
     try:
         return ScanSpec(**merged)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _write_output(text: str, destination: str) -> None:
-    if destination == "-":
-        sys.stdout.write(text)
-    else:
-        Path(destination).write_text(text, encoding="utf-8")
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -253,28 +214,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _collect(args)
     params = build_params(cfg)
     rounds = args.rounds if args.rounds is not None else params.rounds
-    record = simulate_session(params, SimConfig(seed=args.seed, rounds=rounds, mode=args.mode))
-    _write_output(format_counts(record), args.output)
+    try:
+        sim = SimConfig(seed=args.seed, rounds=rounds, mode=args.mode)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    write_text(format_counts(simulate_session(params, sim)), args.output)
     return 0
 
 
-def _result_json(result: KeyRateResult, params: SystemParams) -> str:
-    def opt(x: float) -> float | None:
-        return None if math.isnan(x) else x
-
+def _result_json(result: KeyRateResult, rate_bps: float) -> str:
     payload = {
-        "qber": opt(result.qber),
-        "phase_error_expected_upper": opt(result.phase_error_expected_upper),
-        "phase_error_observed_upper": opt(result.phase_error_observed_upper),
+        "qber": result.qber,
+        "phase_error_expected_upper": result.phase_error_expected_upper,
+        "phase_error_observed_upper": result.phase_error_observed_upper,
         "key_length_bits": result.key_length_bits,
-        "key_rate_bps": result.key_length_bits / params.block_duration_s(),
-        "leak_ec_bits": opt(result.leak_ec_bits),
-        "correctness_term_bits": opt(result.correctness_term_bits),
-        "secrecy_term_bits": opt(result.secrecy_term_bits),
+        "key_rate_bps": rate_bps,
+        "leak_ec_bits": result.leak_ec_bits,
+        "correctness_term_bits": result.correctness_term_bits,
+        "secrecy_term_bits": result.secrecy_term_bits,
         "aborted": result.aborted,
         "abort_reason": result.abort_reason,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(json_safe(payload), indent=2) + "\n"
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -283,7 +244,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     analysis = build_analysis(cfg)
     record = replay_counts(args.counts)
     result = evaluate_record(record, params, analysis)
-    _write_output(_result_json(result, params), args.output)
+    rate = key_rate_bps(result.key_length_bits, record.rounds, params.source.pulse_pair_rate)
+    write_text(_result_json(result, rate), args.output)
     return 0
 
 
@@ -363,7 +325,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args)
-    except (ConfigError, ValidationError, TypeError) as exc:
+    except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NoThresholdError as exc:

@@ -10,13 +10,14 @@ each holding up to its own failure probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from .params import ValidationError
 
 __all__ = [
     "CountRecord",
+    "CLICK_FIELDS",
     "BoundedValue",
     "DELTA_PROVIDERS",
     "delta_hoeffding",
@@ -25,19 +26,6 @@ __all__ = [
     "bound_expected_count",
     "bound_gain",
 ]
-
-#: Required fields of every record, in canonical order.
-CORE_COUNT_FIELDS = (
-    "rounds",
-    "n_z",
-    "n_sent_alpha_alpha",
-    "n_sent_vac",
-    "n_aa_m0",
-    "n_aa_m1",
-    "n_vac_m0",
-    "n_vac_m1",
-)
-
 
 @dataclass(frozen=True)
 class CountRecord:
@@ -93,6 +81,26 @@ class BoundedValue:
             )
 
 
+#: Each click tally of a CountRecord, except n_z: the emission count that
+#: caps it and the GainSet field it estimates, in GainSet order.
+CLICK_FIELDS = {
+    "n_0z_tau0": ("n_sent_0z", "data_0z_tau0"),
+    "n_0z_tau1": ("n_sent_0z", "data_0z_tau1"),
+    "n_1z_tau0": ("n_sent_1z", "data_1z_tau0"),
+    "n_1z_tau1": ("n_sent_1z", "data_1z_tau1"),
+    "n_aa_m0": ("n_sent_alpha_alpha", "mon_alpha_alpha_m0"),
+    "n_aa_m1": ("n_sent_alpha_alpha", "mon_alpha_alpha_m1"),
+    "n_vac_m0": ("n_sent_vac", "mon_vac_m0"),
+    "n_vac_m1": ("n_sent_vac", "mon_vac_m1"),
+    "n_0z_m0": ("n_sent_0z", "mon_0z_m0"),
+    "n_0z_m1": ("n_sent_0z", "mon_0z_m1"),
+    "n_1z_m0": ("n_sent_1z", "mon_1z_m0"),
+    "n_1z_m1": ("n_sent_1z", "mon_1z_m1"),
+}
+
+_RECORD_FIELDS = tuple(f.name for f in fields(CountRecord))
+
+
 def validate_record(record: CountRecord) -> CountRecord:
     """Check count invariants, collecting every violation before raising.
 
@@ -100,40 +108,27 @@ def validate_record(record: CountRecord) -> CountRecord:
     count of their class, and emissions cannot exceed the round total.
     """
     out: list[str] = []
-
-    def check_int(name: str, value: int | None) -> None:
+    for name in _RECORD_FIELDS:
+        value = getattr(record, name)
         if value is None:
-            return
+            continue
         if not isinstance(value, int) or isinstance(value, bool):
             out.append(f"{name} must be an integer, got {value!r}")
         elif value < 0:
             out.append(f"{name} must be non-negative, got {value}")
-
-    for name in CORE_COUNT_FIELDS:
-        check_int(name, getattr(record, name))
-    for name in (
-        "n_sent_0z", "n_sent_1z", "n_0z_tau0", "n_0z_tau1", "n_1z_tau0",
-        "n_1z_tau1", "n_0z_m0", "n_0z_m1", "n_1z_m0", "n_1z_m1",
-    ):
-        check_int(name, getattr(record, name))
     if out:
         raise ValidationError(out)
 
-    def check_le(click_name: str, click: int | None, cap_name: str, cap: int | None) -> None:
+    for click_name, (cap_name, _) in CLICK_FIELDS.items():
+        click, cap = getattr(record, click_name), getattr(record, cap_name)
         if click is not None and cap is not None and click > cap:
             out.append(f"{click_name} = {click} exceeds {cap_name} = {cap}")
-
     aa = record.n_sent_alpha_alpha
-    check_le("n_aa_m0", record.n_aa_m0, "n_sent_alpha_alpha", aa)
-    check_le("n_aa_m1", record.n_aa_m1, "n_sent_alpha_alpha", aa)
-    check_le("n_vac_m0", record.n_vac_m0, "n_sent_vac", record.n_sent_vac)
-    check_le("n_vac_m1", record.n_vac_m1, "n_sent_vac", record.n_sent_vac)
     if aa + record.n_sent_vac > record.rounds:
         out.append(
             f"decoy emissions {aa} + {record.n_sent_vac} "
             f"exceed rounds = {record.rounds}"
         )
-    n_signal: int | None
     if record.n_sent_0z is not None and record.n_sent_1z is not None:
         n_signal = record.n_sent_0z + record.n_sent_1z
         total = n_signal + aa + record.n_sent_vac
@@ -141,14 +136,8 @@ def validate_record(record: CountRecord) -> CountRecord:
             out.append(f"per-class emissions sum to {total}, expected rounds = {record.rounds}")
     else:
         n_signal = record.rounds - aa - record.n_sent_vac
-    check_le("n_z", record.n_z, "signal emissions", n_signal)
-    for click_name, cap_name in (
-        ("n_0z_tau0", "n_sent_0z"), ("n_0z_tau1", "n_sent_0z"),
-        ("n_0z_m0", "n_sent_0z"), ("n_0z_m1", "n_sent_0z"),
-        ("n_1z_tau0", "n_sent_1z"), ("n_1z_tau1", "n_sent_1z"),
-        ("n_1z_m0", "n_sent_1z"), ("n_1z_m1", "n_sent_1z"),
-    ):
-        check_le(click_name, getattr(record, click_name), cap_name, getattr(record, cap_name))
+    if record.n_z > n_signal:
+        out.append(f"n_z = {record.n_z} exceeds signal emissions = {n_signal}")
     if out:
         raise ValidationError(out)
     return record

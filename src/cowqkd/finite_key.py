@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 from .concentration import (
+    CLICK_FIELDS,
     DELTA_PROVIDERS,
     BoundedValue,
     CountRecord,
@@ -22,7 +24,7 @@ from .concentration import (
     bound_gain,
     delta_hoeffding,
 )
-from .gains import DegenerateGainsError, GainSet, analytic_gains, qber
+from .gains import M1_MODELS, DegenerateGainsError, GainSet, analytic_gains, qber
 from .params import SecurityParams, SystemParams, binary_entropy, channel_transmittance
 
 __all__ = [
@@ -48,6 +50,18 @@ CROSS_TERM_MODES = ("mixed", "vacuum")
 # The non-quadratic remainder tails of the sandwich bounds can be kept or
 # dropped; at mu near 0.5 they are so loose that keeping them voids the bound.
 REMAINDER_MODES = ("include", "drop")
+
+#: The values each AnalysisConfig field accepts.
+_ANALYSIS_CHOICES = (
+    ("delta_provider", tuple(DELTA_PROVIDERS)),
+    ("cross_term", CROSS_TERM_MODES),
+    ("remainder_terms", REMAINDER_MODES),
+    ("m1_model", M1_MODELS),
+)
+
+#: The click tallies behind the six decoy bounds and the sides bounded: both
+#: monitoring ports above, the constructive port also below.
+_DECOY_SIDES = {"n_aa_m0": "both", "n_aa_m1": "upper", "n_vac_m0": "both", "n_vac_m1": "upper"}
 
 
 @dataclass(frozen=True)
@@ -101,20 +115,10 @@ class AnalysisConfig:
     m1_model: str = "optical_switch"
 
     def __post_init__(self) -> None:
-        if self.delta_provider not in DELTA_PROVIDERS:
-            raise ValueError(
-                f"unknown delta_provider {self.delta_provider!r}, "
-                f"expected one of {tuple(DELTA_PROVIDERS)}"
-            )
-        if self.cross_term not in CROSS_TERM_MODES:
-            raise ValueError(
-                f"unknown cross_term {self.cross_term!r}, expected one of {CROSS_TERM_MODES}"
-            )
-        if self.remainder_terms not in REMAINDER_MODES:
-            raise ValueError(
-                f"unknown remainder_terms {self.remainder_terms!r}, "
-                f"expected one of {REMAINDER_MODES}"
-            )
+        for name, allowed in _ANALYSIS_CHOICES:
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r}, expected one of {allowed}")
 
 
 def _clamp01(x: float) -> float:
@@ -289,8 +293,9 @@ def secure_key_length(
 def expected_sifted_clicks(params: SystemParams, duration_s: float = 1.0) -> float:
     """Model of the sifted data-line click count over a given duration.
 
-    Raw rate: round rate times the bit-state probability times the chance of
-    any data-line click in a bit round, 1 - (1-p_d)^2 exp(-a).  The detector
+    Raw rate: round rate times the probability of either bit state (what the
+    decoys leave) times the chance of any data-line click in a bit round,
+    1 - (1-p_d)^2 exp(-a).  The detector
     is non-paralyzable, so the registered rate saturates as
     raw / (1 + raw * dead_time).
     """
@@ -300,7 +305,7 @@ def expected_sifted_clicks(params: SystemParams, duration_s: float = 1.0) -> flo
     a = params.receiver.t_b * params.source.mu * eta
     p_d = params.detectors.dark_count_prob
     p_click = 1.0 - (1.0 - p_d) ** 2 * math.exp(-a)
-    p_signal = params.source.p_z0 + params.source.p_z1
+    p_signal = 1.0 - params.source.p_decoy_alpha_alpha - params.source.p_decoy_vacuum
     raw_rate = params.source.pulse_pair_rate * p_signal * p_click
     saturated = raw_rate / (1.0 + raw_rate * params.detectors.dead_time_s)
     return saturated * duration_s
@@ -323,24 +328,17 @@ def experiment_throughput(
 
 
 def _decoy_bounds(
-    counts: dict[str, float],
-    emissions: dict[str, float],
+    counts: Mapping[str, float],
     eps_1: float,
     provider: str,
 ) -> dict[str, BoundedValue]:
-    """The six gain bounds: both ports upper, constructive port also lower."""
-    spec = {
-        "aa_m0": ("aa", "both"),
-        "aa_m1": ("aa", "upper"),
-        "vac_m0": ("vac", "both"),
-        "vac_m1": ("vac", "upper"),
-    }
+    """The six gain bounds, keyed by click tally; counts maps each decoy click
+    tally and decoy emission field to its count."""
     out: dict[str, BoundedValue] = {}
-    for key, (cls, direction) in spec.items():
-        counted = bound_expected_count(
-            counts[key], emissions[cls], eps_1, direction, provider=provider
-        )
-        out[key] = bound_gain(counted, emissions[cls])
+    for click, direction in _DECOY_SIDES.items():
+        emitted = counts[CLICK_FIELDS[click][0]]
+        counted = bound_expected_count(counts[click], emitted, eps_1, direction, provider=provider)
+        out[click] = bound_gain(counted, emitted)
     return out
 
 
@@ -355,9 +353,11 @@ def _finish_pipeline(
 ) -> KeyRateResult:
     mu = params.source.mu
     include = analysis.remainder_terms == "include"
-    xg_up = xbasis_gain_upper_m1(bounds["aa_m1"], bounds["vac_m1"], mu, include_remainder=include)
+    xg_up = xbasis_gain_upper_m1(
+        bounds["n_aa_m1"], bounds["n_vac_m1"], mu, include_remainder=include
+    )
     xg_lo = xbasis_gain_lower_m0(
-        bounds["aa_m0"], bounds["vac_m0"], mu,
+        bounds["n_aa_m0"], bounds["n_vac_m0"], mu,
         cross_term=analysis.cross_term, include_remainder=include,
     )
     ep_star = phase_error_expected_upper(gains, xg_up, xg_lo, mu)
@@ -393,19 +393,17 @@ def evaluate_analytic_point(
     gains = analytic_gains(params, m1_model=analysis.m1_model)
     qber_value = qber(gains)
     n_z = expected_sifted_clicks(params, params.block_duration_s())
-    emissions = {
-        "aa": params.rounds * params.source.p_decoy_alpha_alpha,
-        "vac": params.rounds * params.source.p_decoy_vacuum,
-    }
     counts = {
-        "aa_m0": emissions["aa"] * gains.mon_alpha_alpha_m0,
-        "aa_m1": emissions["aa"] * gains.mon_alpha_alpha_m1,
-        "vac_m0": emissions["vac"] * gains.mon_vac_m0,
-        "vac_m1": emissions["vac"] * gains.mon_vac_m1,
+        "n_sent_alpha_alpha": params.rounds * params.source.p_decoy_alpha_alpha,
+        "n_sent_vac": params.rounds * params.source.p_decoy_vacuum,
     }
-    if emissions["aa"] <= 0 or emissions["vac"] <= 0:
+    if counts["n_sent_alpha_alpha"] <= 0 or counts["n_sent_vac"] <= 0:
         raise ValueError("both decoy probabilities must be positive for the analytic pipeline")
-    bounds = _decoy_bounds(counts, emissions, params.security.eps_1, analysis.delta_provider)
+    gain_of = vars(gains)
+    for click in _DECOY_SIDES:
+        sent_name, gain = CLICK_FIELDS[click]
+        counts[click] = counts[sent_name] * gain_of[gain]
+    bounds = _decoy_bounds(counts, params.security.eps_1, analysis.delta_provider)
     return _finish_pipeline(gains, bounds, qber_value, n_z, params.rounds, params, analysis)
 
 
@@ -432,14 +430,7 @@ def evaluate_record(
         qber_value = qber(gains)
     if record.n_sent_alpha_alpha <= 0 or record.n_sent_vac <= 0:
         raise ValueError("record contains no decoy emissions, bounds undefined")
-    emissions = {"aa": float(record.n_sent_alpha_alpha), "vac": float(record.n_sent_vac)}
-    counts = {
-        "aa_m0": float(record.n_aa_m0),
-        "aa_m1": float(record.n_aa_m1),
-        "vac_m0": float(record.n_vac_m0),
-        "vac_m1": float(record.n_vac_m1),
-    }
-    bounds = _decoy_bounds(counts, emissions, params.security.eps_1, analysis.delta_provider)
+    bounds = _decoy_bounds(vars(record), params.security.eps_1, analysis.delta_provider)
     return _finish_pipeline(
         gains, bounds, qber_value, float(record.n_z), record.rounds, params, analysis
     )

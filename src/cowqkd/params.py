@@ -23,10 +23,6 @@ __all__ = [
     "validate",
 ]
 
-# Probability-balance checks tolerate this much floating error.
-_PROB_TOL = 1e-9
-
-
 class ValidationError(ValueError):
     """Raised when parameter invariants fail; carries every violation found."""
 
@@ -43,23 +39,20 @@ class SourceParams:
     number of two-bin rounds emitted per second.  Each round carries one of
     four states: a bit state with the pulse in the early or late bin, a
     both-bins decoy, or a vacuum decoy.  The two bit states share the
-    probability left over by the decoys; omitted bit-state probabilities are
-    filled in with that balanced value.
+    probability left over by the decoys equally.
     """
 
     mu: float = 0.5
     pulse_pair_rate: float = 5.0e8
     p_decoy_alpha_alpha: float = 0.01
     p_decoy_vacuum: float = 0.01
-    p_z0: float | None = None
-    p_z1: float | None = None
 
-    def __post_init__(self) -> None:
-        balanced = 0.5 * (1.0 - self.p_decoy_alpha_alpha - self.p_decoy_vacuum)
-        if self.p_z0 is None:
-            object.__setattr__(self, "p_z0", balanced)
-        if self.p_z1 is None:
-            object.__setattr__(self, "p_z1", balanced)
+    @property
+    def p_z0(self) -> float:
+        """Probability of each bit state: half of what the decoys leave."""
+        return 0.5 * (1.0 - self.p_decoy_alpha_alpha - self.p_decoy_vacuum)
+
+    p_z1 = p_z0
 
 
 @dataclass(frozen=True)
@@ -170,18 +163,9 @@ def _source_violations(s: SourceParams) -> list[str]:
         out.append(f"source.pulse_pair_rate must be positive, got {s.pulse_pair_rate}")
     _prob_range("source.p_decoy_alpha_alpha", s.p_decoy_alpha_alpha, out)
     _prob_range("source.p_decoy_vacuum", s.p_decoy_vacuum, out)
-    _prob_range("source.p_z0", s.p_z0, out)
-    _prob_range("source.p_z1", s.p_z1, out)
-    balanced = 0.5 * (1.0 - s.p_decoy_alpha_alpha - s.p_decoy_vacuum)
-    if abs(s.p_z0 - balanced) > _PROB_TOL or abs(s.p_z1 - balanced) > _PROB_TOL:
-        out.append(
-            "source.p_z0 and source.p_z1 must both equal "
-            f"(1 - p_decoy_alpha_alpha - p_decoy_vacuum)/2 = {balanced}, "
-            f"got {s.p_z0} and {s.p_z1}"
-        )
-    total = s.p_z0 + s.p_z1 + s.p_decoy_alpha_alpha + s.p_decoy_vacuum
-    if abs(total - 1.0) > _PROB_TOL:
-        out.append(f"source state probabilities must sum to 1, got {total}")
+    total = s.p_decoy_alpha_alpha + s.p_decoy_vacuum
+    if total > 1.0:
+        out.append(f"source decoy probabilities must sum to at most 1, got {total}")
     return out
 
 

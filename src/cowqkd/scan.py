@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Sequence
 
 from .finite_key import AnalysisConfig, KeyRateResult, evaluate_analytic_point, evaluate_record
 from .gains import analytic_gains, qber
@@ -28,10 +27,19 @@ __all__ = [
     "emit",
 ]
 
-SCAN_VARIABLES = ("length_km", "detector_efficiency", "dead_time", "mu")
+#: Each scan variable and how to set it in a copy of SystemParams.
+_SETTERS: dict[str, Callable[[SystemParams, float], SystemParams]] = {
+    "length_km": lambda p, v: replace(p, channel=replace(p.channel, length_km=v)),
+    "detector_efficiency": lambda p, v: replace(p, detectors=replace(p.detectors, efficiency=v)),
+    "dead_time": lambda p, v: replace(p, detectors=replace(p.detectors, dead_time_s=v)),
+    "mu": lambda p, v: replace(p, source=replace(p.source, mu=v)),
+}
+SCAN_VARIABLES = tuple(_SETTERS)
 SCAN_MODES = ("analytic", "simulate", "replay")
 
-CSV_HEADER = "variable,qber,phase_error_upper,key_bits,key_rate_bps,aborted,reason"
+#: Output columns, one per ScanRow field in order; the value column is "variable".
+COLUMNS = ("variable", "qber", "phase_error_upper", "key_bits", "key_rate_bps", "aborted", "reason")
+CSV_HEADER = ",".join(COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -79,23 +87,9 @@ class NoThresholdError(RuntimeError):
 
 def with_variable(params: SystemParams, variable: str, value: float) -> SystemParams:
     """A copy of params with one scan variable replaced."""
-    if variable == "length_km":
-        return dataclasses.replace(
-            params, channel=dataclasses.replace(params.channel, length_km=value)
-        )
-    if variable == "detector_efficiency":
-        return dataclasses.replace(
-            params, detectors=dataclasses.replace(params.detectors, efficiency=value)
-        )
-    if variable == "dead_time":
-        return dataclasses.replace(
-            params, detectors=dataclasses.replace(params.detectors, dead_time_s=value)
-        )
-    if variable == "mu":
-        return dataclasses.replace(
-            params, source=dataclasses.replace(params.source, mu=value)
-        )
-    raise ValueError(f"unknown scan variable {variable!r}")
+    if variable not in _SETTERS:
+        raise ValueError(f"unknown scan variable {variable!r}")
+    return _SETTERS[variable](params, value)
 
 
 def scan_values(spec: ScanSpec) -> list[float]:
@@ -128,7 +122,9 @@ def _row_from_result(value: float, result: KeyRateResult, params: SystemParams) 
         qber=result.qber,
         phase_error_upper=result.phase_error_observed_upper,
         key_bits=float(result.key_length_bits),
-        key_rate_bps=result.key_length_bits / params.block_duration_s(),
+        key_rate_bps=key_rate_bps(
+            result.key_length_bits, params.rounds, params.source.pulse_pair_rate
+        ),
         aborted=result.aborted,
         reason=result.abort_reason,
     )
@@ -141,8 +137,10 @@ def run_scan(
 ) -> list[ScanRow]:
     """Evaluate the grid; a failing point becomes an aborted NaN row.
 
-    Per-point errors are captured rather than raised so one bad point
-    cannot lose the rest of a long sweep.
+    A point's value and arithmetic errors (bad inputs, degenerate gains, a
+    malformed replay log) are captured rather than raised so one bad point
+    cannot lose the rest of a long sweep; any other exception is a fault
+    and propagates.
     """
     analysis = analysis or AnalysisConfig()
     rows: list[ScanRow] = []
@@ -151,7 +149,7 @@ def run_scan(
         try:
             result = _evaluate(point, spec, analysis)
             rows.append(_row_from_result(value, result, point))
-        except Exception as exc:
+        except (ValueError, ArithmeticError) as exc:
             rows.append(
                 ScanRow(
                     value=value,
@@ -164,15 +162,6 @@ def run_scan(
                 )
             )
     return rows
-
-
-def _qber_at(params: SystemParams) -> float:
-    return qber(analytic_gains(params))
-
-
-def _key_length_at(params: SystemParams, analysis: AnalysisConfig) -> float:
-    result = evaluate_analytic_point(params, analysis)
-    return float(result.key_length_bits)
 
 
 def find_threshold(
@@ -192,9 +181,9 @@ def find_threshold(
     """
     analysis = analysis or AnalysisConfig()
     if metric == "qber":
-        predicate: Callable[[SystemParams], bool] = lambda p: _qber_at(p) > target
+        predicate: Callable[[SystemParams], bool] = lambda p: qber(analytic_gains(p)) > target
     elif metric == "key_length":
-        predicate = lambda p: _key_length_at(p, analysis) <= target
+        predicate = lambda p: evaluate_analytic_point(p, analysis).key_length_bits <= target
     else:
         raise ValueError(f"unknown threshold metric {metric!r}")
 
@@ -224,23 +213,22 @@ def _format_float(x: float) -> str:
     return repr(x)
 
 
-def _rows_as_dicts(rows: Sequence[ScanRow]) -> list[dict]:
-    out = []
-    for row in rows:
-        out.append(
-            {
-                "variable": row.value,
-                "qber": None if math.isnan(row.qber) else row.qber,
-                "phase_error_upper": None
-                if math.isnan(row.phase_error_upper)
-                else row.phase_error_upper,
-                "key_bits": None if math.isnan(row.key_bits) else row.key_bits,
-                "key_rate_bps": None if math.isnan(row.key_rate_bps) else row.key_rate_bps,
-                "aborted": row.aborted,
-                "reason": row.reason,
-            }
-        )
-    return out
+def key_rate_bps(key_bits: float, rounds: int, pulse_pair_rate: float) -> float:
+    """Key bits per second of a block of rounds sent at pulse_pair_rate."""
+    return key_bits / (rounds / pulse_pair_rate)
+
+
+def json_safe(payload: dict) -> dict:
+    """payload with each NaN float replaced by None, which JSON can carry."""
+    return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in payload.items()}
+
+
+def write_text(text: str, destination: str | Path) -> None:
+    """Write text to stdout when destination is "-", else to that file."""
+    if destination == "-":
+        sys.stdout.write(text)
+    else:
+        Path(destination).write_text(text, encoding="utf-8")
 
 
 def emit(rows: Sequence[ScanRow], format: str = "csv", destination: str | Path = "-") -> str:
@@ -272,16 +260,10 @@ def emit(rows: Sequence[ScanRow], format: str = "csv", destination: str | Path =
             )
         text = buf.getvalue()
     elif format == "json":
-        text = json.dumps(_rows_as_dicts(rows), indent=2, allow_nan=False) + "\n"
+        payload = [json_safe(dict(zip(COLUMNS, astuple(row)))) for row in rows]
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         raise ValueError(f"unknown output format {format!r}")
 
-    if destination == "-":
-        _stdout().write(text)
-    else:
-        Path(destination).write_text(text, encoding="utf-8")
+    write_text(text, destination)
     return text
-
-
-def _stdout() -> TextIO:
-    return sys.stdout

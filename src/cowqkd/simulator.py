@@ -45,7 +45,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .concentration import CountRecord, validate_record
+from .concentration import CLICK_FIELDS, CountRecord, validate_record
 from .gains import GainSet, _line_intensities
 from .params import SystemParams, ValidationError
 
@@ -399,22 +399,8 @@ def empirical_gains(record: CountRecord, params: SystemParams | None = None) -> 
     count.  Fields whose class has no recorded emissions are absent, and
     reading them raises MissingCountError.
     """
-    sources = {
-        "data_0z_tau0": ("n_0z_tau0", "n_sent_0z"),
-        "data_0z_tau1": ("n_0z_tau1", "n_sent_0z"),
-        "data_1z_tau0": ("n_1z_tau0", "n_sent_1z"),
-        "data_1z_tau1": ("n_1z_tau1", "n_sent_1z"),
-        "mon_alpha_alpha_m0": ("n_aa_m0", "n_sent_alpha_alpha"),
-        "mon_alpha_alpha_m1": ("n_aa_m1", "n_sent_alpha_alpha"),
-        "mon_vac_m0": ("n_vac_m0", "n_sent_vac"),
-        "mon_vac_m1": ("n_vac_m1", "n_sent_vac"),
-        "mon_0z_m0": ("n_0z_m0", "n_sent_0z"),
-        "mon_0z_m1": ("n_0z_m1", "n_sent_0z"),
-        "mon_1z_m0": ("n_1z_m0", "n_sent_1z"),
-        "mon_1z_m1": ("n_1z_m1", "n_sent_1z"),
-    }
     values: dict[str, float] = {}
-    for field, (click_name, sent_name) in sources.items():
+    for click_name, (sent_name, field) in CLICK_FIELDS.items():
         clicks = getattr(record, click_name)
         sent = getattr(record, sent_name)
         if clicks is None or sent is None or sent == 0:

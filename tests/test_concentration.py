@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -10,8 +11,11 @@ from cowqkd import (
     bound_gain,
     delta_hoeffding,
     delta_observed,
+    GainSet,
     validate_record,
 )
+from cowqkd.concentration import CLICK_FIELDS
+from cowqkd.simulator import WIRE_KEYS
 
 
 def record(**overrides) -> CountRecord:
@@ -222,3 +226,23 @@ class TestBoundGain:
     def test_failure_prob_carried_through(self):
         counts = bound_expected_count(10, 1000, 0.025, direction="both")
         assert bound_gain(counts, 1000).failure_prob == 0.025
+
+
+class TestFieldTables:
+    record_fields = {f.name for f in dataclasses.fields(CountRecord)}
+
+    def test_click_fields_name_record_fields(self):
+        for click, (sent, _) in CLICK_FIELDS.items():
+            assert click in self.record_fields
+            assert sent in self.record_fields
+
+    def test_gain_fields_cover_gainset_once(self):
+        gains = [gain for _, gain in CLICK_FIELDS.values()]
+        assert sorted(gains) == sorted(f.name for f in dataclasses.fields(GainSet))
+
+    def test_wire_keys_are_the_required_fields(self):
+        required = {f.name for f in dataclasses.fields(CountRecord)
+                    if f.default is dataclasses.MISSING}
+        wire = [field for _, field in WIRE_KEYS]
+        assert len(wire) == len(set(wire))
+        assert set(wire) == required

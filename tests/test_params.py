@@ -97,11 +97,6 @@ class TestSourceParams:
         assert src.p_z0 == pytest.approx(0.35, rel=1e-12)
         assert src.p_z1 == pytest.approx(0.35, rel=1e-12)
 
-    def test_explicit_probabilities_kept(self):
-        src = SourceParams(p_decoy_alpha_alpha=0.1, p_decoy_vacuum=0.1, p_z0=0.5, p_z1=0.3)
-        assert src.p_z0 == 0.5
-        assert src.p_z1 == 0.3
-
 
 class TestValidate:
     def test_defaults_pass(self):
@@ -114,7 +109,7 @@ class TestValidate:
         assert any("mu" in v for v in exc.value.violations)
 
     def test_probability_sum_violation(self):
-        src = SourceParams(p_decoy_alpha_alpha=0.01, p_decoy_vacuum=0.01, p_z0=0.6, p_z1=0.6)
+        src = SourceParams(p_decoy_alpha_alpha=0.6, p_decoy_vacuum=0.6)
         p = dataclasses.replace(make_params(), source=src)
         with pytest.raises(ValidationError) as exc:
             validate(p)

@@ -12,6 +12,7 @@ from cowqkd import (
     find_threshold,
     run_scan,
 )
+import cowqkd.scan
 from cowqkd.cli import CONFIG_KEYS, ConfigError, main, parse_config_text
 from cowqkd.scan import CSV_HEADER, scan_values, with_variable
 from helpers import make_params
@@ -435,3 +436,47 @@ class TestCliCommands:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+KEYRATE_SETS = ["--set", "channel.length_km=30", "--set", "detectors.efficiency=0.2",
+                "--set", "detectors.dead_time_s=30e-6",
+                "--set", "source.p_decoy_alpha_alpha=0.14",
+                "--set", "source.p_decoy_vacuum=0.14"]
+
+
+class TestExitCodes:
+    SCAN = ["scan", "--variable", "length_km", "--start", "100", "--stop", "101"]
+
+    @pytest.mark.parametrize("command", [["validate"], SCAN])
+    def test_unknown_m1_model_is_a_config_error(self, capsys, command):
+        assert main(command + ["--set", "analysis.m1_model=bogus"]) == 1
+        assert "m1_model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--rounds", "0"]])
+    def test_bad_simulate_arguments_are_usage_errors(self, capsys, flag):
+        assert main(["simulate", "--rounds", "10"] + flag) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_removed_bit_state_key_is_unknown(self, capsys):
+        assert main(["validate", "--set", "source.p_z0=0.4"]) == 1
+        assert "unknown key" in capsys.readouterr().err
+
+    def test_programming_error_is_not_a_config_error(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken evaluator")
+
+        monkeypatch.setattr(cowqkd.scan, "evaluate_analytic_point", broken)
+        assert main(self.SCAN) == 2
+        assert "broken evaluator" in capsys.readouterr().err
+
+
+def test_analyze_key_rate_uses_the_logs_rounds(capsys, tmp_path):
+    counts = tmp_path / "counts.txt"
+    assert main(["simulate", "--seed", "5", "--rounds", "2000000",
+                 "--output", str(counts)] + KEYRATE_SETS) == 0
+    # The configured block stays at its default of 5e8 rounds.
+    assert main(["analyze", "--counts", str(counts)] + KEYRATE_SETS) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["key_length_bits"] > 0
+    assert payload["key_rate_bps"] == pytest.approx(
+        payload["key_length_bits"] / (2_000_000 / 5.0e8), rel=1e-12)
