@@ -42,6 +42,7 @@ from .scan import (
     json_safe,
     key_rate_bps,
     run_scan,
+    with_variable,
     write_text,
 )
 from .simulator import SIM_MODES, SimConfig, format_counts, replay_counts, simulate_session
@@ -193,6 +194,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     params = build_params(cfg)
     analysis = build_analysis(cfg)
     spec = build_scan_spec(cfg, args)
+    # Each constraint on a scan variable is an interval: valid ends, valid grid.
+    for value in (spec.start, spec.stop):
+        validate(with_variable(params, spec.variable, value))
     rows = run_scan(spec, params, analysis)
     emit(rows, format=args.format, destination=args.output)
     return 0
@@ -203,6 +207,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     params = build_params(cfg)
     analysis = build_analysis(cfg)
     lo, hi = args.bracket
+    for value in (lo, hi):
+        validate(with_variable(params, args.variable, value))
     crossing = find_threshold(
         args.metric, args.target, (lo, hi), params, analysis, variable=args.variable
     )

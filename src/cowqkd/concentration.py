@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
-from .params import ValidationError
+from .params import ValidationError, _any, _clamp01, _max, _sqrt
 
 __all__ = [
     "CountRecord",
@@ -71,11 +71,11 @@ class BoundedValue:
             raise ValueError(
                 f"failure_prob must lie in (0, 1), got {self.failure_prob}"
             )
-        if self.lower is not None and self.lower > self.observed:
+        if self.lower is not None and _any(self.lower > self.observed):
             raise ValueError(
                 f"lower bound {self.lower} exceeds observed value {self.observed}"
             )
-        if self.upper is not None and self.upper < self.observed:
+        if self.upper is not None and _any(self.upper < self.observed):
             raise ValueError(
                 f"upper bound {self.upper} is below observed value {self.observed}"
             )
@@ -155,9 +155,9 @@ def delta_hoeffding(n: float, eps: float) -> float:
     and decreasing in eps.
     """
     _check_eps(eps)
-    if n < 0:
+    if _any(n < 0):
         raise ValueError(f"n must be non-negative, got {n}")
-    return math.sqrt(0.5 * n * math.log(1.0 / eps))
+    return _sqrt(0.5 * n * math.log(1.0 / eps))
 
 
 def delta_observed(observed: float, eps: float) -> float:
@@ -168,7 +168,7 @@ def delta_observed(observed: float, eps: float) -> float:
     tracks it at Poisson scale.
     """
     _check_eps(eps)
-    return math.sqrt(2.0 * max(observed, 0.0) * math.log(1.0 / eps))
+    return _sqrt(2.0 * _max(observed, 0.0) * math.log(1.0 / eps))
 
 
 #: A provider maps (observed count, emission count, eps) to a deviation delta.
@@ -195,9 +195,9 @@ def bound_expected_count(
     sides to populate ("upper", "lower", or "both"); provider names an entry
     of DELTA_PROVIDERS or is a callable with the same signature.
     """
-    if observed < 0:
+    if _any(observed < 0):
         raise ValueError(f"observed count must be non-negative, got {observed}")
-    if observed > n_emitted:
+    if _any(observed > n_emitted):
         raise ValueError(
             f"observed count {observed} exceeds emission count {n_emitted}"
         )
@@ -213,21 +213,19 @@ def bound_expected_count(
         fn = provider
     delta = fn(observed, n_emitted, eps)
     upper = observed + delta if direction in ("upper", "both") else None
-    lower = max(0.0, observed - delta) if direction in ("lower", "both") else None
+    lower = _max(0.0, observed - delta) if direction in ("lower", "both") else None
     return BoundedValue(observed=observed, lower=lower, upper=upper, failure_prob=eps)
 
 
 def bound_gain(bounded_count: BoundedValue, n_emitted: float) -> BoundedValue:
     """Rescale count bounds into gain bounds, clamped to [0, 1]."""
-    if n_emitted == 0:
+    if _any(n_emitted == 0):
         raise ZeroDivisionError(
             "n_emitted is zero: the decoy class was never sent, gains undefined"
         )
 
     def scale(value: float | None) -> float | None:
-        if value is None:
-            return None
-        return min(1.0, max(0.0, value / n_emitted))
+        return None if value is None else _clamp01(value / n_emitted)
 
     return BoundedValue(
         observed=scale(bounded_count.observed),

@@ -7,6 +7,10 @@ between combinations of the observable decoy gains.  The sandwich, a
 statistical fluctuation step, and the entropic key-length bound are
 implemented here, with every contested algebraic choice exposed as an
 explicit mode.
+
+The pipeline is elementwise: parameters holding numpy arrays (a scan grid)
+give a KeyRateResult of arrays over the grid.  A check that fails at any
+element raises for the whole call.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .concentration import (
     CLICK_FIELDS,
@@ -26,6 +32,7 @@ from .concentration import (
 )
 from .gains import M1_MODELS, DegenerateGainsError, GainSet, analytic_gains, qber
 from .params import SecurityParams, SystemParams, binary_entropy, channel_transmittance
+from .params import _any, _clamp01, _min, _sqrt, _where, raise_float_errors
 
 __all__ = [
     "XBasisConstants",
@@ -59,6 +66,11 @@ _ANALYSIS_CHOICES = (
     ("m1_model", M1_MODELS),
 )
 
+#: Abort reasons by cause code, in order of precedence (0: no abort); the qber
+#: reason is formatted with the qber and the threshold.
+_ABORT_REASONS = np.array([None, "no sifted detections", "qber {:.6g} above abort threshold {:.6g}",
+                           "phase error bound at or above 0.5", "no positive key length"], dtype=object)
+
 #: The click tallies behind the six decoy bounds and the sides bounded: both
 #: monitoring ports above, the constructive port also below.
 _DECOY_SIDES = {"n_aa_m0": "both", "n_aa_m1": "upper", "n_vac_m0": "both", "n_vac_m1": "upper"}
@@ -73,7 +85,7 @@ class XBasisConstants:
 
     @classmethod
     def from_mu(cls, mu: float) -> "XBasisConstants":
-        e = math.exp(-mu)
+        e = np.exp(-mu)
         return cls(n_plus=2.0 * (1.0 + e), n_minus=2.0 * (1.0 - e))
 
 
@@ -83,7 +95,9 @@ class KeyRateResult:
 
     key_length_bits is the extractable key per block, floored at zero; the
     phase-error fields are clamped to [0, 0.5] since anything at or above 0.5
-    aborts.  abort_reason is None exactly when aborted is False.
+    aborts.  abort_reason is None exactly when aborted is False.  The fields
+    are arrays of one shape when an array input moves the result, and Python
+    scalars otherwise.
     """
 
     qber: float
@@ -121,10 +135,6 @@ class AnalysisConfig:
                 raise ValueError(f"unknown {name} {value!r}, expected one of {allowed}")
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
-
-
 def _require_side(bound: BoundedValue, side: str, name: str) -> float:
     value = getattr(bound, side)
     if value is None:
@@ -151,15 +161,14 @@ def xbasis_gain_upper_m1(
     g_aa = _require_side(bounded_aa_m1, "upper", "bounded_aa_m1")
     g_vac = _require_side(bounded_vac_m1, "upper", "bounded_vac_m1")
     const = XBasisConstants.from_mu(mu)
-    quad = (
-        math.exp(mu / 2.0) * math.sqrt(g_aa) + math.exp(-mu / 2.0) * math.sqrt(g_vac)
-    ) ** 2 / const.n_plus
+    root = np.exp(mu / 2.0) * _sqrt(g_aa) + np.exp(-mu / 2.0) * _sqrt(g_vac)
+    quad = root * root / const.n_plus
     value = quad
     if include_remainder:
         value += (const.n_minus / const.n_plus) * (
-            math.exp(mu) * const.n_minus / 4.0
-            + math.exp(mu) * math.sqrt(g_aa)
-            + math.sqrt(g_vac)
+            np.exp(mu) * const.n_minus / 4.0
+            + np.exp(mu) * _sqrt(g_aa)
+            + _sqrt(g_vac)
         )
     return _clamp01(value)
 
@@ -188,13 +197,13 @@ def xbasis_gain_lower_m0(
     up_vac = _require_side(bounded_vac_m0, "upper", "bounded_vac_m0")
     const = XBasisConstants.from_mu(mu)
     if cross_term == "mixed":
-        cross = 2.0 * math.sqrt(up_aa * up_vac)
+        cross = 2.0 * _sqrt(up_aa * up_vac)
     else:
         cross = 2.0 * up_vac
-    value = (math.exp(mu) * lo_aa + math.exp(-mu) * lo_vac - cross) / const.n_plus
+    value = (np.exp(mu) * lo_aa + np.exp(-mu) * lo_vac - cross) / const.n_plus
     if include_remainder:
         value -= (const.n_minus / const.n_plus) * (
-            math.exp(mu) * math.sqrt(up_aa) + math.sqrt(up_vac)
+            np.exp(mu) * _sqrt(up_aa) + _sqrt(up_vac)
         )
     return _clamp01(value)
 
@@ -215,7 +224,7 @@ def phase_error_expected_upper(
     denom = 2.0 * (
         gains.mon_0z_m0 + gains.mon_0z_m1 + gains.mon_1z_m0 + gains.mon_1z_m1
     )
-    if denom == 0.0:
+    if _any(denom == 0.0):
         raise DegenerateGainsError(
             "all bit-state monitoring gains are zero, phase error undefined"
         )
@@ -238,12 +247,12 @@ def phase_error_observed_upper(
     sqrt(n_z/2 ln(1/eps_2)); the result is their sum over n_z, capped at 1.
     rounds is only sanity-checked against n_z.
     """
-    if n_z <= 0:
+    if _any(n_z <= 0):
         raise ZeroDivisionError("n_z is zero: no sifted detections to bound")
-    if n_z > rounds:
+    if _any(n_z > rounds):
         raise ValueError(f"n_z = {n_z} exceeds rounds = {rounds}")
     n_p_upper = n_z * ep_expected_upper + delta_hoeffding(n_z, eps_2)
-    return min(1.0, n_p_upper / n_z)
+    return _min(1.0, n_p_upper / n_z)
 
 
 def secure_key_length(
@@ -257,37 +266,42 @@ def secure_key_length(
     """Extractable key length of one block, with per-term accounting.
 
     key = n_z [1 - h(ep)] - f n_z h(qber) - log2(2/eps_cor) - 2 log2(5/eps_sec),
-    floored at zero.  Aborts when the QBER exceeds its threshold, when the
+    floored at zero.  Aborts, in this order of precedence, when there are no
+    sifted detections, when the QBER exceeds its threshold, when the
     phase-error bound reaches 0.5, or when no positive key remains.
     """
     correctness = math.log2(2.0 / sec.eps_cor)
     secrecy = 2.0 * math.log2(5.0 / sec.eps_sec)
     leak_ec = sec.f_ec * n_z * binary_entropy(qber_value)
-    reason: str | None = None
-    key_bits = 0.0
-    if qber_value > sec.qber_abort_threshold:
-        reason = (
-            f"qber {qber_value:.6g} above abort threshold {sec.qber_abort_threshold:.6g}"
+    # An ep at or above 0.5 aborts before raw is read.
+    h_ep = binary_entropy(_min(ep_observed_upper, 0.5))
+    raw = n_z * (1.0 - h_ep) - leak_ec - correctness - secrecy
+    threshold = sec.qber_abort_threshold
+    unsifted = n_z <= 0
+    stops = (unsifted, qber_value > threshold, ep_observed_upper >= 0.5, raw <= 0.0)
+    # The code of the first abort cause that holds, per point; 0 where none does.
+    cause = 0
+    for code in (4, 3, 2, 1):
+        cause = _where(stops[code - 1], code, cause)
+    # Without sifted detections the phase error is reported at its 0.5 cap.
+    ep_observed_upper = _where(unsifted, 0.5, ep_observed_upper)
+    if np.ndim(raw) == 0:
+        reason = _ABORT_REASONS[cause]
+        return KeyRateResult(
+            float(qber_value), float(min(0.5, ep_expected_upper)), float(min(0.5, ep_observed_upper)),
+            0.0 if cause else float(raw), float(leak_ec), correctness, secrecy,
+            bool(cause), reason and reason.format(qber_value, threshold),
         )
-    elif ep_observed_upper >= 0.5:
-        reason = "phase error bound at or above 0.5"
-    else:
-        raw = n_z * (1.0 - binary_entropy(ep_observed_upper)) - leak_ec - correctness - secrecy
-        if raw <= 0.0:
-            reason = "no positive key length"
-        else:
-            key_bits = raw
-    return KeyRateResult(
-        qber=qber_value,
-        phase_error_expected_upper=min(0.5, ep_expected_upper),
-        phase_error_observed_upper=min(0.5, ep_observed_upper),
-        key_length_bits=key_bits,
-        leak_ec_bits=leak_ec,
-        correctness_term_bits=correctness,
-        secrecy_term_bits=secrecy,
-        aborted=reason is not None,
-        abort_reason=reason,
+    cause = np.full(np.shape(raw), cause)
+    reasons = _ABORT_REASONS[cause]
+    qbers = np.full(cause.shape, qber_value)
+    for i in zip(*np.nonzero(cause == 2)):
+        reasons[i] = reasons[i].format(qbers[i], threshold)
+    fields = (
+        qber_value, np.fmin(0.5, ep_expected_upper), np.fmin(0.5, ep_observed_upper),
+        np.where(cause > 0, 0.0, raw), leak_ec, correctness, secrecy, cause > 0, reasons,
     )
+    return KeyRateResult(*(f if np.shape(f) == cause.shape else np.full(cause.shape, f) for f in fields))
 
 
 def expected_sifted_clicks(params: SystemParams, duration_s: float = 1.0) -> float:
@@ -299,12 +313,12 @@ def expected_sifted_clicks(params: SystemParams, duration_s: float = 1.0) -> flo
     is non-paralyzable, so the registered rate saturates as
     raw / (1 + raw * dead_time).
     """
-    if duration_s <= 0:
+    if _any(duration_s <= 0):
         raise ValueError(f"duration_s must be positive, got {duration_s}")
     eta = channel_transmittance(params.channel, params.detectors)
     a = params.receiver.t_b * params.source.mu * eta
     p_d = params.detectors.dark_count_prob
-    p_click = 1.0 - (1.0 - p_d) ** 2 * math.exp(-a)
+    p_click = 1.0 - (1.0 - p_d) ** 2 * np.exp(-a)
     p_signal = 1.0 - params.source.p_decoy_alpha_alpha - params.source.p_decoy_vacuum
     raw_rate = params.source.pulse_pair_rate * p_signal * p_click
     saturated = raw_rate / (1.0 + raw_rate * params.detectors.dead_time_s)
@@ -361,19 +375,8 @@ def _finish_pipeline(
         cross_term=analysis.cross_term, include_remainder=include,
     )
     ep_star = phase_error_expected_upper(gains, xg_up, xg_lo, mu)
-    if n_z <= 0:
-        return KeyRateResult(
-            qber=qber_value,
-            phase_error_expected_upper=min(0.5, ep_star),
-            phase_error_observed_upper=0.5,
-            key_length_bits=0.0,
-            leak_ec_bits=0.0,
-            correctness_term_bits=math.log2(2.0 / params.security.eps_cor),
-            secrecy_term_bits=2.0 * math.log2(5.0 / params.security.eps_sec),
-            aborted=True,
-            abort_reason="no sifted detections",
-        )
-    ep_obs = phase_error_observed_upper(ep_star, n_z, rounds, params.security.eps_2)
+    # A point without sifted detections aborts; bound it as if it had one.
+    ep_obs = phase_error_observed_upper(ep_star, _where(n_z > 0, n_z, 1.0), rounds, params.security.eps_2)
     return secure_key_length(
         n_z, ep_obs, qber_value, params.security, ep_expected_upper=ep_star
     )
@@ -390,21 +393,22 @@ def evaluate_analytic_point(
     result is a deterministic function of the parameters.
     """
     analysis = analysis or AnalysisConfig()
-    gains = analytic_gains(params, m1_model=analysis.m1_model)
-    qber_value = qber(gains)
-    n_z = expected_sifted_clicks(params, params.block_duration_s())
-    counts = {
-        "n_sent_alpha_alpha": params.rounds * params.source.p_decoy_alpha_alpha,
-        "n_sent_vac": params.rounds * params.source.p_decoy_vacuum,
-    }
-    if counts["n_sent_alpha_alpha"] <= 0 or counts["n_sent_vac"] <= 0:
-        raise ValueError("both decoy probabilities must be positive for the analytic pipeline")
-    gain_of = vars(gains)
-    for click in _DECOY_SIDES:
-        sent_name, gain = CLICK_FIELDS[click]
-        counts[click] = counts[sent_name] * gain_of[gain]
-    bounds = _decoy_bounds(counts, params.security.eps_1, analysis.delta_provider)
-    return _finish_pipeline(gains, bounds, qber_value, n_z, params.rounds, params, analysis)
+    with raise_float_errors():
+        gains = analytic_gains(params, m1_model=analysis.m1_model)
+        qber_value = qber(gains)
+        n_z = expected_sifted_clicks(params, params.block_duration_s())
+        counts = {
+            "n_sent_alpha_alpha": params.rounds * params.source.p_decoy_alpha_alpha,
+            "n_sent_vac": params.rounds * params.source.p_decoy_vacuum,
+        }
+        if _any((counts["n_sent_alpha_alpha"] <= 0) | (counts["n_sent_vac"] <= 0)):
+            raise ValueError("both decoy probabilities must be positive for the analytic pipeline")
+        gain_of = vars(gains)
+        for click in _DECOY_SIDES:
+            sent_name, gain = CLICK_FIELDS[click]
+            counts[click] = counts[sent_name] * gain_of[gain]
+        bounds = _decoy_bounds(counts, params.security.eps_1, analysis.delta_provider)
+        return _finish_pipeline(gains, bounds, qber_value, n_z, params.rounds, params, analysis)
 
 
 def evaluate_record(
@@ -421,16 +425,17 @@ def evaluate_record(
     do not resolve them.
     """
     analysis = analysis or AnalysisConfig()
-    gains = analytic_gains(params, m1_model=analysis.m1_model)
-    per_bin = (record.n_0z_tau0, record.n_0z_tau1, record.n_1z_tau0, record.n_1z_tau1)
-    if all(v is not None for v in per_bin) and sum(per_bin) > 0:
-        wrong = record.n_0z_tau1 + record.n_1z_tau0
-        qber_value = wrong / sum(per_bin)
-    else:
-        qber_value = qber(gains)
-    if record.n_sent_alpha_alpha <= 0 or record.n_sent_vac <= 0:
-        raise ValueError("record contains no decoy emissions, bounds undefined")
-    bounds = _decoy_bounds(vars(record), params.security.eps_1, analysis.delta_provider)
-    return _finish_pipeline(
-        gains, bounds, qber_value, float(record.n_z), record.rounds, params, analysis
-    )
+    with raise_float_errors():
+        gains = analytic_gains(params, m1_model=analysis.m1_model)
+        per_bin = (record.n_0z_tau0, record.n_0z_tau1, record.n_1z_tau0, record.n_1z_tau1)
+        if all(v is not None for v in per_bin) and sum(per_bin) > 0:
+            wrong = record.n_0z_tau1 + record.n_1z_tau0
+            qber_value = wrong / sum(per_bin)
+        else:
+            qber_value = qber(gains)
+        if record.n_sent_alpha_alpha <= 0 or record.n_sent_vac <= 0:
+            raise ValueError("record contains no decoy emissions, bounds undefined")
+        bounds = _decoy_bounds(vars(record), params.security.eps_1, analysis.delta_provider)
+        return _finish_pipeline(
+            gains, bounds, qber_value, float(record.n_z), record.rounds, params, analysis
+        )

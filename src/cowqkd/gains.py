@@ -9,10 +9,11 @@ conventions, which makes analytic and empirical gains directly comparable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .params import SystemParams, channel_transmittance
+import numpy as np
+
+from .params import SystemParams, _any, channel_transmittance
 
 __all__ = [
     "GainSet",
@@ -67,28 +68,59 @@ def _line_intensities(params: SystemParams) -> tuple[float, float]:
     return t_b * mu * eta_data, (1.0 - t_b) * mu * eta_mon
 
 
-def data_line_gains(params: SystemParams) -> tuple[float, float, float, float]:
-    """Data-line gains (early-bit early-bin, early-bit late-bin, late-bit
-    early-bin, late-bit late-bin).
+def analytic_gains(params: SystemParams, *, m1_model: str = "optical_switch") -> GainSet:
+    """The closed-form gain set at one parameter point, or over a grid.
 
-    The correct-bin gain is a photon detection with every dark source silent,
-    (1-p_d)^3 [1 - exp(-a)] with a the occupied-bin mean photon number; the
-    wrong-bin gain is a pure dark count, p_d (1-p_d)^2.  The two bit states
-    are mirror images, so the gains are pairwise equal.
+    With a the data line's occupied-bin mean photon number, b the monitoring
+    feed and q = 1 - p_d: a data-line bin clicks, with every dark source
+    silent, with q^3 [1 - exp(-a)] if the pulse is in it and p_d q^2 if not.
+    The both-bins decoy interferes in the delay interferometer; its m0 port
+    sees b (1 + cos phase)/2 photons, q^3 [1 - q exp(-b (1+cos phase)/2)]
+    exp(-a), and its dark m1 port p_d q^3 exp(-2b) exp(-a) in optical_switch
+    mode, exp(-b) in place of exp(-2b) in fifty_fifty mode.  Vacuum registers
+    dark counts only, p_d q^3.  A lone bit-state pulse leaves two copies of
+    b/2 photons in all at each port, q^3 [1 - q exp(-b/2)] exp(-a).
     """
-    a, _ = _line_intensities(params)
+    if m1_model not in M1_MODELS:
+        raise ValueError(f"unknown m1_model {m1_model!r}, expected one of {M1_MODELS}")
+    a, b = _line_intensities(params)
     p_d = params.detectors.dark_count_prob
     q = 1.0 - p_d
-    right = q**3 * (1.0 - math.exp(-a))
+    silent_data = np.exp(-a)
+    right = q**3 * (1.0 - silent_data)
     wrong = p_d * q**2
-    return right, wrong, wrong, right
+    bright = b * (1.0 + np.cos(params.receiver.phase_shift)) / 2.0
+    factor = 2.0 if m1_model == "optical_switch" else 1.0
+    vac = p_d * q**3
+    signal = q**3 * (1.0 - q * np.exp(-b / 2.0)) * silent_data
+    return GainSet(
+        data_0z_tau0=right,
+        data_0z_tau1=wrong,
+        data_1z_tau0=wrong,
+        data_1z_tau1=right,
+        mon_alpha_alpha_m0=q**3 * (1.0 - q * np.exp(-bright)) * silent_data,
+        mon_alpha_alpha_m1=p_d * q**3 * np.exp(-factor * b) * silent_data,
+        mon_vac_m0=vac,
+        mon_vac_m1=vac,
+        mon_0z_m0=signal,
+        mon_0z_m1=signal,
+        mon_1z_m0=signal,
+        mon_1z_m1=signal,
+    )
+
+
+def data_line_gains(params: SystemParams) -> tuple[float, float, float, float]:
+    """Data-line gains (early-bit early-bin, early-bit late-bin, late-bit
+    early-bin, late-bit late-bin); see analytic_gains."""
+    g = analytic_gains(params)
+    return g.data_0z_tau0, g.data_0z_tau1, g.data_1z_tau0, g.data_1z_tau1
 
 
 def qber(gains: GainSet) -> float:
     """Data-line bit error rate: wrong-bin gains over all data-line gains."""
     wrong = gains.data_0z_tau1 + gains.data_1z_tau0
     total = wrong + gains.data_0z_tau0 + gains.data_1z_tau1
-    if total == 0.0:
+    if _any(total == 0.0):
         raise DegenerateGainsError("all data-line gains are zero, QBER undefined")
     return wrong / total
 
@@ -99,73 +131,21 @@ def monitor_gain_alpha_alpha(
     *,
     m1_model: str = "optical_switch",
 ) -> float:
-    """Monitoring-line gain for the both-bins decoy at detector "m0" or "m1".
-
-    The two pulses interfere in the delay interferometer: the m0 port sees
-    mean photon number b (1 + cos(phase))/2 with b the monitoring feed, so its
-    gain is (1-p_d)^3 [1 - (1-p_d) exp(-b (1+cos phase)/2)] exp(-a).  The m1
-    port is the destructive one; only dark counts register, suppressed by the
-    residual light term exp(-2b) in optical_switch mode or exp(-b) in
-    fifty_fifty mode.
-    """
-    a, b = _line_intensities(params)
-    p_d = params.detectors.dark_count_prob
-    q = 1.0 - p_d
+    """Monitoring-line gain for the both-bins decoy at detector "m0" or "m1";
+    see analytic_gains."""
     key = detector.lower()
-    if key == "m0":
-        bright = b * (1.0 + math.cos(params.receiver.phase_shift)) / 2.0
-        return q**3 * (1.0 - q * math.exp(-bright)) * math.exp(-a)
-    if key == "m1":
-        if m1_model not in M1_MODELS:
-            raise ValueError(f"unknown m1_model {m1_model!r}, expected one of {M1_MODELS}")
-        factor = 2.0 if m1_model == "optical_switch" else 1.0
-        return p_d * q**3 * math.exp(-factor * b) * math.exp(-a)
-    raise ValueError(f"unknown detector {detector!r}, expected 'm0' or 'm1'")
+    if key not in ("m0", "m1"):
+        raise ValueError(f"unknown detector {detector!r}, expected 'm0' or 'm1'")
+    return getattr(analytic_gains(params, m1_model=m1_model), f"mon_alpha_alpha_{key}")
 
 
 def monitor_gain_vacuum(params: SystemParams) -> float:
-    """Monitoring-line gain for the vacuum decoy, identical for both ports.
-
-    Vacuum carries no light, so only a dark count with the other three gates
-    silent can register: p_d (1-p_d)^3, independent of the channel.
-    """
-    p_d = params.detectors.dark_count_prob
-    return p_d * (1.0 - p_d) ** 3
+    """Monitoring-line gain for the vacuum decoy, identical for both ports."""
+    return analytic_gains(params).mon_vac_m0
 
 
 def monitor_gains_signal(params: SystemParams) -> tuple[float, float, float, float]:
     """Monitoring-line gains for the bit states (0z at m0, 0z at m1, 1z at m0,
-    1z at m1).
-
-    A lone pulse entering the interferometer leaves two non-overlapping
-    temporal copies at each output port with total mean photon number b/2, so
-    each port has the exclusive gain (1-p_d)^3 [1 - (1-p_d) exp(-b/2)] exp(-a).
-    A time shift maps the two bit states onto each other, so all four values
-    coincide.
-    """
-    a, b = _line_intensities(params)
-    p_d = params.detectors.dark_count_prob
-    q = 1.0 - p_d
-    g = q**3 * (1.0 - q * math.exp(-b / 2.0)) * math.exp(-a)
-    return g, g, g, g
-
-
-def analytic_gains(params: SystemParams, *, m1_model: str = "optical_switch") -> GainSet:
-    """Assemble the full closed-form gain set for one parameter point."""
-    d00, d01, d10, d11 = data_line_gains(params)
-    s00, s01, s10, s11 = monitor_gains_signal(params)
-    vac = monitor_gain_vacuum(params)
-    return GainSet(
-        data_0z_tau0=d00,
-        data_0z_tau1=d01,
-        data_1z_tau0=d10,
-        data_1z_tau1=d11,
-        mon_alpha_alpha_m0=monitor_gain_alpha_alpha(params, "m0", m1_model=m1_model),
-        mon_alpha_alpha_m1=monitor_gain_alpha_alpha(params, "m1", m1_model=m1_model),
-        mon_vac_m0=vac,
-        mon_vac_m1=vac,
-        mon_0z_m0=s00,
-        mon_0z_m1=s01,
-        mon_1z_m0=s10,
-        mon_1z_m1=s11,
-    )
+    1z at m1); see analytic_gains."""
+    g = analytic_gains(params)
+    return g.mon_0z_m0, g.mon_0z_m1, g.mon_1z_m0, g.mon_1z_m1

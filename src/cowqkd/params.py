@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "SourceParams",
     "ChannelParams",
@@ -138,16 +140,52 @@ def channel_transmittance(
     loss_db = channel.attenuation_db_per_km * channel.length_km
     if monitoring:
         loss_db += channel.extra_loss_db
-    return detectors.efficiency * 10.0 ** (-loss_db / 10.0)
+    return detectors.efficiency * np.power(10.0, -loss_db / 10.0)
+
+
+def raise_float_errors() -> np.errstate:
+    """Invalid operations, division by zero and overflow raise; underflow is silent."""
+    return np.errstate(invalid="raise", divide="raise", over="raise", under="ignore")
+
+
+# Elementwise builtins; a scalar takes the builtin, as a numpy call costs 1-30 us on one.
+def _any(mask: object) -> bool:
+    """Whether a bool, or any element of an array of bools, is true."""
+    return bool(np.count_nonzero(mask)) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _where(cond: object, yes: object, no: object) -> object:
+    """yes where cond holds, else no."""
+    return np.where(cond, yes, no) if isinstance(cond, np.ndarray) else (yes if cond else no)
+
+
+def _max(a: object, b: object) -> object:
+    """max(a, b) elementwise: b where b > a, else a, as the builtin decides."""
+    return _where(b > a, b, a)
+
+
+def _min(a: object, b: object) -> object:
+    """min(a, b) elementwise: b where b < a, else a, as the builtin decides."""
+    return _where(b < a, b, a)
+
+
+def _sqrt(x: float) -> float:
+    """math.sqrt elementwise; IEEE 754 rounds it and np.sqrt alike."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _clamp01(x: float) -> float:
+    """min(1, max(0, x)) elementwise; a NaN clamps to 0 either way."""
+    return np.fmin(1.0, np.fmax(0.0, x)) if isinstance(x, np.ndarray) else min(1.0, max(0.0, x))
 
 
 def binary_entropy(p: float) -> float:
     """Binary Shannon entropy in bits, with h(0) = h(1) = 0 by continuity."""
-    if p < 0.0 or p > 1.0:
+    if _any(p < 0.0) or _any(p > 1.0):
         raise ValueError(f"binary_entropy: p must lie in [0, 1], got {p}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    q = 1.0 - p
+    # 0 log 0 = 0: log2 of 5e-324, the smallest positive float, is finite.
+    return -p * np.log2(_where(p > 0.0, p, 5e-324)) - q * np.log2(_where(q > 0.0, q, 5e-324))
 
 
 def _prob_range(name: str, value: float, out: list[str]) -> None:

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
+from .concentration import CountRecord
 from .finite_key import AnalysisConfig, KeyRateResult, evaluate_analytic_point, evaluate_record
 from .gains import analytic_gains, qber
-from .params import SystemParams
+from .params import SystemParams, raise_float_errors
 from .simulator import SimConfig, replay_counts, simulate_session
 
 __all__ = [
@@ -86,7 +88,7 @@ class NoThresholdError(RuntimeError):
 
 
 def with_variable(params: SystemParams, variable: str, value: float) -> SystemParams:
-    """A copy of params with one scan variable replaced."""
+    """A copy of params with one scan variable set to value, a number or an array."""
     if variable not in _SETTERS:
         raise ValueError(f"unknown scan variable {variable!r}")
     return _SETTERS[variable](params, value)
@@ -105,29 +107,29 @@ def scan_values(spec: ScanSpec) -> list[float]:
 
 
 def _evaluate(
-    point: SystemParams, spec: ScanSpec, analysis: AnalysisConfig
-) -> KeyRateResult:
+    point: SystemParams, spec: ScanSpec, analysis: AnalysisConfig, record: CountRecord | None
+) -> tuple[KeyRateResult, int]:
+    """The result at point, and the rounds its key length is counted over."""
     if spec.mode == "analytic":
-        return evaluate_analytic_point(point, analysis)
+        return evaluate_analytic_point(point, analysis), point.rounds
     if spec.mode == "simulate":
         record = simulate_session(point, SimConfig(seed=spec.sim_seed, rounds=spec.sim_rounds))
-        return evaluate_record(record, point, analysis)
-    record = replay_counts(spec.replay_path)
-    return evaluate_record(record, point, analysis)
+    return evaluate_record(record, point, analysis), record.rounds
 
 
-def _row_from_result(value: float, result: KeyRateResult, params: SystemParams) -> ScanRow:
-    return ScanRow(
-        value=value,
-        qber=result.qber,
-        phase_error_upper=result.phase_error_observed_upper,
-        key_bits=float(result.key_length_bits),
-        key_rate_bps=key_rate_bps(
-            result.key_length_bits, params.rounds, params.source.pulse_pair_rate
-        ),
-        aborted=result.aborted,
-        reason=result.abort_reason,
-    )
+def _rows(
+    values: list[float], result: KeyRateResult, rounds: int, params: SystemParams
+) -> list[ScanRow]:
+    """One row per value, from a result of scalars or of arrays over values."""
+    rate = key_rate_bps(result.key_length_bits, rounds, params.source.pulse_pair_rate)
+    columns = (result.qber, result.phase_error_observed_upper, result.key_length_bits,
+               rate, result.aborted, result.abort_reason)
+    cells = (np.broadcast_to(c, len(values)).tolist() for c in columns)
+    return [ScanRow(*row) for row in zip(values, *cells)]
+
+
+def _error_row(value: float, exc: Exception) -> ScanRow:
+    return ScanRow(value, math.nan, math.nan, math.nan, math.nan, True, f"error: {exc}")
 
 
 def run_scan(
@@ -137,31 +139,50 @@ def run_scan(
 ) -> list[ScanRow]:
     """Evaluate the grid; a failing point becomes an aborted NaN row.
 
-    A point's value and arithmetic errors (bad inputs, degenerate gains, a
-    malformed replay log) are captured rather than raised so one bad point
-    cannot lose the rest of a long sweep; any other exception is a fault
-    and propagates.
+    Analytic and replay scans evaluate the grid in one call (simulate mode:
+    a session per point).  A point's value and arithmetic errors (bad inputs,
+    degenerate gains, a malformed replay log) are captured rather than raised,
+    point by point after the grid call raised one, so one bad point cannot
+    lose the rest of a long sweep; any other exception is a fault.
     """
     analysis = analysis or AnalysisConfig()
+    values = scan_values(spec)
+    record = None
+    if spec.mode == "replay":
+        try:
+            record = replay_counts(spec.replay_path)
+        except (ValueError, ArithmeticError) as exc:
+            return [_error_row(value, exc) for value in values]
+    if spec.mode != "simulate":
+        grid = with_variable(params, spec.variable, np.asarray(values))
+        try:
+            return _rows(values, *_evaluate(grid, spec, analysis, record), params)
+        except (ValueError, ArithmeticError):
+            pass
     rows: list[ScanRow] = []
-    for value in scan_values(spec):
+    for value in values:
         point = with_variable(params, spec.variable, value)
         try:
-            result = _evaluate(point, spec, analysis)
-            rows.append(_row_from_result(value, result, point))
+            rows += _rows([value], *_evaluate(point, spec, analysis, record), point)
         except (ValueError, ArithmeticError) as exc:
-            rows.append(
-                ScanRow(
-                    value=value,
-                    qber=math.nan,
-                    phase_error_upper=math.nan,
-                    key_bits=math.nan,
-                    key_rate_bps=math.nan,
-                    aborted=True,
-                    reason=f"error: {exc}",
-                )
-            )
+            rows.append(_error_row(value, exc))
     return rows
+
+
+def _midpoints(lo: float, hi: float, tol: float, levels: int = 7) -> list[float]:
+    """Every midpoint that bisecting [lo, hi] down to width tol can visit in
+    its next levels steps, each computed as the bisection computes it."""
+    points, edges = [], [lo, hi]
+    for _ in range(levels):
+        refined = [lo]
+        for a, b in zip(edges, edges[1:]):
+            if b - a > tol:
+                mid = 0.5 * (a + b)
+                points.append(mid)
+                refined.append(mid)
+            refined.append(b)
+        edges = refined
+    return points
 
 
 def find_threshold(
@@ -178,39 +199,43 @@ def find_threshold(
     for "key_length" it is where the extractable bits fall to target or
     below.  Both metrics are monotone in channel length, the intended use.
     Raises NoThresholdError when the bracket does not straddle the level.
+    Each evaluation of the metric covers the next seven levels of midpoints.
     """
     analysis = analysis or AnalysisConfig()
     if metric == "qber":
-        predicate: Callable[[SystemParams], bool] = lambda p: qber(analytic_gains(p)) > target
+        crossed: Callable[[SystemParams], object] = lambda p: qber(analytic_gains(p)) > target
     elif metric == "key_length":
-        predicate = lambda p: evaluate_analytic_point(p, analysis).key_length_bits <= target
+        crossed = lambda p: evaluate_analytic_point(p, analysis).key_length_bits <= target
     else:
         raise ValueError(f"unknown threshold metric {metric!r}")
 
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
-    at = lambda v: predicate(with_variable(params, variable, v))
-    if at(lo):
+    tol = 0.01 if variable == "length_km" else 1e-4 * (hi - lo)
+    known: dict[float, bool] = {}
+
+    def evaluate(points: list[float]) -> None:
+        with raise_float_errors():
+            hits = crossed(with_variable(params, variable, np.asarray(points)))
+        known.update(zip(points, np.broadcast_to(hits, len(points)).tolist()))
+
+    evaluate([lo, hi, *_midpoints(lo, hi, tol)])
+    if known[lo]:
         raise NoThresholdError(
             f"{metric} already past target {target} at bracket start {lo}"
         )
-    if not at(hi):
+    if not known[hi]:
         raise NoThresholdError(f"{metric} never reaches target {target} by bracket end {hi}")
-    tol = 0.01 if variable == "length_km" else 1e-4 * (hi - lo)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if at(mid):
+        if mid not in known:
+            evaluate(_midpoints(lo, hi, tol))
+        if known[mid]:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return repr(x)
 
 
 def key_rate_bps(key_bits: float, rounds: int, pulse_pair_rate: float) -> float:
@@ -238,29 +263,16 @@ def emit(rows: Sequence[ScanRow], format: str = "csv", destination: str | Path =
     Returns the serialized text either way.
     """
     if format == "csv":
-        buf = io.StringIO()
-        buf.write(CSV_HEADER + "\n")
+        lines = [CSV_HEADER]
         for row in rows:
             reason = row.reason or ""
             if any(c in reason for c in ',"\n'):
                 reason = '"' + reason.replace('"', '""') + '"'
-            buf.write(
-                ",".join(
-                    (
-                        _format_float(row.value),
-                        _format_float(row.qber),
-                        _format_float(row.phase_error_upper),
-                        _format_float(row.key_bits),
-                        _format_float(row.key_rate_bps),
-                        "true" if row.aborted else "false",
-                        reason,
-                    )
-                )
-                + "\n"
-            )
-        text = buf.getvalue()
+            numbers = (row.value, row.qber, row.phase_error_upper, row.key_bits, row.key_rate_bps)
+            lines.append(",".join([*map(repr, numbers), "true" if row.aborted else "false", reason]))
+        text = "\n".join(lines) + "\n"
     elif format == "json":
-        payload = [json_safe(dict(zip(COLUMNS, astuple(row)))) for row in rows]
+        payload = [json_safe(dict(zip(COLUMNS, vars(row).values()))) for row in rows]
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         raise ValueError(f"unknown output format {format!r}")

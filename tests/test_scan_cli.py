@@ -4,12 +4,17 @@ import math
 import pytest
 
 from cowqkd import (
+    AnalysisConfig,
     NoThresholdError,
     ScanRow,
     ScanSpec,
+    analytic_gains,
     emit,
     evaluate_analytic_point,
+    evaluate_record,
     find_threshold,
+    qber,
+    replay_counts,
     run_scan,
 )
 import cowqkd.scan
@@ -480,3 +485,192 @@ def test_analyze_key_rate_uses_the_logs_rounds(capsys, tmp_path):
     assert payload["key_length_bits"] > 0
     assert payload["key_rate_bps"] == pytest.approx(
         payload["key_length_bits"] / (2_000_000 / 5.0e8), rel=1e-12)
+
+
+GRID_SPECS = {
+    "length_km": (0.0, 200.0, 2.5),
+    "detector_efficiency": (0.02, 1.0, 0.02),
+    "dead_time": (0.0, 3e-4, 5e-6),
+    "mu": (0.02, 0.98, 0.02),
+}
+
+
+def assert_row_matches(row, result, rounds, pulse_pair_rate=5.0e8):
+    assert row.qber == pytest.approx(result.qber, rel=1e-12)
+    assert row.phase_error_upper == pytest.approx(result.phase_error_observed_upper, rel=1e-12)
+    assert row.key_bits == pytest.approx(result.key_length_bits, rel=1e-12)
+    assert row.key_rate_bps == pytest.approx(
+        result.key_length_bits / (rounds / pulse_pair_rate), rel=1e-12)
+    assert row.aborted is result.aborted
+    assert row.reason == result.abort_reason
+
+
+class TestGridMatchesPoints:
+    """A scan evaluates its grid in one call; each row must equal the
+    evaluation of its point alone."""
+
+    def test_variables_span_the_scan_variables(self):
+        assert set(GRID_SPECS) == set(cowqkd.scan.SCAN_VARIABLES)
+
+    @pytest.mark.parametrize("variable", sorted(GRID_SPECS))
+    def test_analytic_rows_equal_their_points(self, variable):
+        p = keyrate_profile(length_km=60.0)
+        spec = ScanSpec(variable, *GRID_SPECS[variable])
+        rows = run_scan(spec, p)
+        assert len(rows) == len(scan_values(spec))
+        assert any(r.aborted for r in rows) or variable != "length_km"
+        for row in rows:
+            point = with_variable(p, variable, row.value)
+            assert_row_matches(row, evaluate_analytic_point(point), p.rounds)
+
+    @pytest.mark.parametrize("variable", sorted(GRID_SPECS))
+    def test_replay_rows_equal_their_points(self, tmp_path, variable):
+        log = tmp_path / "counts.txt"
+        assert main(["simulate", "--seed", "4", "--rounds", "2000000",
+                     "--output", str(log)] + KEYRATE_SETS) == 0
+        record = replay_counts(log)
+        p = keyrate_profile(rounds=record.rounds)
+        grid = (20.0, 260.0, 2.5) if variable == "length_km" else GRID_SPECS[variable]
+        spec = ScanSpec(variable, *grid, mode="replay", replay_path=str(log))
+        rows = run_scan(spec, p)
+        assert len(rows) == len(scan_values(spec))
+        if variable == "length_km":
+            assert any(r.aborted for r in rows) and not all(r.aborted for r in rows)
+        for row in rows:
+            point = with_variable(p, variable, row.value)
+            assert_row_matches(row, evaluate_record(record, point), record.rounds)
+
+    def test_one_bad_point_gives_one_error_row(self):
+        p = make_params(dark_count_prob=0.0)
+        spec = ScanSpec("detector_efficiency", 0.0, 0.1, 0.05)
+        rows = run_scan(spec, p)
+        errors = [r for r in rows if r.reason and r.reason.startswith("error:")]
+        assert [r.value for r in errors] == [0.0]
+        assert len(rows) == 3
+        for row in rows[1:]:
+            assert all(math.isfinite(x) for x in
+                       (row.qber, row.phase_error_upper, row.key_bits, row.key_rate_bps))
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_output_holds_plain_numbers(self, format, capsys):
+        spec = ScanSpec("length_km", 0.0, 200.0, 10.0)
+        rows = run_scan(spec, keyrate_profile())
+        rows += run_scan(ScanSpec("detector_efficiency", 0.0, 0.0, 1.0),
+                         make_params(dark_count_prob=0.0))
+        text = emit(rows, format=format)
+        capsys.readouterr()
+        assert "np." not in text and "array(" not in text
+        if format == "json":
+            flags = [entry["aborted"] for entry in json.loads(text)]
+            assert set(flags) == {True, False}
+            assert all(flag is True or flag is False for flag in flags)
+        else:
+            assert {line.split(",")[5] for line in text.splitlines()[1:]} == {"true", "false"}
+
+
+def sequential_threshold(metric, target, bracket, params, analysis=None, variable="length_km"):
+    """Plain bisection, one public evaluation per midpoint."""
+    analysis = analysis or AnalysisConfig()
+
+    def crossed(value):
+        point = with_variable(params, variable, value)
+        if metric == "qber":
+            return qber(analytic_gains(point)) > target
+        return evaluate_analytic_point(point, analysis).key_length_bits <= target
+
+    lo, hi = bracket
+    assert not crossed(lo) and crossed(hi)
+    tol = 0.01 if variable == "length_km" else 1e-4 * (hi - lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if crossed(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+class TestBatchedBisection:
+    """find_threshold evaluates several bisection levels per call; it must
+    walk the same midpoints as a sequential bisection."""
+
+    CASES = {
+        "qber low efficiency": ("qber", 0.05, (100.0, 200.0), dict(efficiency=0.1), "length_km"),
+        "qber high efficiency": ("qber", 0.05, (100.0, 220.0), dict(efficiency=0.2), "length_km"),
+        "qber upgraded": ("qber", 0.05, (200.0, 320.0),
+                          dict(attenuation_db_per_km=0.15, efficiency=0.95), "length_km"),
+        "key low profile": ("key_length", 0.0, (40.0, 110.0),
+                            dict(efficiency=0.1, dead_time_s=50e-6,
+                                 p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14), "length_km"),
+        "key high profile": ("key_length", 0.0, (50.0, 120.0),
+                             dict(efficiency=0.2, dead_time_s=30e-6,
+                                  p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14), "length_km"),
+        "key along dead time": ("key_length", 0.0, (0.0, 1e-3),
+                                dict(efficiency=0.2, dead_time_s=30e-6, length_km=80.0,
+                                     p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14), "dead_time"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_sequential_bisection(self, case):
+        metric, target, bracket, overrides, variable = self.CASES[case]
+        p = make_params(**overrides)
+        expected = sequential_threshold(metric, target, bracket, p, variable=variable)
+        assert find_threshold(metric, target, bracket, p, variable=variable) == expected
+
+    def test_metric_the_variable_does_not_move(self):
+        # The QBER does not depend on the dead time, so there is no crossing.
+        with pytest.raises(NoThresholdError, match="never reaches"):
+            find_threshold("qber", 0.05, (0.0, 1e-3), make_params(), variable="dead_time")
+
+    def test_equals_sequential_bisection_in_another_mode(self):
+        p = keyrate_profile()
+        analysis = AnalysisConfig(cross_term="vacuum")
+        bracket = (20.0, 120.0)
+        expected = sequential_threshold("key_length", 1000.0, bracket, p, analysis)
+        assert find_threshold("key_length", 1000.0, bracket, p, analysis) == expected
+
+
+class TestGridEndpoints:
+    @pytest.mark.parametrize("grid, violation", [
+        (["--variable", "mu", "--start", "0.9", "--stop", "1.2"], "source.mu"),
+        (["--variable", "length_km", "--start", "-10", "--stop", "0"], "channel.length_km"),
+        (["--variable", "detector_efficiency", "--start", "0.5", "--stop", "1.5"],
+         "detectors.efficiency"),
+        (["--variable", "dead_time", "--start=-1e-6", "--stop", "1e-5", "--step", "1e-6"],
+         "detectors.dead_time_s"),
+    ])
+    def test_scan_rejects_invalid_grid(self, capsys, grid, violation):
+        assert main(["scan"] + grid) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert violation in captured.err
+
+    @pytest.mark.parametrize("args, violation", [
+        (["--metric", "qber", "--bracket", "-10", "200"], "channel.length_km"),
+        (["--metric", "key_length", "--variable", "mu", "--bracket", "0.1", "1.5"], "source.mu"),
+    ])
+    def test_threshold_rejects_invalid_bracket(self, capsys, args, violation):
+        assert main(["threshold", "--target", "0.05"] + args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert violation in captured.err
+
+
+@pytest.mark.parametrize("mode", ["simulate", "replay"])
+def test_scan_key_rate_uses_the_records_rounds(capsys, tmp_path, mode):
+    # The configured block stays at its default of 5e8 rounds; the record
+    # holds 2e6.
+    args = ["scan", "--variable", "length_km", "--start", "30", "--stop", "30",
+            "--format", "json"] + KEYRATE_SETS
+    if mode == "simulate":
+        args += ["--mode", "simulate", "--sim-seed", "5", "--sim-rounds", "2000000"]
+    else:
+        log = tmp_path / "counts.txt"
+        assert main(["simulate", "--seed", "5", "--rounds", "2000000",
+                     "--output", str(log)] + KEYRATE_SETS) == 0
+        args += ["--mode", "replay", "--replay-path", str(log)]
+    capsys.readouterr()
+    assert main(args) == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    assert row["key_bits"] > 0
+    assert row["key_rate_bps"] == pytest.approx(row["key_bits"] / (2_000_000 / 5.0e8), rel=1e-12)
