@@ -86,19 +86,20 @@ def analytic_gains(params: SystemParams, *, m1_model: str = "optical_switch") ->
     a, b = _line_intensities(params)
     p_d = params.detectors.dark_count_prob
     q = 1.0 - p_d
+    log_q = np.log1p(-p_d)  # 1 - q exp(-x) = -expm1(log_q - x), exact as x goes to 0
     silent_data = np.exp(-a)
-    right = q**3 * (1.0 - silent_data)
+    right = q**3 * -np.expm1(-a)
     wrong = p_d * q**2
     bright = b * (1.0 + np.cos(params.receiver.phase_shift)) / 2.0
     factor = 2.0 if m1_model == "optical_switch" else 1.0
     vac = p_d * q**3
-    signal = q**3 * (1.0 - q * np.exp(-b / 2.0)) * silent_data
+    signal = q**3 * -np.expm1(log_q - b / 2.0) * silent_data
     return GainSet(
         data_0z_tau0=right,
         data_0z_tau1=wrong,
         data_1z_tau0=wrong,
         data_1z_tau1=right,
-        mon_alpha_alpha_m0=q**3 * (1.0 - q * np.exp(-bright)) * silent_data,
+        mon_alpha_alpha_m0=q**3 * -np.expm1(log_q - bright) * silent_data,
         mon_alpha_alpha_m1=p_d * q**3 * np.exp(-factor * b) * silent_data,
         mon_vac_m0=vac,
         mon_vac_m1=vac,

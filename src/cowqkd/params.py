@@ -261,7 +261,13 @@ def validate(params: SystemParams) -> SystemParams:
     All violations are collected before raising, so one failed run reports
     everything that needs fixing.  Idempotent on valid input.
     """
-    violations: list[str] = []
+    # Every float field must be finite: a NaN makes every comparison below false.
+    violations = [
+        f"{name}.{key} must be finite, got {value}"
+        for name, section in vars(params).items() if name != "rounds"
+        for key, value in vars(section).items()
+        if isinstance(value, float) and not math.isfinite(value)
+    ]
     violations += _source_violations(params.source)
     violations += _channel_violations(params.channel)
     violations += _detector_violations(params.detectors)

@@ -22,14 +22,18 @@ light-free; the residual-light suppression factors differ by far less than
 one Monte-Carlo standard deviation at any tested scale.
 
 Most rounds register nothing, so only rounds where some event fires are
-drawn, by thinning (Lewis & Shedler, Naval Res. Logist. Q. 26, 1979): with
-q_k the probability that any event fires for state k, candidates are spaced
-by geometric gaps at rate max q_k, draw a state from the source distribution
-and are accepted with probability q_k / max q_k.  An accepted candidate draws
-its eight events one by one, conditioned on at least one firing.  Candidates
-keep their drawn states; one multinomial draw gives those of all other rounds.
+drawn: with pi_k the source distribution and q_k the probability that any
+event fires for state k, a Bernoulli process of rate q = sum_k pi_k q_k,
+placed by geometric gaps.  Each such round takes its state and all eight
+events from one uniform, by inversion (Devroye, Non-Uniform Random Variate
+Generation, 1986, ch. III) in a table of the joint law of the 4 x 255
+(state, non-empty pattern) cells.  That rounds each cell's share of q to the
+2^-53 grain of the uniform, as u < p tests round an event's probability: a
+cell below about 1e-16 of q, such as four dark counts at p_d = 1.8e-6, is
+drawn at that grain or never.  One multinomial draw gives the states of all
+other rounds, whose law is pi_k (1 - q_k) / (1 - q).
 
-The accepted candidates form the one event list that the tallies, the
+The event rounds form the one event list that the tallies, the
 streaming dead-time filter and detection_events read.  Rounds are processed
 in fixed-size chunks, each with its own RNG stream spawned from the seed, so
 results are a deterministic function of seed, round count and chunk size.
@@ -200,14 +204,12 @@ def _event_probabilities(params: SystemParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Sampler:
-    """Per-state tables of the thinning sampler, built once per session."""
+    """Joint law of state and event pattern, built once per session."""
 
-    probs: np.ndarray    # state distribution
-    cum: np.ndarray      # its cumulative sum, ending at exactly 1
-    fire: np.ndarray     # (4, 8) unconditional event probabilities
-    first: np.ndarray    # (4, 8) P(event j | none before j, at least one from j on)
-    accept: np.ndarray   # q_k / q_max
-    q_max: float
+    rate: float          # probability that some event fires in a round
+    cum: np.ndarray      # cumulative law of the cells, 255 per state, given that some event fires
+    events: np.ndarray   # (8, cells) events that fire in each cell
+    idle: np.ndarray     # state law of the rounds where nothing fires
 
     @classmethod
     def build(cls, params: SystemParams) -> _Sampler:
@@ -215,17 +217,16 @@ class _Sampler:
         probs = np.array([s.p_z0, s.p_z1, s.p_decoy_alpha_alpha, s.p_decoy_vacuum])
         if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-9:
             raise ValidationError([f"state probabilities must be a distribution, got {probs}"])
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
         fire = _event_probabilities(params)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # tail[k, j]: probability that at least one of events j..7 fires.
-            tail = -np.expm1(np.cumsum(np.log1p(-fire[:, ::-1]), axis=1)[:, ::-1])
-            first = np.where(tail > 0.0, fire / tail, 0.0)
-        q = tail[:, 0]
-        q_max = float(q.max())
-        accept = q / q_max if q_max > 0.0 else q
-        return cls(probs, cum, fire, first, accept, q_max)
+        # Cells are (state, non-empty event pattern); bit j of a pattern is event j.
+        events = (np.arange(1, 256) >> np.arange(8)[:, None]) & 1 == 1
+        law = np.where(events, fire[:, :, None], 1.0 - fire[:, :, None]).prod(axis=1)
+        cum = np.cumsum(probs[:, None] * law)
+        rate = float(cum[-1])
+        with np.errstate(invalid="ignore"):
+            cum /= rate  # trailing empty cells stay at exactly 1, so u < 1 never draws them
+        idle = probs * np.prod(1.0 - fire, axis=1)
+        return cls(rate, cum, np.tile(events, 4), idle / idle.sum())
 
 
 @dataclass
@@ -239,7 +240,7 @@ class _Chunk:
     dark: np.ndarray     # (4, events) dark count per gate
 
 
-def _candidate_rounds(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
+def _bernoulli_rounds(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
     """Ascending rounds below n of a Bernoulli(q) process, by geometric gaps."""
     if q == 0.0:
         return np.empty(0, dtype=np.int64)
@@ -260,18 +261,13 @@ def _candidate_rounds(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
 def _sample_chunk(rng: np.random.Generator, start: int, n: int, sampler: _Sampler) -> _Chunk:
     """Sample one chunk.  Draw order is fixed, so identical seeds give
     identical samples."""
-    cand = _candidate_rounds(rng, n, sampler.q_max)
-    kinds = np.searchsorted(sampler.cum, rng.random(cand.size), side="right")
-    sent = np.bincount(kinds, minlength=4) + rng.multinomial(n - cand.size, sampler.probs)
-    hit = rng.random(cand.size) < sampler.accept[kinds]
-    rounds, kinds = start + cand[hit], kinds[hit]
-    u = rng.random((8, rounds.size))
-    fired = np.empty((8, rounds.size), dtype=bool)
-    some = np.zeros(rounds.size, dtype=bool)
-    for j in range(8):
-        fired[j] = u[j] < np.where(some, sampler.fire[kinds, j], sampler.first[kinds, j])
-        some |= fired[j]
-    return _Chunk(sent, rounds, kinds, fired[:4], fired[4:])
+    rounds = _bernoulli_rounds(rng, n, sampler.rate)
+    cell = np.searchsorted(sampler.cum, rng.random(rounds.size), side="right")
+    kinds = cell // 255
+    sent = np.bincount(kinds, minlength=4) + rng.multinomial(n - rounds.size, sampler.idle)
+    # take, unlike events[:, cell], gives C-ordered rows, which the tallies read fast.
+    fired = sampler.events.take(cell, axis=1)
+    return _Chunk(sent, start + rounds, kinds, fired[:4], fired[4:])
 
 
 def _apply_dead_time(chunk: _Chunk, dead: int, last_kept: dict[str, int]) -> None:
@@ -283,20 +279,19 @@ def _apply_dead_time(chunk: _Chunk, dead: int, last_kept: dict[str, int]) -> Non
     last_kept holds each detector's last kept tick across chunks.
     """
     clicked = chunk.photon | chunk.dark
+    keep = np.zeros_like(clicked)
     for det, gates in _DETECTOR_GATES.items():
-        gate_of, event_of = np.nonzero(clicked[gates])
+        # Each event's gates side by side, so the flat indices, and the ticks, ascend.
+        flat = np.flatnonzero(np.stack(clicked[gates], axis=1))
+        event_of, gate_of = np.divmod(flat, len(gates))
         ticks = 2 * chunk.rounds[event_of] + gate_of
-        order = np.argsort(ticks)
-        ticks = ticks[order]
-        drop = np.ones(order.size, dtype=bool)
         i = ticks.searchsorted(last_kept[det] + dead)
         while i < ticks.size:
-            drop[i] = False
+            keep[gates[gate_of[i]], event_of[i]] = True
             last_kept[det] = int(ticks[i])
             i = ticks.searchsorted(last_kept[det] + dead)
-        gate, event = np.asarray(gates)[gate_of[order[drop]]], event_of[order[drop]]
-        chunk.photon[gate, event] = False
-        chunk.dark[gate, event] = False
+    chunk.photon &= keep
+    chunk.dark &= keep
 
 
 def _chunks(params: SystemParams, cfg: SimConfig) -> Iterator[_Chunk]:

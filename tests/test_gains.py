@@ -31,6 +31,16 @@ class TestDataLineGains:
         assert g.data_0z_tau0 == pytest.approx(0.00044989633573679316, rel=1e-12)
         assert g.data_0z_tau1 == pytest.approx(1.7999935200058317e-06, rel=1e-12)
 
+    def test_small_intensity_has_no_cancellation(self):
+        # a = t_b mu eta = 1e-9, where 1 - exp(-a) keeps only about 7 digits.
+        p = make_params(length_km=0.0, efficiency=1e-9 / (0.9 * 0.5), dark_count_prob=0.0)
+        a = p.receiver.t_b * p.source.mu * channel_transmittance(p.channel, p.detectors)
+        b = (1.0 - p.receiver.t_b) * p.source.mu * p.detectors.efficiency
+        g = analytic_gains(p)
+        assert g.data_0z_tau0 == pytest.approx(a * (1.0 - a / 2.0), rel=1e-12, abs=0.0)
+        signal = b / 2.0 * (1.0 - b / 4.0) * math.exp(-a)
+        assert g.mon_0z_m0 == pytest.approx(signal, rel=1e-12, abs=0.0)
+
     def test_symmetry_between_bit_values(self):
         rng = random.Random(3)
         for _ in range(10):

@@ -18,7 +18,7 @@ from cowqkd import (
     run_scan,
 )
 import cowqkd.scan
-from cowqkd.cli import CONFIG_KEYS, ConfigError, main, parse_config_text
+from cowqkd.cli import CONFIG_KEYS, ConfigError, _PARAM_SECTIONS, _to_float, main, parse_config_text
 from cowqkd.scan import CSV_HEADER, scan_values, with_variable
 from helpers import make_params
 
@@ -310,6 +310,15 @@ class TestCliCommands:
         cfg.write_text("source.mu = 1.5\n")
         assert main(["validate", "--config", str(cfg)]) == 1
         assert "mu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [
+        key for key, parse in CONFIG_KEYS.items()
+        if parse is _to_float and key.partition(".")[0] in _PARAM_SECTIONS
+    ])
+    def test_validate_rejects_non_finite(self, capsys, key, value):
+        assert main(["validate", "--set", f"{key}={value}"]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "absent.cfg")]) == 1

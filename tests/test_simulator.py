@@ -2,7 +2,9 @@ import dataclasses
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from cowqkd import (
     CountFileError,
@@ -20,6 +22,7 @@ from cowqkd import (
     validate_record,
     write_counts,
 )
+from cowqkd.simulator import _event_probabilities, _sample_chunk, _Sampler
 from helpers import make_params
 
 # Attenuation high enough that the transmittance underflows to exactly zero.
@@ -158,6 +161,34 @@ class TestSimulateSession:
             assert abs(sums[name] / len(seeds) - g) < 4.0 * sigma_mean, name
 
 
+class TestSamplerLaw:
+    @pytest.mark.parametrize("length_km", [0.0, 20.0, 100.0])
+    def test_state_and_event_pattern_law(self, length_km):
+        # Dark counts of 5% fill the cells where several events fire at once.
+        p = make_params(length_km=length_km, dark_count_prob=0.05,
+                        p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
+        src = p.source
+        pi = [src.p_z0, src.p_z1, src.p_decoy_alpha_alpha, src.p_decoy_vacuum]
+        fire = _event_probabilities(p)
+        # law[k][b]: state k is sent and exactly the events of bit pattern b fire.
+        law = np.array([[pi[k] * math.prod(f if b >> j & 1 else 1.0 - f
+                                           for j, f in enumerate(fire[k]))
+                         for b in range(256)] for k in range(4)])
+        rounds = 1 << 21
+        chunk = _sample_chunk(np.random.default_rng(53), 0, rounds, _Sampler.build(p))
+        fired = np.vstack([chunk.photon, chunk.dark]).astype(np.int64)
+        pattern = (fired << np.arange(8)[:, None]).sum(axis=0)
+        counts = np.bincount(chunk.kinds * 256 + pattern, minlength=1024).reshape(4, 256)
+        counts[:, 0] = chunk.sent - counts.sum(axis=1)
+        expected = rounds * law
+        rare = expected < 20.0
+        observed = np.append(counts[~rare], counts[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+        sent = stats.chisquare(chunk.sent, rounds * np.array(pi))
+        assert sent.pvalue > 1e-3
+
+
 class TestStreamingMode:
     def test_streaming_never_exceeds_per_pair(self):
         p = make_params(length_km=20.0)
@@ -225,6 +256,30 @@ class TestDetectionEvents:
         for detector, ts in times.items():
             gaps = [b - a for a, b in zip(ts, ts[1:])]
             assert min(gaps) >= p.detectors.dead_time_s * (1.0 - 1e-9), detector
+
+    @pytest.mark.parametrize("dead_time_s, rounds, overrides", [
+        (1e-9, 200_000, dict(length_km=5.0, efficiency=0.2, dark_count_prob=1e-3)),
+        (2e-9, 200_000, dict(length_km=5.0, efficiency=0.2, dark_count_prob=1e-3)),
+        (3e-9, 200_000, dict(length_km=5.0, efficiency=0.2, dark_count_prob=1e-3)),
+        # The 30 us of the eta = 0.2 profile, with dead times that span a
+        # chunk boundary.
+        (30e-6, (1 << 20) + 100_000, dict(length_km=20.0, efficiency=0.2,
+                                          p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)),
+    ])
+    def test_streaming_equals_greedy_dead_time(self, dead_time_s, rounds, overrides):
+        # A per-click greedy filter on integer half-period ticks, applied to
+        # the per_pair events of the same seed.
+        p = make_params(dead_time_s=dead_time_s, **overrides)
+        dead = round(2.0 * dead_time_s * p.source.pulse_pair_rate)
+        last: dict[str, float] = {}
+        kept = []
+        for e in detection_events(p, SimConfig(seed=47, rounds=rounds)):
+            tick = 2 * e.round_index + (e.time_bin == "tau1")
+            if tick - last.get(e.detector, -math.inf) >= dead:
+                kept.append(e)
+                last[e.detector] = tick
+        streaming = SimConfig(seed=47, rounds=rounds, mode="streaming")
+        assert list(detection_events(p, streaming)) == kept
 
     def test_photonic_clicks_flagged(self):
         p = sim_params(dark_count_prob=0.0)
