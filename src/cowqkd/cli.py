@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -206,6 +208,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     cfg = _collect(args)
     params = build_params(cfg)
     analysis = build_analysis(cfg)
+    if not math.isfinite(args.target):
+        raise ConfigError(f"threshold target must be finite, got {args.target}")
     lo, hi = args.bracket
     for value in (lo, hi):
         validate(with_variable(params, args.variable, value))
@@ -273,6 +277,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cowqkd",

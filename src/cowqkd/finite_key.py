@@ -318,7 +318,7 @@ def expected_sifted_clicks(params: SystemParams, duration_s: float = 1.0) -> flo
     eta = channel_transmittance(params.channel, params.detectors)
     a = params.receiver.t_b * params.source.mu * eta
     p_d = params.detectors.dark_count_prob
-    p_click = 1.0 - (1.0 - p_d) ** 2 * np.exp(-a)
+    p_click = -np.expm1(2.0 * np.log1p(-p_d) - a)
     p_signal = 1.0 - params.source.p_decoy_alpha_alpha - params.source.p_decoy_vacuum
     raw_rate = params.source.pulse_pair_rate * p_signal * p_click
     saturated = raw_rate / (1.0 + raw_rate * params.detectors.dead_time_s)

@@ -64,6 +64,9 @@ class ScanSpec:
             )
         if self.mode not in SCAN_MODES:
             raise ValueError(f"unknown scan mode {self.mode!r}, expected one of {SCAN_MODES}")
+        for name in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"scan {name} must be finite, got {getattr(self, name)}")
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
         if self.stop < self.start:

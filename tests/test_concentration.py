@@ -104,16 +104,16 @@ class TestDeltas:
         assert delta_hoeffding(0, 1e-11) == 0.0
 
     def test_hoeffding_frozen_value(self):
-        assert delta_hoeffding(14_811, 1e-11) == pytest.approx(433.0932151025244, rel=1e-12)
+        assert delta_hoeffding(14_811, 1e-11) == pytest.approx(433.0932151025244, rel=1e-12, abs=0.0)
 
     def test_hoeffding_matches_closed_form(self):
         n, eps = 5_000_000, 1e-11
         assert delta_hoeffding(n, eps) == pytest.approx(
-            math.sqrt(0.5 * n * math.log(1.0 / eps)), rel=1e-12)
+            math.sqrt(0.5 * n * math.log(1.0 / eps)), rel=1e-12, abs=0.0)
 
     def test_observed_matches_closed_form(self):
         assert delta_observed(100, 1e-11) == pytest.approx(
-            math.sqrt(2.0 * 100 * math.log(1e11)), rel=1e-12)
+            math.sqrt(2.0 * 100 * math.log(1e11)), rel=1e-12, abs=0.0)
 
     def test_observed_zero_counts(self):
         assert delta_observed(0, 1e-11) == 0.0
@@ -144,7 +144,7 @@ class TestDeltas:
 class TestBoundExpectedCount:
     def test_frozen_hoeffding_upper(self):
         b = bound_expected_count(500, 5_000_000, 1e-11, direction="upper")
-        assert b.upper == pytest.approx(8457.454998762874, rel=1e-12)
+        assert b.upper == pytest.approx(8457.454998762874, rel=1e-12, abs=0.0)
         assert b.lower is None
         assert b.observed == 500.0
 
@@ -152,7 +152,7 @@ class TestBoundExpectedCount:
         b = bound_expected_count(500, 5_000_000, 1e-11, direction="upper",
                                  provider="observed")
         assert b.upper == pytest.approx(500 + math.sqrt(2 * 500 * math.log(1e11)),
-                                        rel=1e-12)
+                                        rel=1e-12, abs=0.0)
 
     def test_lower_clamped_at_zero(self):
         b = bound_expected_count(0, 1_000_000, 1e-11, direction="both")
@@ -163,7 +163,7 @@ class TestBoundExpectedCount:
         n, eps = 5_000_000, 1e-11
         b = bound_expected_count(9000, n, eps, direction="both")
         assert b.lower > 0.0
-        assert b.upper - b.lower == pytest.approx(2.0 * delta_hoeffding(n, eps), rel=1e-12)
+        assert b.upper - b.lower == pytest.approx(2.0 * delta_hoeffding(n, eps), rel=1e-12, abs=0.0)
 
     def test_directions(self):
         lo = bound_expected_count(10, 100, 0.05, direction="lower")
@@ -204,9 +204,9 @@ class TestBoundGain:
     def test_scaling(self):
         counts = bound_expected_count(9000, 5_000_000, 1e-11, direction="both")
         g = bound_gain(counts, 5_000_000)
-        assert g.observed == pytest.approx(9000 / 5_000_000, rel=1e-12)
-        assert g.lower == pytest.approx(counts.lower / 5_000_000, rel=1e-12)
-        assert g.upper == pytest.approx(counts.upper / 5_000_000, rel=1e-12)
+        assert g.observed == pytest.approx(9000 / 5_000_000, rel=1e-12, abs=0.0)
+        assert g.lower == pytest.approx(counts.lower / 5_000_000, rel=1e-12, abs=0.0)
+        assert g.upper == pytest.approx(counts.upper / 5_000_000, rel=1e-12, abs=0.0)
 
     def test_upper_clamped_to_one(self):
         counts = bound_expected_count(100, 100, 1e-11, direction="upper")

@@ -43,14 +43,14 @@ def keyrate_profile(**overrides):
 class TestXBasisConstants:
     def test_frozen_values(self):
         c = XBasisConstants.from_mu(MU)
-        assert c.n_plus == pytest.approx(3.213061319425267, rel=1e-14)
-        assert c.n_minus == pytest.approx(0.7869386805747332, rel=1e-14)
+        assert c.n_plus == pytest.approx(3.213061319425267, rel=1e-14, abs=0.0)
+        assert c.n_minus == pytest.approx(0.7869386805747332, rel=1e-14, abs=0.0)
 
     def test_sum_is_four(self):
         rng = random.Random(5)
         for _ in range(20):
             c = XBasisConstants.from_mu(rng.uniform(0.01, 2.0))
-            assert c.n_plus + c.n_minus == pytest.approx(4.0, rel=1e-14)
+            assert c.n_plus + c.n_minus == pytest.approx(4.0, rel=1e-14, abs=0.0)
             assert 2.0 < c.n_plus < 4.0
             assert 0.0 < c.n_minus < 2.0
 
@@ -60,8 +60,8 @@ class TestXBasisGainUpper:
         value = xbasis_gain_upper_m1(exact(0.0), exact(0.0), MU)
         c = XBasisConstants.from_mu(MU)
         expected = (c.n_minus / c.n_plus) * math.exp(MU) * c.n_minus / 4.0
-        assert value == pytest.approx(expected, rel=1e-14)
-        assert value == pytest.approx(0.07944197294635495, rel=1e-12)
+        assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert value == pytest.approx(0.07944197294635495, rel=1e-12, abs=0.0)
 
     def test_zero_gains_without_remainder(self):
         assert xbasis_gain_upper_m1(exact(0.0), exact(0.0), MU,
@@ -103,7 +103,7 @@ class TestXBasisGainLower:
         c = XBasisConstants.from_mu(MU)
         cross = 2.0 * math.sqrt(g_aa * g_vac)
         expected = (math.exp(MU) * g_aa + math.exp(-MU) * g_vac - cross) / c.n_plus
-        assert value == pytest.approx(expected, rel=1e-12)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_cross_term_modes_differ(self):
         g_aa, g_vac = 2e-3, 1.8e-6
@@ -129,7 +129,7 @@ class TestXBasisGainLower:
 class TestPhaseErrorExpected:
     def test_equal_bounds_give_half(self):
         gains = analytic_gains(make_params())
-        assert phase_error_expected_upper(gains, 0.3, 0.3, MU) == pytest.approx(0.5, rel=1e-12)
+        assert phase_error_expected_upper(gains, 0.3, 0.3, MU) == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     def test_monotone_in_upper_bound(self):
         gains = analytic_gains(make_params())
@@ -150,7 +150,7 @@ class TestPhaseErrorExpected:
 class TestPhaseErrorObserved:
     def test_frozen_statistical_floor(self):
         assert phase_error_observed_upper(0.0, 14_811, 500_000_000, 1e-11) == \
-            pytest.approx(0.029241321659747785, rel=1e-12)
+            pytest.approx(0.029241321659747785, rel=1e-12, abs=0.0)
 
     def test_loose_eps_recovers_expected_value(self):
         assert phase_error_observed_upper(0.3, 1_000_000, 500_000_000, 1.0 - 1e-12) == \
@@ -178,8 +178,8 @@ class TestSecureKeyLength:
 
     def test_frozen_overhead_constants(self):
         r = secure_key_length(100_000.0, 0.1, 0.01, self.SEC)
-        assert r.correctness_term_bits == pytest.approx(50.82892142331043, rel=1e-12)
-        assert r.secrecy_term_bits == pytest.approx(71.08241808752197, rel=1e-12)
+        assert r.correctness_term_bits == pytest.approx(50.82892142331043, rel=1e-12, abs=0.0)
+        assert r.secrecy_term_bits == pytest.approx(71.08241808752197, rel=1e-12, abs=0.0)
 
     def test_term_accounting_identity(self):
         n_z, ep, e_z = 100_000.0, 0.08, 0.01
@@ -187,9 +187,9 @@ class TestSecureKeyLength:
         assert not r.aborted
         expected = (n_z * (1.0 - binary_entropy(ep)) - r.leak_ec_bits
                     - r.correctness_term_bits - r.secrecy_term_bits)
-        assert r.key_length_bits == pytest.approx(expected, rel=1e-12)
+        assert r.key_length_bits == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert r.leak_ec_bits == pytest.approx(
-            self.SEC.f_ec * n_z * binary_entropy(e_z), rel=1e-12)
+            self.SEC.f_ec * n_z * binary_entropy(e_z), rel=1e-12, abs=0.0)
 
     def test_qber_abort(self):
         r = secure_key_length(100_000.0, 0.1, 0.06, self.SEC)
@@ -249,17 +249,17 @@ class TestSecureKeyLength:
 class TestSiftedClickModel:
     def test_frozen_default_detector(self):
         assert expected_sifted_clicks(make_params()) == \
-            pytest.approx(18348.565066365823, rel=1e-12)
+            pytest.approx(18348.565066365823, rel=1e-12, abs=0.0)
 
     def test_frozen_upgraded_detector(self):
         p = make_params(efficiency=0.2, dead_time_s=30e-6)
-        assert expected_sifted_clicks(p) == pytest.approx(30998.562818478036, rel=1e-12)
+        assert expected_sifted_clicks(p) == pytest.approx(30998.562818478036, rel=1e-12, abs=0.0)
 
     def test_no_dead_time_is_linear(self):
         p = make_params(dead_time_s=0.0)
         one = expected_sifted_clicks(p, 1.0)
         two = expected_sifted_clicks(p, 2.0)
-        assert two == pytest.approx(2.0 * one, rel=1e-12)
+        assert two == pytest.approx(2.0 * one, rel=1e-12, abs=0.0)
 
     def test_dead_time_saturation_ceiling(self):
         p = make_params(length_km=0.0, efficiency=1.0, dead_time_s=1e-3)
@@ -276,16 +276,25 @@ class TestSiftedClickModel:
         with pytest.raises(ValueError):
             expected_sifted_clicks(make_params(), 0.0)
 
+    def test_small_intensity_has_no_cancellation(self):
+        # a = t_b mu eta = 1e-9, where 1 - exp(-a) keeps only about 7 digits.
+        p = make_params(length_km=0.0, efficiency=1e-9 / (0.9 * 0.5), dark_count_prob=0.0,
+                        dead_time_s=0.0)
+        a = p.receiver.t_b * p.source.mu * p.detectors.efficiency
+        p_signal = 1.0 - p.source.p_decoy_alpha_alpha - p.source.p_decoy_vacuum
+        expected = p.source.pulse_pair_rate * p_signal * a * (1.0 - a / 2.0)
+        assert expected_sifted_clicks(p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 class TestExperimentThroughput:
     def test_disclosure_and_compression_factors(self):
         p = make_params(rounds=500_000_000, pulse_pair_rate=5.0e8)
-        assert experiment_throughput(1000.0, p) == pytest.approx(720.0, rel=1e-12)
+        assert experiment_throughput(1000.0, p) == pytest.approx(720.0, rel=1e-12, abs=0.0)
 
     def test_explicit_duration(self):
         p = make_params()
         assert experiment_throughput(1000.0, p, block_duration_s=2.0) == \
-            pytest.approx(360.0, rel=1e-12)
+            pytest.approx(360.0, rel=1e-12, abs=0.0)
 
     def test_short_link_order_of_magnitude(self):
         p = keyrate_profile(length_km=30.0, efficiency=0.1, dead_time_s=50e-6)
@@ -368,13 +377,13 @@ class TestEvaluateRecord:
         noisy = dataclasses.replace(
             base, n_0z_tau0=45_000, n_0z_tau1=5_000, n_1z_tau0=5_000, n_1z_tau1=45_000)
         r = evaluate_record(noisy, p)
-        assert r.qber == pytest.approx(0.1, rel=1e-12)
+        assert r.qber == pytest.approx(0.1, rel=1e-12, abs=0.0)
         assert r.aborted and "qber" in r.abort_reason
 
     def test_analytic_qber_fallback(self):
         p = keyrate_profile(length_km=40.0)
         r = evaluate_record(self.modeled_record(p), p)
-        assert r.qber == pytest.approx(qber(analytic_gains(p)), rel=1e-12)
+        assert r.qber == pytest.approx(qber(analytic_gains(p)), rel=1e-12, abs=0.0)
 
     def test_no_decoy_emissions_rejected(self):
         p = keyrate_profile(length_km=40.0)

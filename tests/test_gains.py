@@ -28,8 +28,8 @@ def all_zero_gainset() -> GainSet:
 class TestDataLineGains:
     def test_frozen_values_100km(self):
         g = analytic_gains(make_params())
-        assert g.data_0z_tau0 == pytest.approx(0.00044989633573679316, rel=1e-12)
-        assert g.data_0z_tau1 == pytest.approx(1.7999935200058317e-06, rel=1e-12)
+        assert g.data_0z_tau0 == pytest.approx(0.00044989633573679316, rel=1e-12, abs=0.0)
+        assert g.data_0z_tau1 == pytest.approx(1.7999935200058317e-06, rel=1e-12, abs=0.0)
 
     def test_small_intensity_has_no_cancellation(self):
         # a = t_b mu eta = 1e-9, where 1 - exp(-a) keeps only about 7 digits.
@@ -58,7 +58,7 @@ class TestDataLineGains:
         p = make_params()
         _, wrong, _, _ = data_line_gains(p)
         p_d = p.detectors.dark_count_prob
-        assert wrong == pytest.approx(p_d * (1.0 - p_d) ** 2, rel=1e-12)
+        assert wrong == pytest.approx(p_d * (1.0 - p_d) ** 2, rel=1e-12, abs=0.0)
 
     def test_no_darks_no_wrong_clicks(self):
         g = analytic_gains(make_params(dark_count_prob=0.0))
@@ -74,7 +74,7 @@ class TestDataLineGains:
         right, wrong, _, _ = data_line_gains(p)
         p_d = p.detectors.dark_count_prob
         assert right == 0.0
-        assert wrong == pytest.approx(p_d * (1.0 - p_d) ** 2, rel=1e-12)
+        assert wrong == pytest.approx(p_d * (1.0 - p_d) ** 2, rel=1e-12, abs=0.0)
 
 
 class TestQber:
@@ -83,7 +83,7 @@ class TestQber:
 
     def test_frozen_value_100km(self):
         assert qber(analytic_gains(make_params())) == pytest.approx(
-            0.0039849637985047625, rel=1e-12)
+            0.0039849637985047625, rel=1e-12, abs=0.0)
 
     def test_dark_only_limit_is_one(self):
         # The correct-bin gain counts only photon-driven clicks, so once the
@@ -100,7 +100,7 @@ class TestQber:
             data_1z_tau0=3.0 * g.data_1z_tau0,
             data_1z_tau1=3.0 * g.data_1z_tau1,
         )
-        assert qber(scaled) == pytest.approx(qber(g), rel=1e-12)
+        assert qber(scaled) == pytest.approx(qber(g), rel=1e-12, abs=0.0)
 
     def test_monotone_in_length(self):
         values = [qber(analytic_gains(make_params(length_km=l)))
@@ -120,11 +120,11 @@ class TestQber:
 class TestMonitoringGains:
     def test_frozen_values_100km(self):
         g = analytic_gains(make_params())
-        assert g.mon_alpha_alpha_m0 == pytest.approx(2.6787440724413296e-05, rel=1e-12)
-        assert g.mon_alpha_alpha_m1 == pytest.approx(1.7990005575621108e-06, rel=1e-12)
-        assert g.mon_vac_m0 == pytest.approx(1.7999902800174957e-06, rel=1e-12)
+        assert g.mon_alpha_alpha_m0 == pytest.approx(2.6787440724413296e-05, rel=1e-12, abs=0.0)
+        assert g.mon_alpha_alpha_m1 == pytest.approx(1.7990005575621108e-06, rel=1e-12, abs=0.0)
+        assert g.mon_vac_m0 == pytest.approx(1.7999902800174957e-06, rel=1e-12, abs=0.0)
         assert g.mon_vac_m0 == g.mon_vac_m1
-        assert g.mon_0z_m0 == pytest.approx(2.6787440724413296e-05, rel=1e-12)
+        assert g.mon_0z_m0 == pytest.approx(2.6787440724413296e-05, rel=1e-12, abs=0.0)
 
     def test_bright_port_matches_interference_formula(self):
         p = make_params(phase_shift=math.pi / 2)
@@ -134,7 +134,7 @@ class TestMonitoringGains:
         a = p.receiver.t_b * p.source.mu * eta_data
         q = 1.0 - p.detectors.dark_count_prob
         expected = q ** 3 * (1.0 - q * math.exp(-b / 2.0)) * math.exp(-a)
-        assert monitor_gain_alpha_alpha(p, "m0") == pytest.approx(expected, rel=1e-12)
+        assert monitor_gain_alpha_alpha(p, "m0") == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_phase_zero_puts_all_light_on_m0(self):
         aligned = monitor_gain_alpha_alpha(make_params(phase_shift=0.0), "m0")
@@ -146,15 +146,15 @@ class TestMonitoringGains:
         q = 1.0 - p.detectors.dark_count_prob
         eta_data = channel_transmittance(p.channel, p.detectors)
         a = p.receiver.t_b * p.source.mu * eta_data
-        expected = q ** 3 * (1.0 - q) * math.exp(-a)
-        assert monitor_gain_alpha_alpha(p, "m0") == pytest.approx(expected, rel=1e-12)
+        expected = q ** 3 * p.detectors.dark_count_prob * math.exp(-a)
+        assert monitor_gain_alpha_alpha(p, "m0") == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_m1_model_variants(self):
         p = make_params()
         switch = monitor_gain_alpha_alpha(p, "m1", m1_model="optical_switch")
         fifty = monitor_gain_alpha_alpha(p, "m1", m1_model="fifty_fifty")
-        assert switch == pytest.approx(1.7990005575621108e-06, rel=1e-12)
-        assert fifty == pytest.approx(1.7990905098387768e-06, rel=1e-12)
+        assert switch == pytest.approx(1.7990005575621108e-06, rel=1e-12, abs=0.0)
+        assert fifty == pytest.approx(1.7990905098387768e-06, rel=1e-12, abs=0.0)
         assert fifty > switch
 
     def test_unknown_model_rejected(self):
@@ -166,7 +166,7 @@ class TestMonitoringGains:
     def test_vacuum_gain_is_dark_floor(self):
         p = make_params()
         p_d = p.detectors.dark_count_prob
-        assert monitor_gain_vacuum(p) == pytest.approx(p_d * (1.0 - p_d) ** 3, rel=1e-12)
+        assert monitor_gain_vacuum(p) == pytest.approx(p_d * (1.0 - p_d) ** 3, rel=1e-12, abs=0.0)
 
     def test_vacuum_gain_independent_of_length(self):
         near = monitor_gain_vacuum(make_params(length_km=10.0))
@@ -176,7 +176,7 @@ class TestMonitoringGains:
     def test_signal_monitoring_gains_equal_across_bits_and_ports(self):
         gains = monitor_gains_signal(make_params())
         assert len(set(gains)) == 1
-        assert gains[0] == pytest.approx(2.6787440724413296e-05, rel=1e-12)
+        assert gains[0] == pytest.approx(2.6787440724413296e-05, rel=1e-12, abs=0.0)
 
     def test_signal_monitoring_vanishes_without_light_or_darks(self):
         gains = monitor_gains_signal(make_params(length_km=OPAQUE_KM, dark_count_prob=0.0))

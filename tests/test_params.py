@@ -19,15 +19,15 @@ class TestChannelTransmittance:
     def test_16_db_net_loss(self):
         p = make_params(length_km=80.0, efficiency=1.0)
         eta = channel_transmittance(p.channel, p.detectors)
-        assert eta == pytest.approx(10.0 ** (-1.6), rel=1e-12)
+        assert eta == pytest.approx(10.0 ** (-1.6), rel=1e-12, abs=0.0)
 
     def test_zero_length_gives_detector_efficiency(self):
         p = make_params(length_km=0.0, efficiency=0.2)
-        assert channel_transmittance(p.channel, p.detectors) == pytest.approx(0.2, rel=1e-12)
+        assert channel_transmittance(p.channel, p.detectors) == pytest.approx(0.2, rel=1e-12, abs=0.0)
 
     def test_100_km_default_detector(self):
         p = make_params()
-        assert channel_transmittance(p.channel, p.detectors) == pytest.approx(1e-3, rel=1e-12)
+        assert channel_transmittance(p.channel, p.detectors) == pytest.approx(1e-3, rel=1e-12, abs=0.0)
 
     def test_extra_loss_charged_to_monitoring_line_only(self):
         p = make_params(extra_loss_db=2.0)
@@ -35,7 +35,7 @@ class TestChannelTransmittance:
         mon = channel_transmittance(p.channel, p.detectors, monitoring=True)
         baseline = make_params()
         assert data == channel_transmittance(baseline.channel, baseline.detectors)
-        assert mon == pytest.approx(data * 10.0 ** (-0.2), rel=1e-12)
+        assert mon == pytest.approx(data * 10.0 ** (-0.2), rel=1e-12, abs=0.0)
 
     def test_monitoring_equals_data_without_extra_loss(self):
         p = make_params()
@@ -94,8 +94,8 @@ class TestBinaryEntropy:
 class TestSourceParams:
     def test_balanced_fill_of_signal_probabilities(self):
         src = SourceParams(p_decoy_alpha_alpha=0.2, p_decoy_vacuum=0.1)
-        assert src.p_z0 == pytest.approx(0.35, rel=1e-12)
-        assert src.p_z1 == pytest.approx(0.35, rel=1e-12)
+        assert src.p_z0 == pytest.approx(0.35, rel=1e-12, abs=0.0)
+        assert src.p_z1 == pytest.approx(0.35, rel=1e-12, abs=0.0)
 
 
 class TestValidate:
@@ -144,11 +144,11 @@ class TestValidate:
 class TestSystemParams:
     def test_block_duration(self):
         p = make_params(rounds=500_000_000, pulse_pair_rate=5.0e8)
-        assert p.block_duration_s() == pytest.approx(1.0, rel=1e-12)
+        assert p.block_duration_s() == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_block_duration_scales_with_rounds(self):
         p = make_params(rounds=1_000_000, pulse_pair_rate=5.0e8)
-        assert p.block_duration_s() == pytest.approx(0.002, rel=1e-12)
+        assert p.block_duration_s() == pytest.approx(0.002, rel=1e-12, abs=0.0)
 
     def test_frozen(self):
         p = make_params()

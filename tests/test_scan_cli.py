@@ -17,8 +17,10 @@ from cowqkd import (
     replay_counts,
     run_scan,
 )
+import cowqkd.cli
 import cowqkd.scan
-from cowqkd.cli import CONFIG_KEYS, ConfigError, _PARAM_SECTIONS, _to_float, main, parse_config_text
+from cowqkd.cli import (CONFIG_KEYS, ConfigError, _PARAM_SECTIONS, _to_float, build_parser, main,
+                        parse_config_text)
 from cowqkd.scan import CSV_HEADER, scan_values, with_variable
 from helpers import make_params
 
@@ -43,7 +45,7 @@ class TestScanValues:
         spec = ScanSpec(variable="mu", start=0.1, stop=0.4, step=0.1)
         values = scan_values(spec)
         assert len(values) == 4
-        assert values[-1] == pytest.approx(0.4, rel=1e-12)
+        assert values[-1] == pytest.approx(0.4, rel=1e-12, abs=0.0)
 
     def test_step_not_dividing_span_stops_short(self):
         spec = ScanSpec(variable="length_km", start=0.0, stop=1.0, step=0.4)
@@ -111,7 +113,7 @@ class TestRunScan:
         spec = ScanSpec(variable="length_km", start=40.0, stop=40.0, step=1.0)
         row = run_scan(spec, p)[0]
         assert row.key_rate_bps == pytest.approx(
-            row.key_bits / p.block_duration_s(), rel=1e-12)
+            row.key_bits / p.block_duration_s(), rel=1e-12, abs=0.0)
 
     def test_abort_rows_report_reason(self):
         spec = ScanSpec(variable="length_km", start=150.0, stop=150.0, step=1.0)
@@ -493,7 +495,7 @@ def test_analyze_key_rate_uses_the_logs_rounds(capsys, tmp_path):
     payload = json.loads(capsys.readouterr().out)
     assert payload["key_length_bits"] > 0
     assert payload["key_rate_bps"] == pytest.approx(
-        payload["key_length_bits"] / (2_000_000 / 5.0e8), rel=1e-12)
+        payload["key_length_bits"] / (2_000_000 / 5.0e8), rel=1e-12, abs=0.0)
 
 
 GRID_SPECS = {
@@ -505,11 +507,11 @@ GRID_SPECS = {
 
 
 def assert_row_matches(row, result, rounds, pulse_pair_rate=5.0e8):
-    assert row.qber == pytest.approx(result.qber, rel=1e-12)
-    assert row.phase_error_upper == pytest.approx(result.phase_error_observed_upper, rel=1e-12)
-    assert row.key_bits == pytest.approx(result.key_length_bits, rel=1e-12)
+    assert row.qber == pytest.approx(result.qber, rel=1e-12, abs=0.0)
+    assert row.phase_error_upper == pytest.approx(result.phase_error_observed_upper, rel=1e-12, abs=0.0)
+    assert row.key_bits == pytest.approx(result.key_length_bits, rel=1e-12, abs=0.0)
     assert row.key_rate_bps == pytest.approx(
-        result.key_length_bits / (rounds / pulse_pair_rate), rel=1e-12)
+        result.key_length_bits / (rounds / pulse_pair_rate), rel=1e-12, abs=0.0)
     assert row.aborted is result.aborted
     assert row.reason == result.abort_reason
 
@@ -682,4 +684,75 @@ def test_scan_key_rate_uses_the_records_rounds(capsys, tmp_path, mode):
     assert main(args) == 0
     row = json.loads(capsys.readouterr().out)[0]
     assert row["key_bits"] > 0
-    assert row["key_rate_bps"] == pytest.approx(row["key_bits"] / (2_000_000 / 5.0e8), rel=1e-12)
+    assert row["key_rate_bps"] == pytest.approx(row["key_bits"] / (2_000_000 / 5.0e8), rel=1e-12, abs=0.0)
+
+
+class TestNonFiniteGridAndTarget:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["start", "stop", "step"])
+    def test_scan_flag_exits_1(self, capsys, name, value):
+        grid = {"start": "0.4", "stop": "0.5", "step": "0.05", name: value}
+        assert main(["scan", "--variable", "mu"] + [f"--{k}={v}" for k, v in grid.items()]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"scan {name} must be finite, got {float(value)}" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_scan_config_step_exits_1(self, capsys, value):
+        args = ["scan", "--variable", "mu", "--start", "0.4", "--stop", "0.5",
+                "--set", f"scan.step={value}"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"scan step must be finite, got {value}" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_threshold_target_exits_1(self, capsys, value):
+        args = ["threshold", "--metric", "qber", f"--target={value}", "--bracket", "100", "200"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"threshold target must be finite, got {float(value)}" in captured.err
+
+
+class TestSharedParser:
+    SCAN = ["scan", "--variable", "mu", "--start", "0.5", "--stop", "0.5", "--format", "json"]
+
+    def run(self, capsys, argv, code=0):
+        assert main(argv) == code
+        return capsys.readouterr().out
+
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_overrides_do_not_carry_over(self, capsys):
+        plain = self.run(capsys, self.SCAN)
+        near = self.run(capsys, self.SCAN + ["--set", "channel.length_km=50"])
+        far = self.run(capsys, self.SCAN + ["--set", "channel.length_km=150"])
+        assert len({plain, near, far}) == 3
+        assert self.run(capsys, self.SCAN) == plain
+        assert build_parser().parse_args(self.SCAN).set is None
+
+    def test_usage_error_and_help_leave_the_parser_intact(self, capsys):
+        plain = self.run(capsys, self.SCAN + ["--set", "channel.length_km=80"])
+        self.run(capsys, ["threshold", "--metric", "qber", "--set", "source.mu=0.1"], code=1)
+        assert "usage:" in self.run(capsys, ["scan", "--help"])
+        assert "usage:" in self.run(capsys, ["--help"])
+        assert self.run(capsys, self.SCAN + ["--set", "channel.length_km=80"]) == plain
+
+    @pytest.mark.parametrize("command", ["scan", "threshold", "simulate", "analyze", "validate"])
+    def test_each_subcommand_dispatches_to_its_handler(self, capsys, tmp_path, command):
+        log = tmp_path / "counts.txt"
+        self.run(capsys, ["simulate", "--rounds", "200000", "--output", str(log)])
+        argv = {
+            "scan": self.SCAN,
+            "threshold": ["threshold", "--metric", "qber", "--target", "0.05",
+                          "--bracket", "100", "200"],
+            "simulate": ["simulate", "--rounds", "200000"],
+            "analyze": ["analyze", "--counts", str(log)],
+            "validate": ["validate"],
+        }[command]
+        assert build_parser().parse_args(argv).handler is getattr(cowqkd.cli, f"_cmd_{command}")
+        first = self.run(capsys, argv)
+        assert first
+        assert self.run(capsys, argv) == first

@@ -304,7 +304,7 @@ class TestEmpiricalGains:
                         n_sent_vac=1000, n_aa_m0=0, n_aa_m1=0,
                         n_vac_m0=1, n_vac_m1=0)
         g = empirical_gains(r)
-        assert g.mon_vac_m0 == pytest.approx(1e-3, rel=1e-12)
+        assert g.mon_vac_m0 == pytest.approx(1e-3, rel=1e-12, abs=0.0)
         assert g.mon_vac_m1 == 0.0
 
     def test_missing_class_raises(self):
