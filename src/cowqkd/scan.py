@@ -7,7 +7,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +43,9 @@ SCAN_MODES = ("analytic", "simulate", "replay")
 COLUMNS = ("variable", "qber", "phase_error_upper", "key_bits", "key_rate_bps", "aborted", "reason")
 CSV_HEADER = ",".join(COLUMNS)
 
+#: The most grid points one scan may ask for.
+MAX_SCAN_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ScanSpec:
@@ -73,10 +76,13 @@ class ScanSpec:
             raise ValueError(f"stop {self.stop} is below start {self.start}")
         if self.mode == "replay" and not self.replay_path:
             raise ValueError("replay mode requires replay_path")
+        if self.mode == "simulate":
+            SimConfig(seed=self.sim_seed, rounds=self.sim_rounds)  # raises on a bad seed or rounds
+        if (n := grid_size(self)) > MAX_SCAN_POINTS:
+            raise ValueError(f"scan grid has {n:,} points, above the limit of {MAX_SCAN_POINTS:,}")
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     value: float
     qber: float
     phase_error_upper: float
@@ -97,16 +103,24 @@ def with_variable(params: SystemParams, variable: str, value: float) -> SystemPa
     return _SETTERS[variable](params, value)
 
 
-def scan_values(spec: ScanSpec) -> list[float]:
-    """Grid points start, start+step, ... up to and including stop.
+def grid_size(spec: ScanSpec) -> int | float:
+    """Number of grid points, inf when the span over the step overflows.
 
     The count is derived once from the span so accumulated float error
     cannot drop or duplicate the final point.
     """
-    n_steps = int(round((spec.stop - spec.start) / spec.step))
+    span = (spec.stop - spec.start) / spec.step
+    if not math.isfinite(span):
+        return math.inf
+    n_steps = int(round(span))
     if abs(spec.start + n_steps * spec.step - spec.stop) > 1e-9 * max(1.0, abs(spec.stop)):
-        n_steps = int(math.floor((spec.stop - spec.start) / spec.step + 1e-12))
-    return [spec.start + i * spec.step for i in range(n_steps + 1)]
+        n_steps = int(math.floor(span + 1e-12))
+    return n_steps + 1
+
+
+def scan_values(spec: ScanSpec) -> list[float]:
+    """Grid points start, start+step, ... up to and including stop."""
+    return [spec.start + i * spec.step for i in range(grid_size(spec))]
 
 
 def _evaluate(
@@ -128,7 +142,7 @@ def _rows(
     columns = (result.qber, result.phase_error_observed_upper, result.key_length_bits,
                rate, result.aborted, result.abort_reason)
     cells = (np.broadcast_to(c, len(values)).tolist() for c in columns)
-    return [ScanRow(*row) for row in zip(values, *cells)]
+    return list(map(ScanRow._make, zip(values, *cells)))
 
 
 def _error_row(value: float, exc: Exception) -> ScanRow:
@@ -266,16 +280,17 @@ def emit(rows: Sequence[ScanRow], format: str = "csv", destination: str | Path =
     Returns the serialized text either way.
     """
     if format == "csv":
-        lines = [CSV_HEADER]
-        for row in rows:
-            reason = row.reason or ""
-            if any(c in reason for c in ',"\n'):
-                reason = '"' + reason.replace('"', '""') + '"'
-            numbers = (row.value, row.qber, row.phase_error_upper, row.key_bits, row.key_rate_bps)
-            lines.append(",".join([*map(repr, numbers), "true" if row.aborted else "false", reason]))
-        text = "\n".join(lines) + "\n"
+        *numbers, aborted, reasons = tuple(zip(*rows)) or ((),) * len(COLUMNS)
+        quoted = {}
+        for reason in set(reasons):
+            text = reason or ""
+            quoted[reason] = ('"' + text.replace('"', '""') + '"'
+                              if any(c in text for c in ',"\n') else text)
+        flags = map({False: "false", True: "true"}.__getitem__, aborted)
+        cells = [*(map(repr, c) for c in numbers), flags, map(quoted.__getitem__, reasons)]
+        text = "\n".join([CSV_HEADER, *map(",".join, zip(*cells))]) + "\n"
     elif format == "json":
-        payload = [json_safe(dict(zip(COLUMNS, vars(row).values()))) for row in rows]
+        payload = [json_safe(dict(zip(COLUMNS, row))) for row in rows]
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         raise ValueError(f"unknown output format {format!r}")

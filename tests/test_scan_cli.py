@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,8 @@ import cowqkd.cli
 import cowqkd.scan
 from cowqkd.cli import (CONFIG_KEYS, ConfigError, _PARAM_SECTIONS, _to_float, build_parser, main,
                         parse_config_text)
-from cowqkd.scan import CSV_HEADER, scan_values, with_variable
+from cowqkd.scan import (COLUMNS, CSV_HEADER, MAX_SCAN_POINTS, grid_size, scan_values,
+                         with_variable)
 from helpers import make_params
 
 
@@ -756,3 +758,155 @@ class TestSharedParser:
         first = self.run(capsys, argv)
         assert first
         assert self.run(capsys, argv) == first
+
+
+class TestSimulateScanSettings:
+    GRID = ["scan", "--variable", "mu", "--start", "0.4", "--stop", "0.5", "--step", "0.05",
+            "--mode", "simulate"]
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--sim-rounds", "0"], "rounds must be at least 1, got 0"),
+        (["--sim-seed", "-1"], "seed must be a non-negative integer, got -1"),
+    ])
+    def test_bad_setting_exits_1_before_any_row(self, capsys, flag, message):
+        assert main(self.GRID + flag) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("settings", [dict(sim_rounds=0), dict(sim_seed=-1)])
+    def test_spec_rejects_bad_setting(self, settings):
+        with pytest.raises(ValueError):
+            ScanSpec(variable="mu", start=0.4, stop=0.5, step=0.05, mode="simulate", **settings)
+
+    def test_unused_settings_are_not_checked(self):
+        ScanSpec(variable="mu", start=0.4, stop=0.5, step=0.05, sim_rounds=0)
+
+
+class TestGridLimit:
+    def test_grid_at_the_limit_is_accepted(self):
+        spec = ScanSpec(variable="length_km", start=0.0, stop=MAX_SCAN_POINTS - 1.0, step=1.0)
+        assert grid_size(spec) == MAX_SCAN_POINTS
+
+    def test_one_point_over_the_limit_is_rejected(self):
+        with pytest.raises(ValueError, match="1,000,001 points, above the limit of 1,000,000"):
+            ScanSpec(variable="length_km", start=0.0, stop=float(MAX_SCAN_POINTS), step=1.0)
+
+    def test_grid_size_counts_like_scan_values(self):
+        for start, stop, step in [(0.1, 0.4, 0.1), (0.0, 1.0, 0.4), (20.0, 200.0, 0.1),
+                                  (50.0, 50.0, 1.0)]:
+            spec = ScanSpec(variable="length_km", start=start, stop=stop, step=step)
+            assert grid_size(spec) == len(scan_values(spec))
+
+    def test_huge_grid_exits_1_and_names_the_count(self, capsys):
+        argv = ["scan", "--variable", "length_km", "--start", "0", "--stop", "1e6",
+                "--step", "1e-6"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("scan grid has 1,000,000,000,001 points, above the limit of 1,000,000"
+                in captured.err)
+
+    def test_overflowing_span_is_rejected(self, capsys):
+        argv = ["scan", "--variable", "length_km", "--start", "0", "--stop", "1e6",
+                "--step", "1e-320"]
+        assert main(argv) == 1
+        assert "scan grid has inf points" in capsys.readouterr().err
+
+    def test_error_without_message_names_its_type(self, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cowqkd.cli, "run_scan", out_of_memory)
+        assert main(["scan", "--variable", "mu", "--start", "0.4", "--stop", "0.5"]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def row_by_row_emit(rows, format):
+    """The serializer as a loop over rows, field by field."""
+    if format == "csv":
+        lines = [CSV_HEADER]
+        for row in rows:
+            reason = row.reason or ""
+            if any(c in reason for c in ',"\n'):
+                reason = '"' + reason.replace('"', '""') + '"'
+            numbers = (row.value, row.qber, row.phase_error_upper, row.key_bits, row.key_rate_bps)
+            flag = "true" if row.aborted else "false"
+            lines.append(",".join([*map(repr, numbers), flag, reason]))
+        return "\n".join(lines) + "\n"
+    payload = []
+    for row in rows:
+        cells = (row.value, row.qber, row.phase_error_upper, row.key_bits, row.key_rate_bps,
+                 row.aborted, row.reason)
+        payload.append({k: None if isinstance(v, float) and math.isnan(v) else v
+                        for k, v in zip(COLUMNS, cells)})
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestColumnWiseEmit:
+    def config_rows(self, name):
+        cfg = cowqkd.cli.load_config(CONFIGS / name)
+        spec = ScanSpec(**{**cowqkd.cli._section(cfg, "scan"), "step": 0.5})
+        return run_scan(spec, cowqkd.cli.build_params(cfg), cowqkd.cli.build_analysis(cfg))
+
+    def hand_made_rows(self):
+        reasons = [None, "", "plain", "comma, here", 'say "hi"', "two\nlines", 'all, "of"\nthem',
+                   "comma, here", None]
+        values = [0.1, -0.0, 1e-300, 123456.789, 2.0 ** 0.5, 1e22, 5e-324, 7.0, 8.5]
+        return [ScanRow(value, math.nan if i % 3 == 0 else value / 3, 0.25, float(i),
+                        math.nan if i % 2 else 1.5 * i, i % 2 == 1, reason)
+                for i, (value, reason) in enumerate(zip(values, reasons))]
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("name", ["keyrate_eta10_dt50.cfg", "keyrate_eta20_dt30.cfg",
+                                      "qber_scan.cfg"])
+    def test_config_scan_matches_row_by_row(self, capsys, format, name):
+        rows = self.config_rows(name)
+        assert emit(rows, format=format) == row_by_row_emit(rows, format)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_hand_made_rows_match_row_by_row(self, capsys, format):
+        rows = self.hand_made_rows()
+        assert emit(rows, format=format) == row_by_row_emit(rows, format)
+        capsys.readouterr()
+
+    def test_quoting_of_each_reason(self, capsys):
+        lines = emit(self.hand_made_rows()).split("\n")
+        capsys.readouterr()
+        assert lines[1].endswith(",false,")
+        assert lines[3].endswith(",false,plain")
+        assert lines[4].endswith(',true,"comma, here"')
+        assert lines[5].endswith(',false,"say ""hi"""')
+        assert lines[6].endswith(',true,"two') and lines[7] == 'lines"'
+
+    @pytest.mark.parametrize("format, text", [("csv", CSV_HEADER + "\n"), ("json", "[]\n")])
+    def test_no_rows(self, capsys, format, text):
+        assert emit([], format=format) == text
+        assert capsys.readouterr().out == text
+
+
+class TestScanRow:
+    ROW = ScanRow(value=10.0, qber=0.01, phase_error_upper=0.2, key_bits=5.0,
+                  key_rate_bps=2.5, aborted=False, reason=None)
+
+    def test_fields_follow_the_columns(self):
+        assert ScanRow._fields == ("value", *COLUMNS[1:])
+
+    def test_keyword_construction_and_attributes(self):
+        assert self.ROW.value == 10.0
+        assert self.ROW.key_rate_bps == 2.5
+        assert self.ROW.reason is None
+        assert self.ROW == ScanRow(10.0, 0.01, 0.2, 5.0, 2.5, False, None)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.ROW.qber = 0.5
+
+    def test_replace_makes_a_copy(self):
+        changed = self.ROW._replace(aborted=True, reason="no positive key length")
+        assert changed.aborted and changed.reason == "no positive key length"
+        assert self.ROW.aborted is False
