@@ -30,8 +30,8 @@ from .concentration import (
     bound_gain,
     delta_hoeffding,
 )
-from .gains import M1_MODELS, DegenerateGainsError, GainSet, analytic_gains, qber
-from .params import SecurityParams, SystemParams, binary_entropy, channel_transmittance
+from .gains import M1_MODELS, DegenerateGainsError, GainSet, _line_intensities, analytic_gains, qber
+from .params import SecurityParams, SystemParams, binary_entropy
 from .params import _any, _clamp01, _min, _sqrt, _where, raise_float_errors
 
 __all__ = [
@@ -315,8 +315,7 @@ def expected_sifted_clicks(params: SystemParams, duration_s: float = 1.0) -> flo
     """
     if _any(duration_s <= 0):
         raise ValueError(f"duration_s must be positive, got {duration_s}")
-    eta = channel_transmittance(params.channel, params.detectors)
-    a = params.receiver.t_b * params.source.mu * eta
+    a = _line_intensities(params)[0]
     p_d = params.detectors.dark_count_prob
     p_click = -np.expm1(2.0 * np.log1p(-p_d) - a)
     p_signal = 1.0 - params.source.p_decoy_alpha_alpha - params.source.p_decoy_vacuum

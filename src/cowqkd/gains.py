@@ -19,11 +19,7 @@ __all__ = [
     "GainSet",
     "DegenerateGainsError",
     "M1_MODELS",
-    "data_line_gains",
     "qber",
-    "monitor_gain_alpha_alpha",
-    "monitor_gain_vacuum",
-    "monitor_gains_signal",
     "analytic_gains",
 ]
 
@@ -110,13 +106,6 @@ def analytic_gains(params: SystemParams, *, m1_model: str = "optical_switch") ->
     )
 
 
-def data_line_gains(params: SystemParams) -> tuple[float, float, float, float]:
-    """Data-line gains (early-bit early-bin, early-bit late-bin, late-bit
-    early-bin, late-bit late-bin); see analytic_gains."""
-    g = analytic_gains(params)
-    return g.data_0z_tau0, g.data_0z_tau1, g.data_1z_tau0, g.data_1z_tau1
-
-
 def qber(gains: GainSet) -> float:
     """Data-line bit error rate: wrong-bin gains over all data-line gains."""
     wrong = gains.data_0z_tau1 + gains.data_1z_tau0
@@ -124,29 +113,3 @@ def qber(gains: GainSet) -> float:
     if _any(total == 0.0):
         raise DegenerateGainsError("all data-line gains are zero, QBER undefined")
     return wrong / total
-
-
-def monitor_gain_alpha_alpha(
-    params: SystemParams,
-    detector: str,
-    *,
-    m1_model: str = "optical_switch",
-) -> float:
-    """Monitoring-line gain for the both-bins decoy at detector "m0" or "m1";
-    see analytic_gains."""
-    key = detector.lower()
-    if key not in ("m0", "m1"):
-        raise ValueError(f"unknown detector {detector!r}, expected 'm0' or 'm1'")
-    return getattr(analytic_gains(params, m1_model=m1_model), f"mon_alpha_alpha_{key}")
-
-
-def monitor_gain_vacuum(params: SystemParams) -> float:
-    """Monitoring-line gain for the vacuum decoy, identical for both ports."""
-    return analytic_gains(params).mon_vac_m0
-
-
-def monitor_gains_signal(params: SystemParams) -> tuple[float, float, float, float]:
-    """Monitoring-line gains for the bit states (0z at m0, 0z at m1, 1z at m0,
-    1z at m1); see analytic_gains."""
-    g = analytic_gains(params)
-    return g.mon_0z_m0, g.mon_0z_m1, g.mon_1z_m0, g.mon_1z_m1

@@ -26,17 +26,18 @@ drawn: with pi_k the source distribution and q_k the probability that any
 event fires for state k, a Bernoulli process of rate q = sum_k pi_k q_k,
 placed by geometric gaps.  Each such round takes its state and all eight
 events from one uniform, by inversion (Devroye, Non-Uniform Random Variate
-Generation, 1986, ch. III) in a table of the joint law of the 4 x 255
-(state, non-empty pattern) cells.  That rounds each cell's share of q to the
-2^-53 grain of the uniform, as u < p tests round an event's probability: a
-cell below about 1e-16 of q, such as four dark counts at p_d = 1.8e-6, is
-drawn at that grain or never.  One multinomial draw gives the states of all
-other rounds, whose law is pi_k (1 - q_k) / (1 - q).
+Generation, 1986, ch. III) in a table of the joint law of the 1,024
+(state, pattern) rows, where the empty pattern has no mass.  That rounds each
+row's share of q to the 2^-53 grain of the uniform, as u < p tests round an
+event's probability: a row below about 1e-16 of q, such as four dark counts
+at p_d = 1.8e-6, is drawn at that grain or never.  One multinomial draw gives
+the states of all other rounds, whose law is pi_k (1 - q_k) / (1 - q).
 
 The event rounds form the one event list that the tallies, the
 streaming dead-time filter and detection_events read.  Rounds are processed
 in fixed-size chunks, each with its own RNG stream spawned from the seed, so
 results are a deterministic function of seed, round count and chunk size.
+Tallies count events per row: the rules above run once, on all 1,024 rows.
 """
 
 from __future__ import annotations
@@ -180,6 +181,10 @@ _GATE_ORDER = ("d0", "d1", "m0", "m1")
 #: data-line detector covers both bins, each monitoring port is its own.
 _DETECTOR_GATES = {"data": [0, 1], "m0": [2], "m1": [3]}
 
+#: Rows kind * 256 + pattern of (state, events); bit j of a pattern is event j.
+_ROWS = 4 * 256
+_ROW_EVENTS = (np.arange(_ROWS) >> np.arange(8)[:, None]) & 1 == 1
+
 
 def _event_probabilities(params: SystemParams) -> np.ndarray:
     """Firing probability of each event per StateKind, shape (4, 8).
@@ -207,8 +212,7 @@ class _Sampler:
     """Joint law of state and event pattern, built once per session."""
 
     rate: float          # probability that some event fires in a round
-    cum: np.ndarray      # cumulative law of the cells, 255 per state, given that some event fires
-    events: np.ndarray   # (8, cells) events that fire in each cell
+    cum: np.ndarray      # cumulative law of the rows given that some event fires
     idle: np.ndarray     # state law of the rounds where nothing fires
 
     @classmethod
@@ -218,15 +222,14 @@ class _Sampler:
         if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-9:
             raise ValidationError([f"state probabilities must be a distribution, got {probs}"])
         fire = _event_probabilities(params)
-        # Cells are (state, non-empty event pattern); bit j of a pattern is event j.
-        events = (np.arange(1, 256) >> np.arange(8)[:, None]) & 1 == 1
-        law = np.where(events, fire[:, :, None], 1.0 - fire[:, :, None]).prod(axis=1)
+        law = np.where(_ROW_EVENTS[:, :256], fire[:, :, None], 1.0 - fire[:, :, None]).prod(axis=1)
+        law[:, 0] = 0.0  # pattern 0 is no event, so searchsorted never lands on its rows
         cum = np.cumsum(probs[:, None] * law)
         rate = float(cum[-1])
         with np.errstate(invalid="ignore"):
-            cum /= rate  # trailing empty cells stay at exactly 1, so u < 1 never draws them
+            cum /= rate  # trailing empty rows stay at exactly 1, so u < 1 never draws them
         idle = probs * np.prod(1.0 - fire, axis=1)
-        return cls(rate, cum, np.tile(events, 4), idle / idle.sum())
+        return cls(rate, cum, idle / idle.sum())
 
 
 @dataclass
@@ -238,6 +241,7 @@ class _Chunk:
     kinds: np.ndarray    # StateKind of each event
     photon: np.ndarray   # (4, events) photon click per gate
     dark: np.ndarray     # (4, events) dark count per gate
+    rows: np.ndarray     # (state, pattern) row of each event, int16 to keep chunks small
 
 
 def _bernoulli_rounds(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
@@ -262,12 +266,11 @@ def _sample_chunk(rng: np.random.Generator, start: int, n: int, sampler: _Sample
     """Sample one chunk.  Draw order is fixed, so identical seeds give
     identical samples."""
     rounds = _bernoulli_rounds(rng, n, sampler.rate)
-    cell = np.searchsorted(sampler.cum, rng.random(rounds.size), side="right")
-    kinds = cell // 255
+    rows = np.searchsorted(sampler.cum, rng.random(rounds.size), side="right")
+    kinds = rows >> 8
     sent = np.bincount(kinds, minlength=4) + rng.multinomial(n - rounds.size, sampler.idle)
-    # take, unlike events[:, cell], gives C-ordered rows, which the tallies read fast.
-    fired = sampler.events.take(cell, axis=1)
-    return _Chunk(sent, start + rounds, kinds, fired[:4], fired[4:])
+    fired = _ROW_EVENTS.take(rows, axis=1)  # C-ordered, unlike _ROW_EVENTS[:, rows]
+    return _Chunk(sent, start + rounds, kinds, fired[:4], fired[4:], rows.astype(np.int16))
 
 
 def _apply_dead_time(chunk: _Chunk, dead: int, last_kept: dict[str, int]) -> None:
@@ -292,6 +295,11 @@ def _apply_dead_time(chunk: _Chunk, dead: int, last_kept: dict[str, int]) -> Non
             i = ticks.searchsorted(last_kept[det] + dead)
     chunk.photon &= keep
     chunk.dark &= keep
+    # Rows keep their state, bits 8 and up, and each kept gate g's events, bits g and g + 4.
+    gate, event = np.divmod(np.flatnonzero(keep), keep.shape[1])
+    kept = chunk.rows[event] & (17 << gate)
+    chunk.rows &= -256
+    np.bitwise_or.at(chunk.rows, event, kept)
 
 
 def _chunks(params: SystemParams, cfg: SimConfig) -> Iterator[_Chunk]:
@@ -313,44 +321,31 @@ def _chunks(params: SystemParams, cfg: SimConfig) -> Iterator[_Chunk]:
         yield chunk
 
 
-def _tally_chunk(tallies: dict[str, int], chunk: _Chunk) -> None:
-    photon = dict(zip(_GATE_ORDER, chunk.photon))
-    dark = dict(zip(_GATE_ORDER, chunk.dark))
+def _tally_masks(kinds: np.ndarray, photon: np.ndarray, dark: np.ndarray) -> dict[str, np.ndarray]:
+    """Events each click tally counts, from their states and (4, events) gates."""
+    photon, dark = dict(zip(_GATE_ORDER, photon)), dict(zip(_GATE_ORDER, dark))
     click = {g: photon[g] | dark[g] for g in _GATE_ORDER}
-    kinds = chunk.kinds
-    is_z0 = kinds == StateKind.Z0
-    is_z1 = kinds == StateKind.Z1
-    is_aa = kinds == StateKind.DECOY_AA
-    is_vac = kinds == StateKind.DECOY_VAC
-
+    is_z0, is_z1, is_aa, is_vac = (kinds == k for k in StateKind)
     no_mon_dark = ~dark["m0"] & ~dark["m1"]
+    return {  # each tally's whole condition, as in the module docstring's table
+        "n_z": (is_z0 | is_z1) & (click["d0"] | click["d1"]),
+        "n_0z_tau0": is_z0 & photon["d0"] & ~dark["d1"] & no_mon_dark,
+        "n_0z_tau1": is_z0 & click["d1"] & no_mon_dark,
+        "n_1z_tau1": is_z1 & photon["d1"] & ~dark["d0"] & no_mon_dark,
+        "n_1z_tau0": is_z1 & click["d0"] & no_mon_dark,
+        "n_0z_m0": is_z0 & click["m0"] & ~dark["m1"] & ~click["d0"] & ~dark["d1"],
+        "n_0z_m1": is_z0 & click["m1"] & ~dark["m0"] & ~click["d0"] & ~dark["d1"],
+        "n_1z_m0": is_z1 & click["m0"] & ~dark["m1"] & ~click["d1"] & ~dark["d0"],
+        "n_1z_m1": is_z1 & click["m1"] & ~dark["m0"] & ~click["d1"] & ~dark["d0"],
+        "n_aa_m0": is_aa & click["m0"] & ~dark["m1"] & ~dark["d0"] & ~click["d1"],
+        "n_aa_m1": is_aa & dark["m1"] & ~photon["m1"] & ~dark["m0"] & ~dark["d0"] & ~click["d1"],
+        "n_vac_m0": is_vac & click["m0"] & ~dark["m1"] & ~dark["d0"] & ~dark["d1"],
+        "n_vac_m1": is_vac & click["m1"] & ~dark["m0"] & ~dark["d0"] & ~dark["d1"],
+    }
 
-    def count(mask: np.ndarray) -> int:
-        return int(np.count_nonzero(mask))
 
-    for field, sent in zip(_SENT_FIELDS, chunk.sent):
-        tallies[field] += int(sent)
-    tallies["n_z"] += count((is_z0 | is_z1) & (click["d0"] | click["d1"]))
-
-    tallies["n_0z_tau0"] += count(is_z0 & photon["d0"] & ~dark["d1"] & no_mon_dark)
-    tallies["n_0z_tau1"] += count(is_z0 & click["d1"] & no_mon_dark)
-    tallies["n_1z_tau1"] += count(is_z1 & photon["d1"] & ~dark["d0"] & no_mon_dark)
-    tallies["n_1z_tau0"] += count(is_z1 & click["d0"] & no_mon_dark)
-
-    quiet_z0 = ~click["d0"] & ~dark["d1"]
-    quiet_z1 = ~click["d1"] & ~dark["d0"]
-    tallies["n_0z_m0"] += count(is_z0 & click["m0"] & ~dark["m1"] & quiet_z0)
-    tallies["n_0z_m1"] += count(is_z0 & click["m1"] & ~dark["m0"] & quiet_z0)
-    tallies["n_1z_m0"] += count(is_z1 & click["m0"] & ~dark["m1"] & quiet_z1)
-    tallies["n_1z_m1"] += count(is_z1 & click["m1"] & ~dark["m0"] & quiet_z1)
-
-    quiet_aa = ~dark["d0"] & ~click["d1"]
-    tallies["n_aa_m0"] += count(is_aa & click["m0"] & ~dark["m1"] & quiet_aa)
-    tallies["n_aa_m1"] += count(is_aa & dark["m1"] & ~photon["m1"] & ~dark["m0"] & quiet_aa)
-
-    quiet_vac = ~dark["d0"] & ~dark["d1"]
-    tallies["n_vac_m0"] += count(is_vac & click["m0"] & ~dark["m1"] & quiet_vac)
-    tallies["n_vac_m1"] += count(is_vac & click["m1"] & ~dark["m0"] & quiet_vac)
+#: Rows each click tally counts.
+_TALLY_ROWS = _tally_masks(np.arange(_ROWS) >> 8, _ROW_EVENTS[:4], _ROW_EVENTS[4:])
 
 
 def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
@@ -361,9 +356,12 @@ def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
     detector before tallying, so suppression can only remove counts relative
     to per_pair mode on the same seed.
     """
-    tallies = dict.fromkeys((f for f in CountRecord.__dataclass_fields__ if f != "rounds"), 0)
+    sent, per_row = np.zeros(4, dtype=np.int64), np.zeros(_ROWS, dtype=np.int64)
     for chunk in _chunks(params, cfg):
-        _tally_chunk(tallies, chunk)
+        sent += chunk.sent
+        per_row += np.bincount(chunk.rows, minlength=_ROWS)
+    tallies = {field: int(per_row[rows].sum()) for field, rows in _TALLY_ROWS.items()}
+    tallies.update(zip(_SENT_FIELDS, sent.tolist()))
     return validate_record(CountRecord(rounds=cfg.rounds, **tallies))
 
 

@@ -9,10 +9,6 @@ from cowqkd import (
     GainSet,
     analytic_gains,
     channel_transmittance,
-    data_line_gains,
-    monitor_gain_alpha_alpha,
-    monitor_gain_vacuum,
-    monitor_gains_signal,
     qber,
 )
 from helpers import make_params
@@ -56,7 +52,7 @@ class TestDataLineGains:
 
     def test_wrong_bin_is_pure_dark_count(self):
         p = make_params()
-        _, wrong, _, _ = data_line_gains(p)
+        wrong = analytic_gains(p).data_0z_tau1
         p_d = p.detectors.dark_count_prob
         assert wrong == pytest.approx(p_d * (1.0 - p_d) ** 2, rel=1e-12, abs=0.0)
 
@@ -71,7 +67,8 @@ class TestDataLineGains:
 
     def test_opaque_channel_right_bin_vanishes(self):
         p = make_params(length_km=OPAQUE_KM)
-        right, wrong, _, _ = data_line_gains(p)
+        g = analytic_gains(p)
+        right, wrong = g.data_0z_tau0, g.data_0z_tau1
         p_d = p.detectors.dark_count_prob
         assert right == 0.0
         assert wrong == pytest.approx(p_d * (1.0 - p_d) ** 2, rel=1e-12, abs=0.0)
@@ -134,11 +131,11 @@ class TestMonitoringGains:
         a = p.receiver.t_b * p.source.mu * eta_data
         q = 1.0 - p.detectors.dark_count_prob
         expected = q ** 3 * (1.0 - q * math.exp(-b / 2.0)) * math.exp(-a)
-        assert monitor_gain_alpha_alpha(p, "m0") == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert analytic_gains(p).mon_alpha_alpha_m0 == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_phase_zero_puts_all_light_on_m0(self):
-        aligned = monitor_gain_alpha_alpha(make_params(phase_shift=0.0), "m0")
-        quadrature = monitor_gain_alpha_alpha(make_params(phase_shift=math.pi / 2), "m0")
+        aligned = analytic_gains(make_params(phase_shift=0.0)).mon_alpha_alpha_m0
+        quadrature = analytic_gains(make_params(phase_shift=math.pi / 2)).mon_alpha_alpha_m0
         assert aligned > quadrature
 
     def test_phase_pi_leaves_only_darks_on_m0(self):
@@ -147,39 +144,39 @@ class TestMonitoringGains:
         eta_data = channel_transmittance(p.channel, p.detectors)
         a = p.receiver.t_b * p.source.mu * eta_data
         expected = q ** 3 * p.detectors.dark_count_prob * math.exp(-a)
-        assert monitor_gain_alpha_alpha(p, "m0") == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert analytic_gains(p).mon_alpha_alpha_m0 == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_m1_model_variants(self):
         p = make_params()
-        switch = monitor_gain_alpha_alpha(p, "m1", m1_model="optical_switch")
-        fifty = monitor_gain_alpha_alpha(p, "m1", m1_model="fifty_fifty")
+        switch = analytic_gains(p, m1_model="optical_switch").mon_alpha_alpha_m1
+        fifty = analytic_gains(p, m1_model="fifty_fifty").mon_alpha_alpha_m1
         assert switch == pytest.approx(1.7990005575621108e-06, rel=1e-12, abs=0.0)
         assert fifty == pytest.approx(1.7990905098387768e-06, rel=1e-12, abs=0.0)
         assert fifty > switch
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
-            monitor_gain_alpha_alpha(make_params(), "m1", m1_model="bogus")
-        with pytest.raises(ValueError):
-            monitor_gain_alpha_alpha(make_params(), "m2")
+            analytic_gains(make_params(), m1_model="bogus")
 
     def test_vacuum_gain_is_dark_floor(self):
         p = make_params()
         p_d = p.detectors.dark_count_prob
-        assert monitor_gain_vacuum(p) == pytest.approx(p_d * (1.0 - p_d) ** 3, rel=1e-12, abs=0.0)
+        assert analytic_gains(p).mon_vac_m0 == pytest.approx(p_d * (1.0 - p_d) ** 3, rel=1e-12, abs=0.0)
 
     def test_vacuum_gain_independent_of_length(self):
-        near = monitor_gain_vacuum(make_params(length_km=10.0))
-        far = monitor_gain_vacuum(make_params(length_km=200.0))
+        near = analytic_gains(make_params(length_km=10.0)).mon_vac_m0
+        far = analytic_gains(make_params(length_km=200.0)).mon_vac_m0
         assert near == far
 
     def test_signal_monitoring_gains_equal_across_bits_and_ports(self):
-        gains = monitor_gains_signal(make_params())
+        g = analytic_gains(make_params())
+        gains = (g.mon_0z_m0, g.mon_0z_m1, g.mon_1z_m0, g.mon_1z_m1)
         assert len(set(gains)) == 1
         assert gains[0] == pytest.approx(2.6787440724413296e-05, rel=1e-12, abs=0.0)
 
     def test_signal_monitoring_vanishes_without_light_or_darks(self):
-        gains = monitor_gains_signal(make_params(length_km=OPAQUE_KM, dark_count_prob=0.0))
+        g = analytic_gains(make_params(length_km=OPAQUE_KM, dark_count_prob=0.0))
+        gains = (g.mon_0z_m0, g.mon_0z_m1, g.mon_1z_m0, g.mon_1z_m1)
         assert gains == (0.0, 0.0, 0.0, 0.0)
 
 

@@ -22,7 +22,15 @@ from cowqkd import (
     validate_record,
     write_counts,
 )
-from cowqkd.simulator import _event_probabilities, _sample_chunk, _Sampler
+from cowqkd.simulator import (
+    _DETECTOR_GATES,
+    _TALLY_ROWS,
+    _apply_dead_time,
+    _event_probabilities,
+    _sample_chunk,
+    _Sampler,
+    _tally_masks,
+)
 from helpers import make_params
 
 # Attenuation high enough that the transmittance underflows to exactly zero.
@@ -187,6 +195,36 @@ class TestSamplerLaw:
         assert stats.chisquare(observed, expected).pvalue > 1e-3
         sent = stats.chisquare(chunk.sent, rounds * np.array(pi))
         assert sent.pvalue > 1e-3
+
+
+class TestRowTally:
+    # With p_d = 5% every (state, pattern) cell can occur.  Dead times of 1, 2
+    # and 3 half-period ticks, and the 30 us of the eta = 0.2 profile (30,000).
+    @pytest.mark.parametrize("dead", [None, 1, 2, 3, 30_000])
+    @pytest.mark.parametrize("length_km", [0.0, 20.0, 100.0])
+    def test_rows_carry_events_and_tallies(self, length_km, dead):
+        p = make_params(length_km=length_km, dark_count_prob=0.05,
+                        p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
+        chunk = _sample_chunk(np.random.default_rng(59), 0, 1 << 17, _Sampler.build(p))
+        assert np.all(chunk.rows & 255 != 0)  # a drawn event has some event firing
+        if dead is not None:
+            _apply_dead_time(chunk, dead, dict.fromkeys(_DETECTOR_GATES, -dead))
+        # Each row decodes to its event's state and its post-filter gates.
+        np.testing.assert_array_equal(chunk.rows >> 8, chunk.kinds)
+        bits = (chunk.rows >> np.arange(8)[:, None]) & 1 == 1
+        np.testing.assert_array_equal(bits[:4], chunk.photon)
+        np.testing.assert_array_equal(bits[4:], chunk.dark)
+        per_row = np.bincount(chunk.rows, minlength=1024)
+        direct = _tally_masks(chunk.kinds, chunk.photon, chunk.dark)
+        assert direct.keys() == _TALLY_ROWS.keys()
+        for field, rows in _TALLY_ROWS.items():
+            assert per_row[rows].sum() == np.count_nonzero(direct[field]), field
+
+    def test_no_tally_counts_an_empty_pattern(self):
+        # An event whose gates dead time all dropped keeps its row at pattern 0.
+        for field, rows in _TALLY_ROWS.items():
+            assert rows.shape == (1024,)
+            assert not rows[::256].any(), field
 
 
 class TestStreamingMode:
