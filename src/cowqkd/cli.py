@@ -15,6 +15,7 @@ threshold search finds no crossing inside its bracket.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import functools
 import json
@@ -151,18 +152,26 @@ def _collect(args: argparse.Namespace) -> dict[str, object]:
     return cfg
 
 
+def _sections(cfg: dict[str, object]) -> dict[str, dict[str, object]]:
+    """Group dotted keys by the text before their first dot, in one pass."""
+    sections: dict[str, dict[str, object]] = collections.defaultdict(dict)
+    for key, value in cfg.items():
+        prefix, dot, name = key.partition(".")
+        if dot:
+            sections[prefix][name] = value
+    return sections
+
+
 def _section(cfg: dict[str, object], prefix: str) -> dict[str, object]:
-    head = prefix + "."
-    return {k[len(head):]: v for k, v in cfg.items() if k.startswith(head)}
+    return _sections(cfg)[prefix]
 
 
 def build_params(cfg: dict[str, object]) -> SystemParams:
     """Assemble and validate SystemParams from flat config values."""
-    kwargs: dict[str, object] = {}
-    if "rounds" in cfg:
-        kwargs["rounds"] = cfg["rounds"]
+    kwargs = {"rounds": cfg["rounds"]} if "rounds" in cfg else {}
+    sections = _sections(cfg)
     params = SystemParams(
-        **{prefix: cls(**_section(cfg, prefix)) for prefix, cls in _PARAM_SECTIONS.items()},
+        **{prefix: cls(**sections[prefix]) for prefix, cls in _PARAM_SECTIONS.items()},
         **kwargs,
     )
     return validate(params)
@@ -278,7 +287,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cowqkd",
         description="Finite-key analysis and simulation of a two-decoy coherent one-way QKD link.",
@@ -325,23 +335,31 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_val)
     p_val.set_defaults(handler=_cmd_validate)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        # The top-level pass would only pick the subcommand and hand it the rest.
+        if argv and argv[0] in commands:
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, NoThresholdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NoThresholdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, NoThresholdError) else 1
     except Exception as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

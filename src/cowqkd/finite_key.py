@@ -46,7 +46,6 @@ __all__ = [
     "phase_error_observed_upper",
     "secure_key_length",
     "expected_sifted_clicks",
-    "experiment_throughput",
     "evaluate_analytic_point",
     "evaluate_record",
 ]
@@ -322,22 +321,6 @@ def expected_sifted_clicks(params: SystemParams, duration_s: float = 1.0) -> flo
     raw_rate = params.source.pulse_pair_rate * p_signal * p_click
     saturated = raw_rate / (1.0 + raw_rate * params.detectors.dead_time_s)
     return saturated * duration_s
-
-
-def experiment_throughput(
-    key_length_bits: float,
-    params: SystemParams,
-    block_duration_s: float | None = None,
-) -> float:
-    """Engineering key-rate estimate in bits per second.
-
-    Divides the block key length by the block duration and applies the
-    sifting disclosure and post-processing compression factors.  These
-    factors never enter the key-length bound itself.
-    """
-    duration = params.block_duration_s() if block_duration_s is None else block_duration_s
-    r = params.receiver
-    return key_length_bits / duration * (1.0 - r.disclose_rate) * r.compression_ratio
 
 
 def _decoy_bounds(

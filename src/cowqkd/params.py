@@ -82,18 +82,15 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class ReceiverParams:
-    """Receiver optics and post-processing ratios.
+    """Receiver optics.
 
     t_b is the transmittance of the asymmetric tap sending light to the data
     line; the rest feeds the monitoring interferometer with phase_shift
-    between its arms.  disclose_rate and compression_ratio only enter the
-    engineering throughput estimate, never the key-length bound.
+    between its arms.
     """
 
     t_b: float = 0.90
     phase_shift: float = math.pi / 2
-    disclose_rate: float = 0.10
-    compression_ratio: float = 0.80
 
 
 @dataclass(frozen=True)
@@ -235,8 +232,6 @@ def _receiver_violations(r: ReceiverParams) -> list[str]:
     out: list[str] = []
     if not (0.0 < r.t_b < 1.0):
         out.append(f"receiver.t_b must lie in (0, 1), got {r.t_b}")
-    _prob_range("receiver.disclose_rate", r.disclose_rate, out)
-    _prob_range("receiver.compression_ratio", r.compression_ratio, out)
     return out
 
 

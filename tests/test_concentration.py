@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from cowqkd import (
@@ -97,6 +98,50 @@ class TestBoundedValue:
         assert up.lower is None
         lo = BoundedValue(observed=5.0, lower=2.0, upper=None, failure_prob=0.1)
         assert lo.upper is None
+
+
+#: Means of the exact-tail tests, from sparse monitoring clicks to large blocks.
+TAIL_MEANS = (0.5, 2.0, 9.0, 30.0, 126.0, 1e3, 1e4, 1e5)
+
+
+def exact_tail_failures(provider, mean, eps, n=None):
+    """Exact probabilities that a provider's upper bound falls below the true
+    mean and that its lower bound rises above it, for a Poisson count of that
+    mean or, given n, a binomial count over n trials."""
+    stats = pytest.importorskip("scipy.stats")
+    if n is None:
+        # Counts past the grid are charged to the lower side as failures.
+        k = np.arange(0.0, math.ceil(mean + 50.0 * math.sqrt(mean) + 100.0))
+        pmf, beyond, n = stats.poisson.pmf(k, mean), stats.poisson.sf(k[-1], mean), math.inf
+    else:
+        k = np.arange(0.0, n + 1.0)
+        pmf, beyond = stats.binom.pmf(k, n, mean / n), 0.0
+    bound = bound_expected_count(k, n, eps, provider=provider)
+    return pmf[bound.upper < mean].sum(), pmf[bound.lower > mean].sum() + beyond
+
+
+class TestExactTails:
+    @pytest.mark.parametrize("eps", [1e-11, 1e-3])
+    @pytest.mark.parametrize("n", [1_000, 100_000])
+    def test_hoeffding_holds_on_both_sides(self, n, eps):
+        for mean in [m for m in TAIL_MEANS if m < n] + [n / 2]:
+            upper_fails, lower_fails = exact_tail_failures("hoeffding", mean, eps, n)
+            assert upper_fails <= eps and lower_fails <= eps, mean
+
+    @pytest.mark.parametrize("eps", [1e-11, 1e-3])
+    def test_observed_lower_side_holds(self, eps):
+        for mean in TAIL_MEANS:
+            assert exact_tail_failures("observed", mean, eps)[1] <= eps, mean
+
+    @pytest.mark.parametrize("mean, fails", [
+        (0.5, 0.6065), (2.0, 0.1353), (9.0, 1.234e-3), (30.0, 2.046e-6), (126.0, 5.801e-9),
+    ])
+    def test_observed_upper_side_is_heuristic(self, mean, fails):
+        # Documented behaviour: X + sqrt(2 X ln(1/eps)) is 0 at X = 0, so the
+        # upper side fails far more often than eps at small means.
+        upper_fails = exact_tail_failures("observed", mean, 1e-11)[0]
+        assert upper_fails > 1e-11
+        assert upper_fails == pytest.approx(fails, rel=1e-3, abs=0.0)
 
 
 class TestDeltas:

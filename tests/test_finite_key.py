@@ -15,7 +15,6 @@ from cowqkd import (
     evaluate_analytic_point,
     evaluate_record,
     expected_sifted_clicks,
-    experiment_throughput,
     phase_error_expected_upper,
     phase_error_observed_upper,
     qber,
@@ -284,24 +283,6 @@ class TestSiftedClickModel:
         p_signal = 1.0 - p.source.p_decoy_alpha_alpha - p.source.p_decoy_vacuum
         expected = p.source.pulse_pair_rate * p_signal * a * (1.0 - a / 2.0)
         assert expected_sifted_clicks(p) == pytest.approx(expected, rel=1e-12, abs=0.0)
-
-
-class TestExperimentThroughput:
-    def test_disclosure_and_compression_factors(self):
-        p = make_params(rounds=500_000_000, pulse_pair_rate=5.0e8)
-        assert experiment_throughput(1000.0, p) == pytest.approx(720.0, rel=1e-12, abs=0.0)
-
-    def test_explicit_duration(self):
-        p = make_params()
-        assert experiment_throughput(1000.0, p, block_duration_s=2.0) == \
-            pytest.approx(360.0, rel=1e-12, abs=0.0)
-
-    def test_short_link_order_of_magnitude(self):
-        p = keyrate_profile(length_km=30.0, efficiency=0.1, dead_time_s=50e-6)
-        result = evaluate_analytic_point(p)
-        assert not result.aborted
-        rate = experiment_throughput(result.key_length_bits, p)
-        assert 100.0 < rate < 10_000.0
 
 
 class TestEvaluateAnalyticPoint:

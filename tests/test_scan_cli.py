@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from cowqkd import (
     NoThresholdError,
     ScanRow,
     ScanSpec,
+    ValidationError,
     analytic_gains,
     emit,
     evaluate_analytic_point,
@@ -758,6 +760,82 @@ class TestSharedParser:
         first = self.run(capsys, argv)
         assert first
         assert self.run(capsys, argv) == first
+
+
+def full_parser_main(argv):
+    """``main`` through the top-level parser's pass, with the same handlers and exit codes."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code in (0, None) else 1
+    try:
+        return args.handler(args)
+    except (ConfigError, ValidationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except NoThresholdError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2
+
+
+class TestSubcommandDispatch:
+    RUNS = {
+        "scan": ["scan", "--variable", "mu", "--start", "0.5", "--stop", "0.5"],
+        "threshold": ["threshold", "--metric", "qber", "--target", "0.05",
+                      "--bracket", "100", "200"],
+        "simulate": ["simulate", "--rounds", "200000"],
+        "analyze": ["analyze", "--counts", "{log}"],
+        "validate": ["validate"],
+    }
+    CASES = [
+        [], ["--help"], ["-h"], ["bogus"], ["--set", "x=1", "analyze"],
+        ["analyze", "--bogus", "--counts", "x"], ["analyze"], ["threshold", "--metric", "qber"],
+        ["validate", "--set", "source.mu=1.5"], ["validate", "--set", "mu"],
+        ["threshold", "--metric", "qber", "--target", "0.9", "--bracket", "100", "200"],
+        *([command, "--help"] for command in RUNS),
+        *(run + ["--bogus"] for run in RUNS.values()),
+        *(run + ["extra"] for run in RUNS.values()),
+        *RUNS.values(),
+    ]
+
+    @pytest.fixture
+    def log(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        assert main(["simulate", "--rounds", "200000", "--output", str(path)]) == 0
+        return str(path)
+
+    def outcome(self, capsys, run, argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "<none>")
+    def test_matches_the_full_parser(self, capsys, log, argv):
+        argv = [arg.format(log=log) for arg in argv]
+        dispatched = self.outcome(capsys, main, argv)
+        assert dispatched == self.outcome(capsys, full_parser_main, argv)
+        assert dispatched[0] in (0, 1, 3)
+
+    def test_known_subcommand_skips_the_top_level_pass(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("top-level parser pass")
+
+        monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+        assert main(["validate"]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        with pytest.raises(AssertionError, match="top-level"):
+            main(["bogus"])
+
+    def test_none_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["cowqkd", "validate"])
+        assert main() == 0
+        assert capsys.readouterr().out == "ok\n"
+        monkeypatch.setattr(sys, "argv", ["cowqkd"])
+        assert main() == 1
+        assert "required: command" in capsys.readouterr().err
 
 
 class TestSimulateScanSettings:
