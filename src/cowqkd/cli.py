@@ -222,6 +222,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     lo, hi = args.bracket
     for value in (lo, hi):
         validate(with_variable(params, args.variable, value))
+    if not lo < hi:
+        raise ConfigError(f"threshold bracket must satisfy lo < hi, got {lo} {hi}")
     crossing = find_threshold(
         args.metric, args.target, (lo, hi), params, analysis, variable=args.variable
     )

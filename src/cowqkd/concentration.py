@@ -217,19 +217,17 @@ def bound_expected_count(
     return BoundedValue(observed=observed, lower=lower, upper=upper, failure_prob=eps)
 
 
+def _rescale(value: float | None, n_emitted: float) -> float | None:
+    """A count bound as a gain bound, clamped to [0, 1]; None stays None."""
+    return None if value is None else _clamp01(value / n_emitted)
+
+
 def bound_gain(bounded_count: BoundedValue, n_emitted: float) -> BoundedValue:
     """Rescale count bounds into gain bounds, clamped to [0, 1]."""
     if _any(n_emitted == 0):
         raise ZeroDivisionError(
             "n_emitted is zero: the decoy class was never sent, gains undefined"
         )
-
-    def scale(value: float | None) -> float | None:
-        return None if value is None else _clamp01(value / n_emitted)
-
-    return BoundedValue(
-        observed=scale(bounded_count.observed),
-        lower=scale(bounded_count.lower),
-        upper=scale(bounded_count.upper),
-        failure_prob=bounded_count.failure_prob,
-    )
+    b = bounded_count
+    return BoundedValue(_rescale(b.observed, n_emitted), _rescale(b.lower, n_emitted),
+                        _rescale(b.upper, n_emitted), b.failure_prob)

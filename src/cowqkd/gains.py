@@ -55,13 +55,11 @@ class GainSet:
     mon_1z_m1: float
 
 
-def _line_intensities(params: SystemParams) -> tuple[float, float]:
-    """Mean photon numbers: (data line per occupied bin, monitoring feed)."""
-    eta_data = channel_transmittance(params.channel, params.detectors)
-    eta_mon = channel_transmittance(params.channel, params.detectors, monitoring=True)
-    mu = params.source.mu
-    t_b = params.receiver.t_b
-    return t_b * mu * eta_data, (1.0 - t_b) * mu * eta_mon
+def _intensity(params: SystemParams, *, monitoring: bool = False) -> float:
+    """Mean photon number of the data line per occupied bin, or of the monitoring feed."""
+    tap = 1.0 - params.receiver.t_b if monitoring else params.receiver.t_b
+    eta = channel_transmittance(params.channel, params.detectors, monitoring=monitoring)
+    return tap * params.source.mu * eta
 
 
 def analytic_gains(params: SystemParams, *, m1_model: str = "optical_switch") -> GainSet:
@@ -79,7 +77,7 @@ def analytic_gains(params: SystemParams, *, m1_model: str = "optical_switch") ->
     """
     if m1_model not in M1_MODELS:
         raise ValueError(f"unknown m1_model {m1_model!r}, expected one of {M1_MODELS}")
-    a, b = _line_intensities(params)
+    a, b = _intensity(params), _intensity(params, monitoring=True)
     p_d = params.detectors.dark_count_prob
     q = 1.0 - p_d
     log_q = np.log1p(-p_d)  # 1 - q exp(-x) = -expm1(log_q - x), exact as x goes to 0

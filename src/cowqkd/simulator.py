@@ -51,7 +51,7 @@ from typing import Iterator
 import numpy as np
 
 from .concentration import CLICK_FIELDS, CountRecord, validate_record
-from .gains import GainSet, _line_intensities
+from .gains import GainSet, _intensity
 from .params import SystemParams, ValidationError
 
 __all__ = [
@@ -194,7 +194,7 @@ def _event_probabilities(params: SystemParams) -> np.ndarray:
     interferometer phase for the both-bins decoy and into two temporal copies
     totalling b/2 for lone pulses.
     """
-    a, b = _line_intensities(params)
+    a, b = _intensity(params), _intensity(params, monitoring=True)
     cos = math.cos(params.receiver.phase_shift)
     s = b / 2.0
     means = np.array([

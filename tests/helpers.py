@@ -1,8 +1,12 @@
-"""Shared parameter builder for the test suite."""
+"""Shared parameter builder and analysis modes for the test suite."""
 
 from __future__ import annotations
 
+import itertools
+
 from cowqkd import (
+    DELTA_PROVIDERS,
+    AnalysisConfig,
     ChannelParams,
     DetectorParams,
     ReceiverParams,
@@ -10,6 +14,19 @@ from cowqkd import (
     SourceParams,
     SystemParams,
 )
+from cowqkd.finite_key import CROSS_TERM_MODES, REMAINDER_MODES
+from cowqkd.gains import M1_MODELS
+
+#: Every combination of the four analysis switches: 2 x 2 x 2 x 2 = 16 modes.
+EVERY_ANALYSIS = [
+    AnalysisConfig(*modes)
+    for modes in itertools.product(DELTA_PROVIDERS, CROSS_TERM_MODES, REMAINDER_MODES, M1_MODELS)
+]
+
+
+def analysis_id(analysis: AnalysisConfig) -> str:
+    return "-".join((analysis.delta_provider, analysis.cross_term, analysis.remainder_terms,
+                     analysis.m1_model))
 
 
 def make_params(

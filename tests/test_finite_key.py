@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cowqkd import (
@@ -8,10 +10,13 @@ from cowqkd import (
     BoundedValue,
     CountRecord,
     DegenerateGainsError,
+    KeyRateResult,
     SecurityParams,
     XBasisConstants,
     analytic_gains,
     binary_entropy,
+    bound_expected_count,
+    bound_gain,
     evaluate_analytic_point,
     evaluate_record,
     expected_sifted_clicks,
@@ -22,7 +27,8 @@ from cowqkd import (
     xbasis_gain_lower_m0,
     xbasis_gain_upper_m1,
 )
-from helpers import make_params
+from cowqkd.concentration import CLICK_FIELDS
+from helpers import EVERY_ANALYSIS, analysis_id, make_params
 
 MU = 0.5
 
@@ -382,3 +388,99 @@ class TestEvaluateRecord:
         r = evaluate_record(record, p)
         assert r.aborted and r.abort_reason == "no sifted detections"
         assert r.key_length_bits == 0.0
+
+
+def chained_by_hand(gains, counts, qber_value, n_z, rounds, params, analysis):
+    """The pipeline after the gains, written as a chain of its public steps."""
+    eps_1, mu = params.security.eps_1, params.source.mu
+    include = analysis.remainder_terms == "include"
+
+    def gain_bound(click, direction):
+        emitted = counts[CLICK_FIELDS[click][0]]
+        count = bound_expected_count(counts[click], emitted, eps_1, direction,
+                                     provider=analysis.delta_provider)
+        return bound_gain(count, emitted)
+
+    xg_up = xbasis_gain_upper_m1(gain_bound("n_aa_m1", "upper"), gain_bound("n_vac_m1", "upper"),
+                                 mu, include_remainder=include)
+    xg_lo = xbasis_gain_lower_m0(gain_bound("n_aa_m0", "both"), gain_bound("n_vac_m0", "both"),
+                                 mu, cross_term=analysis.cross_term, include_remainder=include)
+    ep_star = phase_error_expected_upper(gains, xg_up, xg_lo, mu)
+    # A point without sifted detections aborts; its phase error is bounded as if it had one.
+    if isinstance(n_z, np.ndarray):
+        sifted = np.where(n_z > 0, n_z, 1.0)
+    else:
+        sifted = n_z if n_z > 0 else 1.0
+    ep_obs = phase_error_observed_upper(ep_star, sifted, rounds, params.security.eps_2)
+    return secure_key_length(n_z, ep_obs, qber_value, params.security, ep_expected_upper=ep_star)
+
+
+def assert_identical(result, expected):
+    """Every field equal bit for bit, and of the same type."""
+    for field in dataclasses.fields(KeyRateResult):
+        got, want = getattr(result, field.name), getattr(expected, field.name)
+        assert type(got) is type(want), field.name
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, field.name
+            if want.dtype == object:
+                assert got.tolist() == want.tolist(), field.name
+            else:
+                assert got.tobytes() == want.tobytes(), field.name
+        elif isinstance(want, float):
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), field.name
+        else:
+            assert got == want, field.name
+
+
+#: A scalar point and a 127-point grid from a positive key through every abort.
+PIPELINE_LENGTHS = {"scalar": 60.0, "grid": np.linspace(0.0, 250.0, 127)}
+
+
+class TestPipelineEqualsPublicSteps:
+    """Both entry points equal their public steps chained by hand, exactly, so
+    the private formulas of the flat pass and the public adapters cannot drift
+    apart."""
+
+    @pytest.mark.parametrize("analysis", EVERY_ANALYSIS, ids=analysis_id)
+    @pytest.mark.parametrize("shape", sorted(PIPELINE_LENGTHS))
+    def test_analytic_point(self, shape, analysis):
+        p = keyrate_profile(length_km=PIPELINE_LENGTHS[shape])
+        gains = analytic_gains(p, m1_model=analysis.m1_model)
+        counts = {"n_sent_alpha_alpha": p.rounds * p.source.p_decoy_alpha_alpha,
+                  "n_sent_vac": p.rounds * p.source.p_decoy_vacuum}
+        for click in ("n_aa_m0", "n_aa_m1", "n_vac_m0", "n_vac_m1"):
+            sent, gain = CLICK_FIELDS[click]
+            counts[click] = counts[sent] * getattr(gains, gain)
+        n_z = expected_sifted_clicks(p, p.block_duration_s())
+        expected = chained_by_hand(gains, counts, qber(gains), n_z, p.rounds, p, analysis)
+        result = evaluate_analytic_point(p, analysis)
+        assert_identical(result, expected)
+        if shape == "grid":  # the grid reaches more than one outcome
+            assert len(set(result.abort_reason.tolist())) > 1
+
+    @pytest.mark.parametrize("per_bin", [False, True], ids=["modelled_qber", "observed_qber"])
+    @pytest.mark.parametrize("analysis", EVERY_ANALYSIS, ids=analysis_id)
+    @pytest.mark.parametrize("shape", sorted(PIPELINE_LENGTHS))
+    def test_record(self, shape, analysis, per_bin):
+        record = TestEvaluateRecord.modeled_record(keyrate_profile(length_km=40.0), rounds=10**8)
+        if per_bin:
+            record = dataclasses.replace(record, n_0z_tau0=9_000, n_0z_tau1=30,
+                                         n_1z_tau0=40, n_1z_tau1=9_100)
+        p = keyrate_profile(length_km=PIPELINE_LENGTHS[shape], rounds=record.rounds)
+        gains = analytic_gains(p, m1_model=analysis.m1_model)
+        qber_value = 70 / 18_170 if per_bin else qber(gains)
+        expected = chained_by_hand(gains, vars(record), qber_value, float(record.n_z),
+                                   record.rounds, p, analysis)
+        assert_identical(evaluate_record(record, p, analysis), expected)
+
+    @pytest.mark.parametrize("analysis", EVERY_ANALYSIS, ids=analysis_id)
+    def test_record_without_sifted_detections(self, analysis):
+        record = CountRecord(rounds=1000, n_z=0, n_sent_alpha_alpha=100, n_sent_vac=100,
+                             n_aa_m0=1, n_aa_m1=0, n_vac_m0=0, n_vac_m1=0)
+        p = keyrate_profile(length_km=PIPELINE_LENGTHS["grid"], rounds=record.rounds)
+        gains = analytic_gains(p, m1_model=analysis.m1_model)
+        expected = chained_by_hand(gains, vars(record), qber(gains), 0.0, record.rounds, p,
+                                   analysis)
+        result = evaluate_record(record, p, analysis)
+        assert_identical(result, expected)
+        assert set(result.abort_reason.tolist()) == {"no sifted detections"}

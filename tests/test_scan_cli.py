@@ -26,7 +26,7 @@ from cowqkd.cli import (CONFIG_KEYS, ConfigError, _PARAM_SECTIONS, _to_float, bu
                         parse_config_text)
 from cowqkd.scan import (COLUMNS, CSV_HEADER, MAX_SCAN_POINTS, grid_size, scan_values,
                          with_variable)
-from helpers import make_params
+from helpers import EVERY_ANALYSIS, analysis_id, make_params
 
 
 def keyrate_profile(**overrides):
@@ -520,6 +520,15 @@ def assert_row_matches(row, result, rounds, pulse_pair_rate=5.0e8):
     assert row.reason == result.abort_reason
 
 
+@pytest.fixture(scope="module")
+def replay_log(tmp_path_factory):
+    """One simulated count log of the key-rate profile and its replayed record."""
+    log = tmp_path_factory.mktemp("replay") / "counts.txt"
+    assert main(["simulate", "--seed", "4", "--rounds", "2000000",
+                 "--output", str(log)] + KEYRATE_SETS) == 0
+    return log, replay_counts(log)
+
+
 class TestGridMatchesPoints:
     """A scan evaluates its grid in one call; each row must equal the
     evaluation of its point alone."""
@@ -554,6 +563,32 @@ class TestGridMatchesPoints:
         for row in rows:
             point = with_variable(p, variable, row.value)
             assert_row_matches(row, evaluate_record(record, point), record.rounds)
+
+    # The flat finite-key pass rewrites every non-default branch, so the grid
+    # must match its points in each of the 16 analysis modes too.
+    @pytest.mark.parametrize("analysis", EVERY_ANALYSIS, ids=analysis_id)
+    @pytest.mark.parametrize("variable", sorted(GRID_SPECS))
+    def test_analytic_rows_equal_their_points_in_every_mode(self, variable, analysis):
+        p = keyrate_profile(length_km=60.0)
+        spec = ScanSpec(variable, *GRID_SPECS[variable])
+        rows = run_scan(spec, p, analysis)
+        assert len(rows) == len(scan_values(spec))
+        for row in rows:
+            point = with_variable(p, variable, row.value)
+            assert_row_matches(row, evaluate_analytic_point(point, analysis), p.rounds)
+
+    @pytest.mark.parametrize("analysis", EVERY_ANALYSIS, ids=analysis_id)
+    @pytest.mark.parametrize("variable", sorted(GRID_SPECS))
+    def test_replay_rows_equal_their_points_in_every_mode(self, replay_log, variable, analysis):
+        log, record = replay_log
+        p = keyrate_profile(rounds=record.rounds)
+        grid = (20.0, 260.0, 2.5) if variable == "length_km" else GRID_SPECS[variable]
+        spec = ScanSpec(variable, *grid, mode="replay", replay_path=str(log))
+        rows = run_scan(spec, p, analysis)
+        assert len(rows) == len(scan_values(spec))
+        for row in rows:
+            point = with_variable(p, variable, row.value)
+            assert_row_matches(row, evaluate_record(record, point, analysis), record.rounds)
 
     def test_one_bad_point_gives_one_error_row(self):
         p = make_params(dark_count_prob=0.0)
@@ -669,6 +704,16 @@ class TestGridEndpoints:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert violation in captured.err
+
+    @pytest.mark.parametrize("bracket", [("200", "100"), ("150", "150")])
+    def test_threshold_rejects_reversed_or_empty_bracket(self, capsys, bracket):
+        # An input error, exit code 1, not a runtime failure (2).
+        args = ["threshold", "--metric", "qber", "--target", "0.05", "--bracket", *bracket]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lo, hi = map(float, bracket)
+        assert f"threshold bracket must satisfy lo < hi, got {lo} {hi}" in captured.err
 
 
 @pytest.mark.parametrize("mode", ["simulate", "replay"])

@@ -22,6 +22,7 @@ from cowqkd import (
     validate_record,
     write_counts,
 )
+from cowqkd.concentration import CLICK_FIELDS
 from cowqkd.simulator import (
     _DETECTOR_GATES,
     _TALLY_ROWS,
@@ -246,6 +247,34 @@ class TestStreamingMode:
         a = simulate_session(p, SimConfig(seed=21, rounds=200_000))
         b = simulate_session(p, SimConfig(seed=21, rounds=200_000, mode="streaming"))
         assert a == b
+
+
+class TestRareDecoyTallies:
+    """Exact-tail companion to tests/test_acceptance.py::test_oracle_equivalence.
+
+    n_aa_m1, n_vac_m0 and n_vac_m1 expect about 0.18 counts per 1e7 rounds,
+    where one count over expectation is a normal z of 1.9 and two are 4.3, so
+    a z-score judges a re-streamed sampler by chance.  Here each tally is held
+    to its exact binomial law given the emissions (Poisson in this limit): the
+    count must lie inside both one-sided tails of probability ALPHA, the
+    one-sided tail of a normal 3 sigma.
+    """
+
+    ALPHA = 1.35e-3
+
+    @pytest.mark.parametrize("km", [20.0, 80.0, 100.0])
+    def test_counts_inside_exact_tails(self, km):
+        p = make_params(length_km=km)
+        gains = analytic_gains(p)
+        record = simulate_session(p, SimConfig(seed=1, rounds=10_000_000))
+        for click in ("n_aa_m1", "n_vac_m0", "n_vac_m1"):
+            sent, gain = CLICK_FIELDS[click]
+            n, g, k = getattr(record, sent), getattr(gains, gain), getattr(record, click)
+            assert 0.1 < n * g < 0.3, (click, n * g)  # the regime the z-score misjudges
+            at_least, at_most = stats.binom.sf(k - 1, n, g), stats.binom.cdf(k, n, g)
+            assert min(at_least, at_most) >= self.ALPHA, (
+                f"{click} = {k} at {km} km against an expected {n * g:.3f}: "
+                f"P(X >= k) = {at_least:.3g}, P(X <= k) = {at_most:.3g}")
 
 
 class TestDetectionEvents:
