@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
 
 from .params import ValidationError, _any, _clamp01, _max, _sqrt
 
@@ -172,9 +171,7 @@ def delta_observed(observed: float, eps: float) -> float:
 
 
 #: A provider maps (observed count, emission count, eps) to a deviation delta.
-DeltaProvider = Callable[[float, float, float], float]
-
-DELTA_PROVIDERS: dict[str, DeltaProvider] = {
+DELTA_PROVIDERS = {
     "hoeffding": lambda observed, n_emitted, eps: delta_hoeffding(n_emitted, eps),
     "observed": lambda observed, n_emitted, eps: delta_observed(observed, eps),
 }
@@ -186,14 +183,14 @@ def bound_expected_count(
     eps: float,
     direction: str = "both",
     *,
-    provider: str | DeltaProvider = "hoeffding",
+    provider: str = "hoeffding",
 ) -> BoundedValue:
     """Bound the expected count behind an observed one.
 
     upper = observed + delta and lower = max(0, observed - delta), each
     holding with failure probability at most eps.  direction selects which
     sides to populate ("upper", "lower", or "both"); provider names an entry
-    of DELTA_PROVIDERS or is a callable with the same signature.
+    of DELTA_PROVIDERS.
     """
     if _any(observed < 0):
         raise ValueError(f"observed count must be non-negative, got {observed}")
@@ -203,15 +200,11 @@ def bound_expected_count(
         )
     if direction not in ("upper", "lower", "both"):
         raise ValueError(f"direction must be 'upper', 'lower', or 'both', got {direction!r}")
-    if isinstance(provider, str):
-        if provider not in DELTA_PROVIDERS:
-            raise ValueError(
-                f"unknown provider {provider!r}, expected one of {tuple(DELTA_PROVIDERS)}"
-            )
-        fn = DELTA_PROVIDERS[provider]
-    else:
-        fn = provider
-    delta = fn(observed, n_emitted, eps)
+    if provider not in DELTA_PROVIDERS:
+        raise ValueError(
+            f"unknown provider {provider!r}, expected one of {tuple(DELTA_PROVIDERS)}"
+        )
+    delta = DELTA_PROVIDERS[provider](observed, n_emitted, eps)
     upper = observed + delta if direction in ("upper", "both") else None
     lower = _max(0.0, observed - delta) if direction in ("lower", "both") else None
     return BoundedValue(observed=observed, lower=lower, upper=upper, failure_prob=eps)

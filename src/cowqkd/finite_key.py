@@ -306,7 +306,7 @@ def _key_rate_result(qber_value: float, ep_star: float, ep_obs: float, terms: tu
         reason = _ABORT_REASONS[cause]
         ep_obs = 0.5 if cause == 1 else ep_obs
         return KeyRateResult(
-            float(qber_value), float(min(0.5, ep_star)), float(min(0.5, ep_obs)),
+            float(qber_value), float(_min(ep_star, 0.5)), float(_min(ep_obs, 0.5)),
             0.0 if cause else float(raw), float(leak_ec), correctness, secrecy,
             bool(cause), reason and reason.format(qber_value, threshold),
         )
@@ -317,10 +317,10 @@ def _key_rate_result(qber_value: float, ep_star: float, ep_obs: float, terms: tu
         qbers = np.broadcast_to(qber_value, shape)
         for i in zip(*np.nonzero(over)):
             reasons[i] = reasons[i].format(qbers[i], threshold)
-    ep_obs = spread(np.fmin(0.5, ep_obs))
+    ep_obs = spread(np.minimum(ep_obs, 0.5))
     ep_obs[cause == 1] = 0.5
     return KeyRateResult(
-        spread(qber_value), spread(np.fmin(0.5, ep_star)), ep_obs, np.where(aborted, 0.0, raw),
+        spread(qber_value), spread(np.minimum(ep_star, 0.5)), ep_obs, np.where(aborted, 0.0, raw),
         spread(leak_ec), np.full(shape, correctness), np.full(shape, secrecy), aborted, reasons,
     )
 

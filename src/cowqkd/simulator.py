@@ -33,18 +33,20 @@ event's probability: a row below about 1e-16 of q, such as four dark counts
 at p_d = 1.8e-6, is drawn at that grain or never.  One multinomial draw gives
 the states of all other rounds, whose law is pi_k (1 - q_k) / (1 - q).
 
-The event rounds form the one event list that the tallies, the
-streaming dead-time filter and detection_events read.  Rounds are processed
-in fixed-size chunks, each with its own RNG stream spawned from the seed, so
+Each event round is held once, as its row state * 256 + pattern, where bits
+g and g + 4 of the pattern are the photon click and the dark count at gate g
+and the state is in _Sampler.build's order: z0, z1, both-bins, vacuum.  The
+tallies count events per row, so the rules above run once, on all 1,024
+rows; the streaming dead-time filter clears both bits of each gate it drops
+from the row; detection_events decodes the rows.  Rounds are processed in
+fixed-size chunks, each with its own RNG stream spawned from the seed, so
 results are a deterministic function of seed, round count and chunk size.
-Tallies count events per row: the rules above run once, on all 1,024 rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 from pathlib import Path
 from typing import Iterator
 
@@ -55,7 +57,6 @@ from .gains import GainSet, _intensity
 from .params import SystemParams, ValidationError
 
 __all__ = [
-    "StateKind",
     "DetectionEvent",
     "SimConfig",
     "MissingCountError",
@@ -88,16 +89,7 @@ WIRE_KEYS = (
 _CHUNK_ROUNDS = 1 << 20
 
 
-class StateKind(IntEnum):
-    """Emitted state classes, in sampling order."""
-
-    Z0 = 0
-    Z1 = 1
-    DECOY_AA = 2
-    DECOY_VAC = 3
-
-
-#: Emission-count tally of each StateKind, in StateKind order.
+#: Emission-count tally of each state, in _Sampler.build's order.
 _SENT_FIELDS = ("n_sent_0z", "n_sent_1z", "n_sent_alpha_alpha", "n_sent_vac")
 
 
@@ -179,15 +171,14 @@ _GATE_ORDER = ("d0", "d1", "m0", "m1")
 
 #: Gates of each physical detector, half a period apart within a round: one
 #: data-line detector covers both bins, each monitoring port is its own.
-_DETECTOR_GATES = {"data": [0, 1], "m0": [2], "m1": [3]}
+_DETECTOR_GATES = {"data": [0, 1], "mon_m0": [2], "mon_m1": [3]}
 
-#: Rows kind * 256 + pattern of (state, events); bit j of a pattern is event j.
+#: Rows state * 256 + pattern of (state, events), as in the module docstring.
 _ROWS = 4 * 256
-_ROW_EVENTS = (np.arange(_ROWS) >> np.arange(8)[:, None]) & 1 == 1
 
 
 def _event_probabilities(params: SystemParams) -> np.ndarray:
-    """Firing probability of each event per StateKind, shape (4, 8).
+    """Firing probability of each event per state, shape (4, 8).
 
     Columns 0-3 are photon clicks at d0, d1, m0, m1 and columns 4-7 dark
     counts at the same gates.  The monitoring feed b splits per the
@@ -203,8 +194,7 @@ def _event_probabilities(params: SystemParams) -> np.ndarray:
         [a, a, b * (1.0 + cos) / 2.0, b * (1.0 - cos) / 2.0],
         [0.0, 0.0, 0.0, 0.0],
     ])
-    dark = np.full((4, 4), params.detectors.dark_count_prob)
-    return np.hstack([-np.expm1(-means), dark])
+    return np.hstack([-np.expm1(-means), np.full((4, 4), params.detectors.dark_count_prob)])
 
 
 @dataclass(frozen=True)
@@ -222,7 +212,8 @@ class _Sampler:
         if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-9:
             raise ValidationError([f"state probabilities must be a distribution, got {probs}"])
         fire = _event_probabilities(params)
-        law = np.where(_ROW_EVENTS[:, :256], fire[:, :, None], 1.0 - fire[:, :, None]).prod(axis=1)
+        events = np.arange(256) & 1 << np.arange(8)[:, None] != 0
+        law = np.where(events, fire[:, :, None], 1.0 - fire[:, :, None]).prod(axis=1)
         law[:, 0] = 0.0  # pattern 0 is no event, so searchsorted never lands on its rows
         cum = np.cumsum(probs[:, None] * law)
         rate = float(cum[-1])
@@ -236,11 +227,8 @@ class _Sampler:
 class _Chunk:
     """The rounds of one chunk where some event fired, in round order."""
 
-    sent: np.ndarray     # emissions per StateKind over the whole chunk
+    sent: np.ndarray     # emissions per state over the whole chunk
     rounds: np.ndarray   # round index of each event
-    kinds: np.ndarray    # StateKind of each event
-    photon: np.ndarray   # (4, events) photon click per gate
-    dark: np.ndarray     # (4, events) dark count per gate
     rows: np.ndarray     # (state, pattern) row of each event, int16 to keep chunks small
 
 
@@ -266,11 +254,9 @@ def _sample_chunk(rng: np.random.Generator, start: int, n: int, sampler: _Sample
     """Sample one chunk.  Draw order is fixed, so identical seeds give
     identical samples."""
     rounds = _bernoulli_rounds(rng, n, sampler.rate)
-    rows = np.searchsorted(sampler.cum, rng.random(rounds.size), side="right")
-    kinds = rows >> 8
-    sent = np.bincount(kinds, minlength=4) + rng.multinomial(n - rounds.size, sampler.idle)
-    fired = _ROW_EVENTS.take(rows, axis=1)  # C-ordered, unlike _ROW_EVENTS[:, rows]
-    return _Chunk(sent, start + rounds, kinds, fired[:4], fired[4:], rows.astype(np.int16))
+    rows = np.searchsorted(sampler.cum, rng.random(rounds.size), side="right").astype(np.int16)
+    sent = np.bincount(rows >> 8, minlength=4) + rng.multinomial(n - rounds.size, sampler.idle)
+    return _Chunk(sent, start + rounds, rows)
 
 
 def _apply_dead_time(chunk: _Chunk, dead: int, last_kept: dict[str, int]) -> None:
@@ -281,25 +267,19 @@ def _apply_dead_time(chunk: _Chunk, dead: int, last_kept: dict[str, int]) -> Non
     each kept click is found by one binary search past the previous one.
     last_kept holds each detector's last kept tick across chunks.
     """
-    clicked = chunk.photon | chunk.dark
-    keep = np.zeros_like(clicked)
+    # Rows keep their state, bits 8 and up, and each kept gate g's events, bits g and g + 4.
+    keep = np.full(chunk.rows.size, -256, dtype=np.int16)
     for det, gates in _DETECTOR_GATES.items():
         # Each event's gates side by side, so the flat indices, and the ticks, ascend.
-        flat = np.flatnonzero(np.stack(clicked[gates], axis=1))
+        flat = np.flatnonzero(np.stack([chunk.rows & 17 << g != 0 for g in gates], axis=1))
         event_of, gate_of = np.divmod(flat, len(gates))
         ticks = 2 * chunk.rounds[event_of] + gate_of
         i = ticks.searchsorted(last_kept[det] + dead)
         while i < ticks.size:
-            keep[gates[gate_of[i]], event_of[i]] = True
+            keep[event_of[i]] |= 17 << gates[gate_of[i]]
             last_kept[det] = int(ticks[i])
             i = ticks.searchsorted(last_kept[det] + dead)
-    chunk.photon &= keep
-    chunk.dark &= keep
-    # Rows keep their state, bits 8 and up, and each kept gate g's events, bits g and g + 4.
-    gate, event = np.divmod(np.flatnonzero(keep), keep.shape[1])
-    kept = chunk.rows[event] & (17 << gate)
-    chunk.rows &= -256
-    np.bitwise_or.at(chunk.rows, event, kept)
+    chunk.rows &= keep
 
 
 def _chunks(params: SystemParams, cfg: SimConfig) -> Iterator[_Chunk]:
@@ -321,31 +301,33 @@ def _chunks(params: SystemParams, cfg: SimConfig) -> Iterator[_Chunk]:
         yield chunk
 
 
-def _tally_masks(kinds: np.ndarray, photon: np.ndarray, dark: np.ndarray) -> dict[str, np.ndarray]:
-    """Events each click tally counts, from their states and (4, events) gates."""
-    photon, dark = dict(zip(_GATE_ORDER, photon)), dict(zip(_GATE_ORDER, dark))
-    click = {g: photon[g] | dark[g] for g in _GATE_ORDER}
-    is_z0, is_z1, is_aa, is_vac = (kinds == k for k in StateKind)
-    no_mon_dark = ~dark["m0"] & ~dark["m1"]
+def _tally_masks(rows: np.ndarray) -> dict[str, np.ndarray]:
+    """Rows each click tally counts, from their state and gate bits, with P, D
+    and C per gate as in the module docstring's table."""
+    P = {g: rows & 1 << j != 0 for j, g in enumerate(_GATE_ORDER)}
+    D = {g: rows & 16 << j != 0 for j, g in enumerate(_GATE_ORDER)}
+    C = {g: P[g] | D[g] for g in _GATE_ORDER}
+    is_z0, is_z1, is_aa, is_vac = (rows >> 8 == k for k in range(4))
+    no_mon_dark = ~D["m0"] & ~D["m1"]
     return {  # each tally's whole condition, as in the module docstring's table
-        "n_z": (is_z0 | is_z1) & (click["d0"] | click["d1"]),
-        "n_0z_tau0": is_z0 & photon["d0"] & ~dark["d1"] & no_mon_dark,
-        "n_0z_tau1": is_z0 & click["d1"] & no_mon_dark,
-        "n_1z_tau1": is_z1 & photon["d1"] & ~dark["d0"] & no_mon_dark,
-        "n_1z_tau0": is_z1 & click["d0"] & no_mon_dark,
-        "n_0z_m0": is_z0 & click["m0"] & ~dark["m1"] & ~click["d0"] & ~dark["d1"],
-        "n_0z_m1": is_z0 & click["m1"] & ~dark["m0"] & ~click["d0"] & ~dark["d1"],
-        "n_1z_m0": is_z1 & click["m0"] & ~dark["m1"] & ~click["d1"] & ~dark["d0"],
-        "n_1z_m1": is_z1 & click["m1"] & ~dark["m0"] & ~click["d1"] & ~dark["d0"],
-        "n_aa_m0": is_aa & click["m0"] & ~dark["m1"] & ~dark["d0"] & ~click["d1"],
-        "n_aa_m1": is_aa & dark["m1"] & ~photon["m1"] & ~dark["m0"] & ~dark["d0"] & ~click["d1"],
-        "n_vac_m0": is_vac & click["m0"] & ~dark["m1"] & ~dark["d0"] & ~dark["d1"],
-        "n_vac_m1": is_vac & click["m1"] & ~dark["m0"] & ~dark["d0"] & ~dark["d1"],
+        "n_z": (is_z0 | is_z1) & (C["d0"] | C["d1"]),
+        "n_0z_tau0": is_z0 & P["d0"] & ~D["d1"] & no_mon_dark,
+        "n_0z_tau1": is_z0 & C["d1"] & no_mon_dark,
+        "n_1z_tau1": is_z1 & P["d1"] & ~D["d0"] & no_mon_dark,
+        "n_1z_tau0": is_z1 & C["d0"] & no_mon_dark,
+        "n_0z_m0": is_z0 & C["m0"] & ~D["m1"] & ~C["d0"] & ~D["d1"],
+        "n_0z_m1": is_z0 & C["m1"] & ~D["m0"] & ~C["d0"] & ~D["d1"],
+        "n_1z_m0": is_z1 & C["m0"] & ~D["m1"] & ~C["d1"] & ~D["d0"],
+        "n_1z_m1": is_z1 & C["m1"] & ~D["m0"] & ~C["d1"] & ~D["d0"],
+        "n_aa_m0": is_aa & C["m0"] & ~D["m1"] & ~D["d0"] & ~C["d1"],
+        "n_aa_m1": is_aa & D["m1"] & ~P["m1"] & ~D["m0"] & ~D["d0"] & ~C["d1"],
+        "n_vac_m0": is_vac & C["m0"] & ~D["m1"] & ~D["d0"] & ~D["d1"],
+        "n_vac_m1": is_vac & C["m1"] & ~D["m0"] & ~D["d0"] & ~D["d1"],
     }
 
 
 #: Rows each click tally counts.
-_TALLY_ROWS = _tally_masks(np.arange(_ROWS) >> 8, _ROW_EVENTS[:4], _ROW_EVENTS[4:])
+_TALLY_ROWS = _tally_masks(np.arange(_ROWS))
 
 
 def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
@@ -372,16 +354,17 @@ def detection_events(params: SystemParams, cfg: SimConfig) -> Iterator[Detection
     Reads the same events and dead-time logic as simulate_session, so the
     event stream is consistent with the tallies for the same seed.
     """
-    gate_detector = ("data", "data", "mon_m0", "mon_m1")
+    detector = {gate: det for det, gates in _DETECTOR_GATES.items() for gate in gates}
     gate_bin = ("tau0", "tau1", "interference", "interference")
     for chunk in _chunks(params, cfg):
-        photon, dark = chunk.photon.T, chunk.dark.T
-        for event, gate in zip(*np.nonzero(photon | dark)):
+        # Per event and gate: 1 a photon click, 16 a dark count, 17 both.
+        clicked = chunk.rows[:, None] >> np.arange(4) & 17
+        for event, gate in zip(*np.nonzero(clicked)):
             yield DetectionEvent(
                 round_index=int(chunk.rounds[event]),
-                detector=gate_detector[gate],
+                detector=detector[gate],
                 time_bin=gate_bin[gate],
-                is_dark=bool(dark[event, gate] and not photon[event, gate]),
+                is_dark=bool(clicked[event, gate] == 16),
             )
 
 

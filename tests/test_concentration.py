@@ -223,6 +223,9 @@ class TestBoundExpectedCount:
     def test_bad_provider(self):
         with pytest.raises(ValueError):
             bound_expected_count(10, 100, 0.05, provider="bogus")
+        # A provider is a registry name; a callable is not one.
+        with pytest.raises(ValueError, match="unknown provider"):
+            bound_expected_count(10, 100, 0.05, provider=lambda observed, n, eps: 1.0)
 
     def test_observed_cannot_exceed_emissions(self):
         with pytest.raises(ValueError):

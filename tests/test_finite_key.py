@@ -244,6 +244,23 @@ class TestSecureKeyLength:
             k2 = secure_key_length(1e6, 0.1, e2, self.SEC).key_length_bits
             assert k2 <= k1
 
+    def test_missing_expected_bound_reads_nan(self):
+        # Without ep_expected_upper the expected bound is never computed, so
+        # it must not read as the 0.5 abort cap; a given one is still capped.
+        r = secure_key_length(1e5, 0.1, 0.01, self.SEC)
+        assert math.isnan(r.phase_error_expected_upper)
+        assert r.phase_error_observed_upper == 0.1 and not r.aborted
+        capped = secure_key_length(1e5, 0.1, 0.01, self.SEC, ep_expected_upper=0.7)
+        assert capped.phase_error_expected_upper == 0.5
+
+    def test_missing_expected_bound_reads_nan_per_point(self):
+        r = secure_key_length(np.array([1e5, 2e5]), 0.1, 0.01, self.SEC)
+        assert np.isnan(r.phase_error_expected_upper).all()
+        np.testing.assert_array_equal(r.phase_error_observed_upper, [0.1, 0.1])
+        capped = secure_key_length(np.array([1e5, 2e5]), 0.1, 0.01, self.SEC,
+                                   ep_expected_upper=np.array([0.3, 0.7]))
+        np.testing.assert_array_equal(capped.phase_error_expected_upper, [0.3, 0.5])
+
     def test_looser_security_never_hurts(self):
         tight = secure_key_length(1e5, 0.1, 0.01, SecurityParams())
         loose = secure_key_length(
