@@ -193,7 +193,6 @@ def build_scan_spec(cfg: dict[str, object], args: argparse.Namespace) -> ScanSpe
     missing = [key for key in ("variable", "start", "stop") if key not in merged]
     if missing:
         raise ConfigError(f"scan requires {', '.join('scan.' + m for m in missing)}")
-    merged.setdefault("step", 1.0)
     try:
         return ScanSpec(**merged)
     except ValueError as exc:
@@ -205,7 +204,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     params = build_params(cfg)
     analysis = build_analysis(cfg)
     spec = build_scan_spec(cfg, args)
-    # Each constraint on a scan variable is an interval: valid ends, valid grid.
+    # Each scan variable is bound by its params._RANGES interval alone (the decoy
+    # sum rule involves none), so valid ends make a valid grid.
     for value in (spec.start, spec.stop):
         validate(with_variable(params, spec.variable, value))
     rows = run_scan(spec, params, analysis)

@@ -54,7 +54,7 @@ class ScanSpec:
     variable: str
     start: float
     stop: float
-    step: float
+    step: float = 1.0
     mode: str = "analytic"
     sim_seed: int = 1
     sim_rounds: int = 1_000_000

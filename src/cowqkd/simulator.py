@@ -285,11 +285,12 @@ def _apply_dead_time(chunk: _Chunk, dead: int, last_kept: dict[str, int]) -> Non
 def _chunks(params: SystemParams, cfg: SimConfig) -> Iterator[_Chunk]:
     """Sampled chunks in round order, with dead time applied in streaming mode."""
     sampler = _Sampler.build(params)
-    streaming = cfg.mode == "streaming" and params.detectors.dead_time_s > 0
-    # Dead time in half-period ticks, at least one; rounding to a millionth of
-    # a tick first keeps a whole number of ticks whole despite float error.
+    # Dead time in half-period ticks; rounding to a millionth of a tick first
+    # keeps a whole number of ticks whole despite float error.
     ticks = 2.0 * params.detectors.dead_time_s * params.source.pulse_pair_rate
-    dead = max(1, math.ceil(round(ticks, 6)))
+    dead = math.ceil(round(ticks, 6))
+    # A detector's clicks sit on distinct ticks, so a 1-tick filter drops nothing.
+    streaming = cfg.mode == "streaming" and dead > 1
     last_kept = dict.fromkeys(_DETECTOR_GATES, -dead)
     n_chunks = (cfg.rounds + _CHUNK_ROUNDS - 1) // _CHUNK_ROUNDS
     for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_chunks)):

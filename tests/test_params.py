@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,52 @@ from cowqkd import (
     channel_transmittance,
     validate,
 )
+from cowqkd.cli import CONFIG_KEYS, _PARAM_SECTIONS
+from cowqkd.params import _RANGES
 from helpers import make_params
+
+#: Each key's allowed interval as (lower end, lower closed, upper end, upper
+#: closed), written out apart from params._RANGES so a slip in either shows.
+#: A zero decoy probability leaves the analytic pipeline no decoy counts.
+EXPECTED_INTERVALS = {
+    "source.mu": (0.0, False, 1.0, False),
+    "source.pulse_pair_rate": (0.0, False, math.inf, False),
+    "source.p_decoy_alpha_alpha": (0.0, False, 1.0, False),
+    "source.p_decoy_vacuum": (0.0, False, 1.0, False),
+    "channel.length_km": (0.0, True, math.inf, False),
+    "channel.attenuation_db_per_km": (0.0, False, math.inf, False),
+    "channel.extra_loss_db": (0.0, True, math.inf, False),
+    "detectors.efficiency": (0.0, False, 1.0, True),
+    "detectors.dark_count_prob": (0.0, True, 1.0, False),
+    "detectors.dead_time_s": (0.0, True, math.inf, False),
+    "receiver.t_b": (0.0, False, 1.0, False),
+    "receiver.phase_shift": (-math.inf, False, math.inf, False),
+    "security.eps_cor": (0.0, False, 1.0, False),
+    "security.eps_sec": (0.0, False, 1.0, False),
+    "security.eps_1": (0.0, False, 1.0, False),
+    "security.eps_2": (0.0, False, 1.0, False),
+    "security.f_ec": (1.0, True, math.inf, False),
+    "security.qber_abort_threshold": (0.0, False, 0.5, False),
+    "rounds": (1, True, math.inf, False),
+}
+
+
+def with_key(key, value):
+    """Default SystemParams with one config key set to value."""
+    params = SystemParams()
+    if key == "rounds":
+        return dataclasses.replace(params, rounds=value)
+    prefix, name = key.split(".")
+    section = dataclasses.replace(getattr(params, prefix), **{name: value})
+    return dataclasses.replace(params, **{prefix: section})
+
+
+def violations(params):
+    try:
+        validate(params)
+    except ValidationError as exc:
+        return exc.violations
+    return []
 
 
 class TestChannelTransmittance:
@@ -139,6 +185,39 @@ class TestValidate:
         message = str(exc.value)
         for violation in exc.value.violations:
             assert violation in message
+
+
+class TestIntervalEnds:
+    def test_every_parameter_key_has_a_range(self):
+        keys = {key for key in CONFIG_KEYS if key.partition(".")[0] in _PARAM_SECTIONS}
+        assert set(_RANGES) == keys | {"rounds"} == set(EXPECTED_INTERVALS)
+
+    def test_readme_lists_each_range(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = [row.split("|") for row in readme.splitlines() if row.startswith("| `")]
+        listed = {cells[1].strip(" `"): cells[3].strip(" `") for cells in rows}
+        assert {key: listed[key] for key in _RANGES} == _RANGES
+
+    @pytest.mark.parametrize("key", list(EXPECTED_INTERVALS))
+    def test_each_end(self, key):
+        lo, lo_closed, hi, hi_closed = EXPECTED_INTERVALS[key]
+        for end, closed, outward in ((lo, lo_closed, -math.inf), (hi, hi_closed, math.inf)):
+            if math.isinf(end):
+                # An unbounded side takes any finite value, however large.
+                big = 10**18 if key == "rounds" else math.copysign(1e300, end)
+                assert violations(with_key(key, big)) == []
+                continue
+            assert (violations(with_key(key, end)) == []) == closed, end
+            outside = end - 1 if key == "rounds" else math.nextafter(end, outward)
+            found = violations(with_key(key, outside))
+            assert any(key in v for v in found), (outside, found)
+
+    @pytest.mark.parametrize("key", ["source.p_decoy_alpha_alpha", "source.p_decoy_vacuum"])
+    def test_zero_decoy_probability_rejected(self, key):
+        assert violations(with_key(key, 0.0)) == [f"{key} must lie in (0, 1), got 0.0"]
+
+    def test_nan_reports_one_violation(self):
+        assert violations(make_params(mu=math.nan)) == ["source.mu must be finite, got nan"]
 
 
 class TestSystemParams:

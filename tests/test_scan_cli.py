@@ -359,6 +359,12 @@ class TestCliCommands:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 4
 
+    def test_scan_step_defaults_to_one(self, capsys):
+        assert ScanSpec(variable="length_km", start=100.0, stop=102.0).step == 1.0
+        assert main(["scan", "--variable", "length_km", "--start", "100", "--stop", "102"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["100.0", "101.0", "102.0"]
+
     def test_scan_json_to_file(self, tmp_path, capsys):
         out = tmp_path / "rows.json"
         code = main(["scan", "--variable", "length_km", "--start", "100",
@@ -1033,3 +1039,21 @@ class TestScanRow:
         changed = self.ROW._replace(aborted=True, reason="no positive key length")
         assert changed.aborted and changed.reason == "no positive key length"
         assert self.ROW.aborted is False
+
+
+class TestZeroDecoyRejected:
+    """A zero decoy probability fails validation in every command, before any output."""
+
+    @pytest.mark.parametrize("key", ["source.p_decoy_alpha_alpha", "source.p_decoy_vacuum"])
+    @pytest.mark.parametrize("command", [
+        ["validate"],
+        ["scan", "--variable", "length_km", "--start", "0", "--stop", "10"],
+        ["threshold", "--metric", "key_length", "--target", "1", "--bracket", "0", "200"],
+        ["threshold", "--metric", "qber", "--target", "0.02", "--bracket", "0", "200"],
+    ], ids=["validate", "scan", "threshold-key_length", "threshold-qber"])
+    def test_exits_1(self, capsys, command, key):
+        argv = command + ["--config", str(CONFIGS / "keyrate_eta20_dt30.cfg"), "--set", f"{key}=0"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{key} must lie in (0, 1), got 0.0" in captured.err

@@ -267,6 +267,20 @@ class TestStreamingMode:
         assert a == b
 
 
+    @pytest.mark.parametrize("dead_time_s", [1e-9, 5e-10])
+    def test_one_tick_dead_time_drops_nothing(self, dead_time_s):
+        # At 5e8 pairs per second a tick is 1e-9 s. A detector's clicks sit on
+        # distinct ticks, so a dead time of one tick or less removes none.
+        p = sim_params(length_km=0.0, dark_count_prob=0.05, dead_time_s=dead_time_s)
+        per_pair = simulate_session(p, SimConfig(seed=3, rounds=100_000))
+        streaming = simulate_session(p, SimConfig(seed=3, rounds=100_000, mode="streaming"))
+        assert streaming == per_pair
+        # Clicks are dense enough here that two ticks do remove some.
+        two_ticks = sim_params(length_km=0.0, dark_count_prob=0.05, dead_time_s=2e-9)
+        assert simulate_session(two_ticks, SimConfig(seed=3, rounds=100_000,
+                                                     mode="streaming")).n_z < per_pair.n_z
+
+
 class TestRareDecoyTallies:
     """Exact-tail companion to tests/test_acceptance.py::test_oracle_equivalence.
 
