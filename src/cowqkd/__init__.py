@@ -1,121 +1,23 @@
 """Finite-key security analysis and simulation of a two-decoy coherent
 one-way QKD link: closed-form gains, concentration bounds, phase-error and
-key-length estimates, a Monte-Carlo oracle, and scan/threshold tooling."""
+key-length estimates, a Monte-Carlo oracle, and scan/threshold tooling.
 
-from .params import (
-    ChannelParams,
-    DetectorParams,
-    ReceiverParams,
-    SecurityParams,
-    SourceParams,
-    SystemParams,
-    ValidationError,
-    binary_entropy,
-    channel_transmittance,
-    validate,
-)
-from .gains import (
-    DegenerateGainsError,
-    GainSet,
-    analytic_gains,
-    qber,
-)
-from .concentration import (
-    BoundedValue,
-    CountRecord,
-    DELTA_PROVIDERS,
-    bound_expected_count,
-    bound_gain,
-    delta_hoeffding,
-    delta_observed,
-    validate_record,
-)
-from .finite_key import (
-    AnalysisConfig,
-    KeyRateResult,
-    XBasisConstants,
-    evaluate_analytic_point,
-    evaluate_record,
-    expected_sifted_clicks,
-    phase_error_expected_upper,
-    phase_error_observed_upper,
-    secure_key_length,
-    xbasis_gain_lower_m0,
-    xbasis_gain_upper_m1,
-)
-from .simulator import (
-    CountFileError,
-    DetectionEvent,
-    EmpiricalGains,
-    MissingCountError,
-    SimConfig,
-    detection_events,
-    empirical_gains,
-    format_counts,
-    replay_counts,
-    simulate_session,
-    write_counts,
-)
-from .scan import (
-    NoThresholdError,
-    ScanRow,
-    ScanSpec,
-    emit,
-    find_threshold,
-    run_scan,
-)
+Each module's __all__ lists the names it exports; this package re-exports
+exactly those, so a public name is declared once, in its own module.
+"""
+
+from . import concentration, finite_key, gains, params, scan, simulator
+from .params import *
+from .gains import *
+from .concentration import *
+from .finite_key import *
+from .simulator import *
+from .scan import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig",
-    "BoundedValue",
-    "ChannelParams",
-    "CountFileError",
-    "CountRecord",
-    "DELTA_PROVIDERS",
-    "DegenerateGainsError",
-    "DetectionEvent",
-    "DetectorParams",
-    "EmpiricalGains",
-    "GainSet",
-    "KeyRateResult",
-    "MissingCountError",
-    "NoThresholdError",
-    "ReceiverParams",
-    "ScanRow",
-    "ScanSpec",
-    "SecurityParams",
-    "SimConfig",
-    "SourceParams",
-    "SystemParams",
-    "ValidationError",
-    "XBasisConstants",
-    "analytic_gains",
-    "binary_entropy",
-    "bound_expected_count",
-    "bound_gain",
-    "channel_transmittance",
-    "delta_hoeffding",
-    "delta_observed",
-    "detection_events",
-    "emit",
-    "empirical_gains",
-    "evaluate_analytic_point",
-    "evaluate_record",
-    "expected_sifted_clicks",
-    "find_threshold",
-    "format_counts",
-    "phase_error_expected_upper",
-    "phase_error_observed_upper",
-    "qber",
-    "replay_counts",
-    "run_scan",
-    "secure_key_length",
-    "simulate_session",
-    "validate",
-    "validate_record",
-    "write_counts",
-    "xbasis_gain_lower_m0",
-    "xbasis_gain_upper_m1",
+    name
+    for module in (params, gains, concentration, finite_key, simulator, scan)
+    for name in module.__all__
 ]

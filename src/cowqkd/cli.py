@@ -19,7 +19,6 @@ import collections
 import dataclasses
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -178,10 +177,7 @@ def build_params(cfg: dict[str, object]) -> SystemParams:
 
 
 def build_analysis(cfg: dict[str, object]) -> AnalysisConfig:
-    try:
-        return AnalysisConfig(**_section(cfg, "analysis"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return AnalysisConfig(**_section(cfg, "analysis"))
 
 
 def build_scan_spec(cfg: dict[str, object], args: argparse.Namespace) -> ScanSpec:
@@ -193,10 +189,7 @@ def build_scan_spec(cfg: dict[str, object], args: argparse.Namespace) -> ScanSpe
     missing = [key for key in ("variable", "start", "stop") if key not in merged]
     if missing:
         raise ConfigError(f"scan requires {', '.join('scan.' + m for m in missing)}")
-    try:
-        return ScanSpec(**merged)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ScanSpec(**merged)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -217,15 +210,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     cfg = _collect(args)
     params = build_params(cfg)
     analysis = build_analysis(cfg)
-    if not math.isfinite(args.target):
-        raise ConfigError(f"threshold target must be finite, got {args.target}")
-    lo, hi = args.bracket
-    for value in (lo, hi):
-        validate(with_variable(params, args.variable, value))
-    if not lo < hi:
-        raise ConfigError(f"threshold bracket must satisfy lo < hi, got {lo} {hi}")
     crossing = find_threshold(
-        args.metric, args.target, (lo, hi), params, analysis, variable=args.variable
+        args.metric, args.target, args.bracket, params, analysis, variable=args.variable
     )
     print(crossing)
     return 0
@@ -235,10 +221,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _collect(args)
     params = build_params(cfg)
     rounds = args.rounds if args.rounds is not None else params.rounds
-    try:
-        sim = SimConfig(seed=args.seed, rounds=rounds, mode=args.mode)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    sim = SimConfig(seed=args.seed, rounds=rounds, mode=args.mode)
     write_text(format_counts(simulate_session(params, sim)), args.output)
     return 0
 

@@ -16,7 +16,6 @@ from .params import ValidationError, _any, _clamp01, _max, _sqrt
 
 __all__ = [
     "CountRecord",
-    "CLICK_FIELDS",
     "BoundedValue",
     "DELTA_PROVIDERS",
     "delta_hoeffding",

@@ -38,15 +38,13 @@ from .concentration import (
     delta_hoeffding,
 )
 from .gains import M1_MODELS, DegenerateGainsError, GainSet, _intensity, analytic_gains, qber
-from .params import SecurityParams, SystemParams, binary_entropy
+from .params import SecurityParams, SystemParams, ValidationError, binary_entropy
 from .params import _any, _clamp01, _min, _sqrt, _where, raise_float_errors
 
 __all__ = [
     "XBasisConstants",
     "KeyRateResult",
     "AnalysisConfig",
-    "CROSS_TERM_MODES",
-    "REMAINDER_MODES",
     "xbasis_gain_upper_m1",
     "xbasis_gain_lower_m0",
     "phase_error_expected_upper",
@@ -138,7 +136,7 @@ class AnalysisConfig:
         for name, allowed in _ANALYSIS_CHOICES:
             value = getattr(self, name)
             if value not in allowed:
-                raise ValueError(f"unknown {name} {value!r}, expected one of {allowed}")
+                raise ValidationError(f"unknown {name} {value!r}, expected one of {allowed}")
 
 
 def _require_side(bound: BoundedValue, side: str, name: str) -> float:

@@ -18,7 +18,6 @@ from .params import SystemParams, _any, channel_transmittance
 __all__ = [
     "GainSet",
     "DegenerateGainsError",
-    "M1_MODELS",
     "qber",
     "analytic_gains",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -31,8 +32,8 @@ __all__ = [
 class ValidationError(ValueError):
     """Raised when parameter invariants fail; carries every violation found."""
 
-    def __init__(self, violations: list[str]):
-        self.violations = list(violations)
+    def __init__(self, violations: list[str] | str):
+        self.violations = [violations] if isinstance(violations, str) else list(violations)
         super().__init__("; ".join(self.violations))
 
 
@@ -219,8 +220,22 @@ def _interval(text: str) -> tuple:
             operator.le if text[-1] == "]" else operator.lt, hi)
 
 
-#: Each key, its getter and its interval, parsed once: parsing costs 5x a validate.
-_BOUNDS = [(key, operator.attrgetter(key), text, *_interval(text)) for key, text in _RANGES.items()]
+#: Each key's getter and interval, parsed once: parsing costs 5x a validate.
+_BOUNDS = {key: (operator.attrgetter(key), text, *_interval(text)) for key, text in _RANGES.items()}
+
+
+def _range_violations(obj: object, keys: Iterable[str] = _RANGES) -> list[str]:
+    """How each of keys, read off obj by its dotted name, breaks its interval."""
+    violations = []
+    for key in keys:
+        get, text, lo_ok, lo, hi_ok, hi = _BOUNDS[key]
+        value = get(obj)
+        # A NaN fails every comparison, so finiteness is checked first.
+        if isinstance(value, float) and not math.isfinite(value):
+            violations.append(f"{key} must be finite, got {value}")
+        elif not (lo_ok(value, lo) and hi_ok(value, hi)):
+            violations.append(f"{key} must lie in {text}, got {value}")
+    return violations
 
 
 def validate(params: SystemParams) -> SystemParams:
@@ -229,14 +244,7 @@ def validate(params: SystemParams) -> SystemParams:
     All violations are collected before raising, so one failed run reports
     everything that needs fixing.  Idempotent on valid input.
     """
-    violations = []
-    for key, get, text, lo_ok, lo, hi_ok, hi in _BOUNDS:
-        value = get(params)
-        # A NaN fails every comparison, so finiteness is checked first.
-        if isinstance(value, float) and not math.isfinite(value):
-            violations.append(f"{key} must be finite, got {value}")
-        elif not (lo_ok(value, lo) and hi_ok(value, hi)):
-            violations.append(f"{key} must lie in {text}, got {value}")
+    violations = _range_violations(params)
     total = params.source.p_decoy_alpha_alpha + params.source.p_decoy_vacuum
     if total > 1.0:
         violations.append(f"source decoy probabilities must sum to at most 1, got {total}")

@@ -14,17 +14,14 @@ import numpy as np
 from .concentration import CountRecord
 from .finite_key import AnalysisConfig, KeyRateResult, evaluate_analytic_point, evaluate_record
 from .gains import analytic_gains, qber
-from .params import SystemParams, raise_float_errors
+from .params import SystemParams, ValidationError, raise_float_errors, validate
 from .simulator import SimConfig, replay_counts, simulate_session
 
 __all__ = [
-    "SCAN_VARIABLES",
-    "SCAN_MODES",
     "ScanSpec",
     "ScanRow",
     "NoThresholdError",
     "run_scan",
-    "scan_values",
     "find_threshold",
     "emit",
 ]
@@ -62,24 +59,24 @@ class ScanSpec:
 
     def __post_init__(self) -> None:
         if self.variable not in SCAN_VARIABLES:
-            raise ValueError(
+            raise ValidationError(
                 f"unknown scan variable {self.variable!r}, expected one of {SCAN_VARIABLES}"
             )
         if self.mode not in SCAN_MODES:
-            raise ValueError(f"unknown scan mode {self.mode!r}, expected one of {SCAN_MODES}")
+            raise ValidationError(f"unknown scan mode {self.mode!r}, expected one of {SCAN_MODES}")
         for name in ("start", "stop", "step"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"scan {name} must be finite, got {getattr(self, name)}")
+                raise ValidationError(f"scan {name} must be finite, got {getattr(self, name)}")
         if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+            raise ValidationError(f"step must be positive, got {self.step}")
         if self.stop < self.start:
-            raise ValueError(f"stop {self.stop} is below start {self.start}")
+            raise ValidationError(f"stop {self.stop} is below start {self.start}")
         if self.mode == "replay" and not self.replay_path:
-            raise ValueError("replay mode requires replay_path")
+            raise ValidationError("replay mode requires replay_path")
         if self.mode == "simulate":
             SimConfig(seed=self.sim_seed, rounds=self.sim_rounds)  # raises on a bad seed or rounds
         if (n := grid_size(self)) > MAX_SCAN_POINTS:
-            raise ValueError(f"scan grid has {n:,} points, above the limit of {MAX_SCAN_POINTS:,}")
+            raise ValidationError(f"scan grid has {n:,} points, above the limit of {MAX_SCAN_POINTS:,}")
 
 
 class ScanRow(NamedTuple):
@@ -215,8 +212,10 @@ def find_threshold(
     For "qber" the crossing is where the error rate first exceeds target;
     for "key_length" it is where the extractable bits fall to target or
     below.  Both metrics are monotone in channel length, the intended use.
-    Raises NoThresholdError when the bracket does not straddle the level.
-    Each evaluation of the metric covers the next seven levels of midpoints.
+    Raises ValidationError, before any evaluation, on a non-finite target,
+    an invalid bracket end or lo >= hi, and NoThresholdError when the
+    bracket does not straddle the level.  Each evaluation of the metric
+    covers the next seven levels of midpoints.
     """
     analysis = analysis or AnalysisConfig()
     if metric == "qber":
@@ -226,9 +225,13 @@ def find_threshold(
     else:
         raise ValueError(f"unknown threshold metric {metric!r}")
 
+    if not math.isfinite(target):
+        raise ValidationError(f"threshold target must be finite, got {target}")
     lo, hi = bracket
+    for value in (lo, hi):
+        validate(with_variable(params, variable, value))
     if not lo < hi:
-        raise ValueError(f"bracket must satisfy lo < hi, got {bracket}")
+        raise ValidationError(f"threshold bracket must satisfy lo < hi, got {lo} {hi}")
     tol = 0.01 if variable == "length_km" else 1e-4 * (hi - lo)
     known: dict[float, bool] = {}
 

@@ -54,10 +54,9 @@ import numpy as np
 
 from .concentration import CLICK_FIELDS, CountRecord, validate_record
 from .gains import GainSet, _intensity
-from .params import SystemParams, ValidationError
+from .params import SystemParams, ValidationError, _range_violations
 
 __all__ = [
-    "DetectionEvent",
     "SimConfig",
     "MissingCountError",
     "EmpiricalGains",
@@ -122,13 +121,13 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         if not _is_integer(self.rounds):
-            raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be at least 1, got {self.rounds}")
+            raise ValidationError(f"rounds must be an integer, got {self.rounds!r}")
+        if violations := _range_violations(self, ["rounds"]):
+            raise ValidationError(violations)
         if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.mode not in SIM_MODES:
-            raise ValueError(f"unknown mode {self.mode!r}, expected one of {SIM_MODES}")
+            raise ValidationError(f"unknown mode {self.mode!r}, expected one of {SIM_MODES}")
 
 
 class MissingCountError(AttributeError):
@@ -210,7 +209,7 @@ class _Sampler:
         s = params.source
         probs = np.array([s.p_z0, s.p_z1, s.p_decoy_alpha_alpha, s.p_decoy_vacuum])
         if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-9:
-            raise ValidationError([f"state probabilities must be a distribution, got {probs}"])
+            raise ValidationError(f"state probabilities must be a distribution, got {probs}")
         fire = _event_probabilities(params)
         events = np.arange(256) & 1 << np.arange(8)[:, None] != 0
         law = np.where(events, fire[:, :, None], 1.0 - fire[:, :, None]).prod(axis=1)

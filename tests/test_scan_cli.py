@@ -894,7 +894,7 @@ class TestSimulateScanSettings:
             "--mode", "simulate"]
 
     @pytest.mark.parametrize("flag, message", [
-        (["--sim-rounds", "0"], "rounds must be at least 1, got 0"),
+        (["--sim-rounds", "0"], "rounds must lie in [1, inf), got 0"),
         (["--sim-seed", "-1"], "seed must be a non-negative integer, got -1"),
     ])
     def test_bad_setting_exits_1_before_any_row(self, capsys, flag, message):
@@ -1057,3 +1057,55 @@ class TestZeroDecoyRejected:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{key} must lie in (0, 1), got 0.0" in captured.err
+
+
+class TestThresholdInputChecks:
+    """find_threshold rejects a bad target or bracket before any evaluation,
+    with the message the CLI prints for the same input."""
+
+    CASES = {
+        "nan target": ("nan", ("100", "200"), "threshold target must be finite, got nan"),
+        "inf target": ("inf", ("100", "200"), "threshold target must be finite, got inf"),
+        "reversed bracket": ("0.05", ("200", "100"),
+                             "threshold bracket must satisfy lo < hi, got 200.0 100.0"),
+        "empty bracket": ("0.05", ("150", "150"),
+                          "threshold bracket must satisfy lo < hi, got 150.0 150.0"),
+        "end out of range": ("0.05", ("-10", "200"),
+                             "channel.length_km must lie in [0, inf), got -10.0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_api_raises_the_cli_message(self, capsys, monkeypatch, case):
+        target, bracket, message = self.CASES[case]
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated before the input checks")
+
+        monkeypatch.setattr(cowqkd.scan, "analytic_gains", no_evaluation)
+        with pytest.raises(ValidationError) as exc:
+            find_threshold("qber", float(target), tuple(map(float, bracket)), make_params())
+        assert str(exc.value) == message
+        argv = ["threshold", "--metric", "qber", f"--target={target}", "--bracket", *bracket]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+class TestConfigObjectsRaiseValidationError:
+    @pytest.mark.parametrize("build", [
+        lambda: AnalysisConfig(cross_term="bogus"),
+        lambda: ScanSpec(variable="mu", start=0.5, stop=0.4),
+        lambda: ScanSpec(variable="mu", start=0.4, stop=0.5, mode="simulate", sim_rounds=0),
+        lambda: cowqkd.SimConfig(seed=1, rounds=0),
+        lambda: cowqkd.SimConfig(seed=-1, rounds=10),
+    ], ids=["analysis", "scan", "scan-sim-rounds", "sim-rounds", "sim-seed"])
+    def test_bad_setting(self, build):
+        with pytest.raises(ValidationError):
+            build()
+
+
+def test_rounds_rule_has_one_message(capsys):
+    message = "error: rounds must lie in [1, inf), got 0\n"
+    for argv in (["simulate", "--rounds", "0"], ["simulate", "--set", "rounds=0"],
+                 TestSimulateScanSettings.GRID + ["--sim-rounds", "0"]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", message)
