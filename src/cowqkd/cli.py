@@ -1,15 +1,17 @@
-"""Command-line front end.
+"""Command-line front end, a thin layer over the library.
 
-Subcommands map to the four workflows the package supports: parameter
+Subcommands map to the five workflows the package supports: parameter
 sweeps (scan), bisection threshold finding (threshold), Monte-Carlo count
 generation (simulate), replaying a count log through the finite-key pipeline
 (analyze), and configuration checking (validate).
 
 All parameters load from a flat text configuration of dotted keys, for
 example "channel.length_km = 100".  Key ordering is free, unknown keys are
-rejected, and --set overrides take precedence over the file.  Exit codes:
-0 success, 1 configuration or validation error, 2 runtime error, 3 when a
-threshold search finds no crossing inside its bracket.
+rejected, and --set overrides take precedence over the file.  Every command
+validates the params and the analysis.* keys before it runs.  The scan flags
+are ScanSpec's fields, and each parses its value as its scan.* key does.
+Exit codes: 0 success, 1 configuration or validation error, 2 runtime
+error, 3 when a threshold search finds no crossing inside its bracket.
 """
 
 from __future__ import annotations
@@ -24,19 +26,11 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .finite_key import AnalysisConfig, KeyRateResult, evaluate_record
-from .params import (
-    ChannelParams,
-    DetectorParams,
-    ReceiverParams,
-    SecurityParams,
-    SourceParams,
-    SystemParams,
-    ValidationError,
-    validate,
-)
+from .params import SystemParams, ValidationError, validate
 from .scan import (
-    SCAN_MODES,
+    OUTPUT_FORMATS,
     SCAN_VARIABLES,
+    THRESHOLD_METRICS,
     NoThresholdError,
     ScanSpec,
     emit,
@@ -52,8 +46,8 @@ from .simulator import SIM_MODES, SimConfig, format_counts, replay_counts, simul
 __all__ = ["ConfigError", "load_config", "parse_assignments", "build_params", "main"]
 
 
-class ConfigError(ValueError):
-    """Configuration text, key, or value is invalid."""
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """Configuration text, key, or value is invalid; argparse prints its message for a flag."""
 
 
 def _to_float(text: str) -> float:
@@ -74,14 +68,10 @@ def _to_int(text: str) -> int:
     return int(value)
 
 
-#: The SystemParams sections, each built from the keys under its prefix.
-_PARAM_SECTIONS = {
-    "source": SourceParams,
-    "channel": ChannelParams,
-    "detectors": DetectorParams,
-    "receiver": ReceiverParams,
-    "security": SecurityParams,
-}
+#: The SystemParams sections, each built from the keys under its prefix: the
+#: fields whose default factory is the section class.
+_PARAM_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(SystemParams)
+                   if f.default_factory is not dataclasses.MISSING}
 
 #: Value parser of each field annotation (annotations are postponed, so text).
 _PARSERS = {"float": _to_float, "int": _to_int, "str": str, "str | None": str}
@@ -143,12 +133,13 @@ def parse_assignments(assignments: Sequence[str]) -> dict[str, object]:
     return values
 
 
-def _collect(args: argparse.Namespace) -> dict[str, object]:
+def _inputs(args: argparse.Namespace) -> tuple[dict[str, object], SystemParams, AnalysisConfig]:
+    """The --config values under the --set overrides, and the params and analysis they build."""
     cfg: dict[str, object] = {}
     if args.config:
         cfg.update(load_config(args.config))
     cfg.update(parse_assignments(args.set or []))
-    return cfg
+    return cfg, build_params(cfg), build_analysis(cfg)
 
 
 def _sections(cfg: dict[str, object]) -> dict[str, dict[str, object]]:
@@ -193,12 +184,9 @@ def build_scan_spec(cfg: dict[str, object], args: argparse.Namespace) -> ScanSpe
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    cfg = _collect(args)
-    params = build_params(cfg)
-    analysis = build_analysis(cfg)
+    cfg, params, analysis = _inputs(args)
     spec = build_scan_spec(cfg, args)
-    # Each scan variable is bound by its params._RANGES interval alone (the decoy
-    # sum rule involves none), so valid ends make a valid grid.
+    # run_scan would make an out-of-range point an error row; here it exits 1 before any row.
     for value in (spec.start, spec.stop):
         validate(with_variable(params, spec.variable, value))
     rows = run_scan(spec, params, analysis)
@@ -207,9 +195,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    cfg = _collect(args)
-    params = build_params(cfg)
-    analysis = build_analysis(cfg)
+    _, params, analysis = _inputs(args)
     crossing = find_threshold(
         args.metric, args.target, args.bracket, params, analysis, variable=args.variable
     )
@@ -218,8 +204,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _collect(args)
-    params = build_params(cfg)
+    _, params, _ = _inputs(args)
     rounds = args.rounds if args.rounds is not None else params.rounds
     sim = SimConfig(seed=args.seed, rounds=rounds, mode=args.mode)
     write_text(format_counts(simulate_session(params, sim)), args.output)
@@ -227,25 +212,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _result_json(result: KeyRateResult, rate_bps: float) -> str:
-    payload = {
-        "qber": result.qber,
-        "phase_error_expected_upper": result.phase_error_expected_upper,
-        "phase_error_observed_upper": result.phase_error_observed_upper,
-        "key_length_bits": result.key_length_bits,
-        "key_rate_bps": rate_bps,
-        "leak_ec_bits": result.leak_ec_bits,
-        "correctness_term_bits": result.correctness_term_bits,
-        "secrecy_term_bits": result.secrecy_term_bits,
-        "aborted": result.aborted,
-        "abort_reason": result.abort_reason,
-    }
+    payload = {**vars(result), "key_rate_bps": rate_bps}
     return json.dumps(json_safe(payload), indent=2) + "\n"
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _collect(args)
-    params = build_params(cfg)
-    analysis = build_analysis(cfg)
+    _, params, analysis = _inputs(args)
     record = replay_counts(args.counts)
     result = evaluate_record(record, params, analysis)
     rate = key_rate_bps(result.key_length_bits, record.rounds, params.source.pulse_pair_rate)
@@ -254,9 +226,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _collect(args)
-    build_params(cfg)
-    build_analysis(cfg)
+    _inputs(args)
     print("ok")
     return 0
 
@@ -282,21 +252,16 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p_scan = sub.add_parser("scan", help="sweep one parameter and emit per-point results")
     _add_common(p_scan)
-    p_scan.add_argument("--variable", choices=SCAN_VARIABLES)
-    p_scan.add_argument("--start", type=float)
-    p_scan.add_argument("--stop", type=float)
-    p_scan.add_argument("--step", type=float)
-    p_scan.add_argument("--mode", choices=SCAN_MODES)
-    p_scan.add_argument("--sim-seed", type=int, dest="sim_seed")
-    p_scan.add_argument("--sim-rounds", type=int, dest="sim_rounds")
-    p_scan.add_argument("--replay-path", dest="replay_path")
-    p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
+    for f in dataclasses.fields(ScanSpec):
+        p_scan.add_argument("--" + f.name.replace("_", "-"), type=CONFIG_KEYS["scan." + f.name],
+                            help=f"overrides scan.{f.name}")
+    p_scan.add_argument("--format", choices=OUTPUT_FORMATS, default="csv")
     p_scan.add_argument("--output", default="-")
     p_scan.set_defaults(handler=_cmd_scan)
 
     p_thr = sub.add_parser("threshold", help="bisect for where a metric crosses a target")
     _add_common(p_thr)
-    p_thr.add_argument("--metric", choices=("qber", "key_length"), required=True)
+    p_thr.add_argument("--metric", choices=THRESHOLD_METRICS, required=True)
     p_thr.add_argument("--target", type=float, required=True)
     p_thr.add_argument("--bracket", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     p_thr.add_argument("--variable", choices=SCAN_VARIABLES, default="length_km")

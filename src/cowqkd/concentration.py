@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .params import ValidationError, _any, _clamp01, _max, _sqrt
+from .params import ValidationError, _any, _check_choice, _clamp01, _max, _sqrt
 
 __all__ = [
     "CountRecord",
@@ -197,12 +197,8 @@ def bound_expected_count(
         raise ValueError(
             f"observed count {observed} exceeds emission count {n_emitted}"
         )
-    if direction not in ("upper", "lower", "both"):
-        raise ValueError(f"direction must be 'upper', 'lower', or 'both', got {direction!r}")
-    if provider not in DELTA_PROVIDERS:
-        raise ValueError(
-            f"unknown provider {provider!r}, expected one of {tuple(DELTA_PROVIDERS)}"
-        )
+    _check_choice("direction", direction, ("upper", "lower", "both"))
+    _check_choice("provider", provider, DELTA_PROVIDERS)
     delta = DELTA_PROVIDERS[provider](observed, n_emitted, eps)
     upper = observed + delta if direction in ("upper", "both") else None
     lower = _max(0.0, observed - delta) if direction in ("lower", "both") else None

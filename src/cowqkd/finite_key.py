@@ -38,8 +38,8 @@ from .concentration import (
     delta_hoeffding,
 )
 from .gains import M1_MODELS, DegenerateGainsError, GainSet, _intensity, analytic_gains, qber
-from .params import SecurityParams, SystemParams, ValidationError, binary_entropy
-from .params import _any, _clamp01, _min, _sqrt, _where, raise_float_errors
+from .params import SecurityParams, SystemParams, binary_entropy
+from .params import _any, _check_choice, _clamp01, _min, _sqrt, _where, raise_float_errors
 
 __all__ = [
     "XBasisConstants",
@@ -134,9 +134,7 @@ class AnalysisConfig:
 
     def __post_init__(self) -> None:
         for name, allowed in _ANALYSIS_CHOICES:
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ValidationError(f"unknown {name} {value!r}, expected one of {allowed}")
+            _check_choice(name, getattr(self, name), allowed)
 
 
 def _require_side(bound: BoundedValue, side: str, name: str) -> float:
@@ -193,8 +191,7 @@ def xbasis_gain_lower_m0(
     (n_minus/n_plus)(e^mu sqrt(g_aa_up) + sqrt(g_vac_up)).  Negative values
     clamp to zero.
     """
-    if cross_term not in CROSS_TERM_MODES:
-        raise ValueError(f"unknown cross_term {cross_term!r}, expected one of {CROSS_TERM_MODES}")
+    _check_choice("cross_term", cross_term, CROSS_TERM_MODES)
     lo_aa = _require_side(bounded_aa_m0, "lower", "bounded_aa_m0")
     lo_vac = _require_side(bounded_vac_m0, "lower", "bounded_vac_m0")
     up_aa = _require_side(bounded_aa_m0, "upper", "bounded_aa_m0")
@@ -337,7 +334,7 @@ def expected_sifted_clicks(params: SystemParams, duration_s: float = 1.0) -> flo
     a = _intensity(params)
     p_d = params.detectors.dark_count_prob
     p_click = -np.expm1(2.0 * np.log1p(-p_d) - a)
-    p_signal = 1.0 - params.source.p_decoy_alpha_alpha - params.source.p_decoy_vacuum
+    p_signal = params.source.p_z0 + params.source.p_z1
     raw_rate = params.source.pulse_pair_rate * p_signal * p_click
     saturated = raw_rate / (1.0 + raw_rate * params.detectors.dead_time_s)
     return saturated * duration_s

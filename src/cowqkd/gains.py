@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemParams, _any, channel_transmittance
+from .params import SystemParams, _any, _check_choice, channel_transmittance
 
 __all__ = [
     "GainSet",
@@ -74,8 +74,7 @@ def analytic_gains(params: SystemParams, *, m1_model: str = "optical_switch") ->
     dark counts only, p_d q^3.  A lone bit-state pulse leaves two copies of
     b/2 photons in all at each port, q^3 [1 - q exp(-b/2)] exp(-a).
     """
-    if m1_model not in M1_MODELS:
-        raise ValueError(f"unknown m1_model {m1_model!r}, expected one of {M1_MODELS}")
+    _check_choice("m1_model", m1_model, M1_MODELS)
     a, b = _intensity(params), _intensity(params, monitoring=True)
     p_d = params.detectors.dark_count_prob
     q = 1.0 - p_d

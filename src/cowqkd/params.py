@@ -37,6 +37,12 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def _check_choice(name: str, value: object, allowed: Iterable[str]) -> None:
+    """Raise ValidationError unless value is one of the allowed settings of name."""
+    if value not in allowed:
+        raise ValidationError(f"unknown {name} {value!r}, expected one of {tuple(allowed)}")
+
+
 @dataclass(frozen=True)
 class SourceParams:
     """Transmitter settings.

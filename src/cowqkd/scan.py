@@ -14,7 +14,7 @@ import numpy as np
 from .concentration import CountRecord
 from .finite_key import AnalysisConfig, KeyRateResult, evaluate_analytic_point, evaluate_record
 from .gains import analytic_gains, qber
-from .params import SystemParams, ValidationError, raise_float_errors, validate
+from .params import SystemParams, ValidationError, _check_choice, raise_float_errors, validate
 from .simulator import SimConfig, replay_counts, simulate_session
 
 __all__ = [
@@ -35,6 +35,9 @@ _SETTERS: dict[str, Callable[[SystemParams, float], SystemParams]] = {
 }
 SCAN_VARIABLES = tuple(_SETTERS)
 SCAN_MODES = ("analytic", "simulate", "replay")
+#: The metrics find_threshold bisects on, and the formats emit writes.
+THRESHOLD_METRICS = ("qber", "key_length")
+OUTPUT_FORMATS = ("csv", "json")
 
 #: Output columns, one per ScanRow field in order; the value column is "variable".
 COLUMNS = ("variable", "qber", "phase_error_upper", "key_bits", "key_rate_bps", "aborted", "reason")
@@ -58,12 +61,8 @@ class ScanSpec:
     replay_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.variable not in SCAN_VARIABLES:
-            raise ValidationError(
-                f"unknown scan variable {self.variable!r}, expected one of {SCAN_VARIABLES}"
-            )
-        if self.mode not in SCAN_MODES:
-            raise ValidationError(f"unknown scan mode {self.mode!r}, expected one of {SCAN_MODES}")
+        _check_choice("scan variable", self.variable, SCAN_VARIABLES)
+        _check_choice("scan mode", self.mode, SCAN_MODES)
         for name in ("start", "stop", "step"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"scan {name} must be finite, got {getattr(self, name)}")
@@ -95,8 +94,7 @@ class NoThresholdError(RuntimeError):
 
 def with_variable(params: SystemParams, variable: str, value: float) -> SystemParams:
     """A copy of params with one scan variable set to value, a number or an array."""
-    if variable not in _SETTERS:
-        raise ValueError(f"unknown scan variable {variable!r}")
+    _check_choice("scan variable", variable, SCAN_VARIABLES)
     return _SETTERS[variable](params, value)
 
 
@@ -154,10 +152,11 @@ def run_scan(
     """Evaluate the grid; a failing point becomes an aborted NaN row.
 
     Analytic and replay scans evaluate the grid in one call (simulate mode:
-    a session per point).  A point's value and arithmetic errors (bad inputs,
-    degenerate gains, a malformed replay log) are captured rather than raised,
-    point by point after the grid call raised one, so one bad point cannot
-    lose the rest of a long sweep; any other exception is a fault.
+    a session per point).  A point's value and arithmetic errors (a value
+    outside its validate interval, degenerate gains, a malformed replay log)
+    are captured rather than raised, point by point after the grid call
+    raised one, so one bad point cannot lose the rest of a long sweep; any
+    other exception is a fault.
     """
     analysis = analysis or AnalysisConfig()
     values = scan_values(spec)
@@ -170,6 +169,10 @@ def run_scan(
     if spec.mode != "simulate":
         grid = with_variable(params, spec.variable, np.asarray(values))
         try:
+            # Each scan variable is bound by its params._RANGES interval alone (the
+            # decoy sum rule involves none), so valid ends make a valid grid.
+            for end in (values[0], values[-1]):
+                validate(with_variable(params, spec.variable, end))
             return _rows(values, *_evaluate(grid, spec, analysis, record), params)
         except (ValueError, ArithmeticError):
             pass
@@ -177,7 +180,7 @@ def run_scan(
     for value in values:
         point = with_variable(params, spec.variable, value)
         try:
-            rows += _rows([value], *_evaluate(point, spec, analysis, record), point)
+            rows += _rows([value], *_evaluate(validate(point), spec, analysis, record), point)
         except (ValueError, ArithmeticError) as exc:
             rows.append(_error_row(value, exc))
     return rows
@@ -212,18 +215,17 @@ def find_threshold(
     For "qber" the crossing is where the error rate first exceeds target;
     for "key_length" it is where the extractable bits fall to target or
     below.  Both metrics are monotone in channel length, the intended use.
-    Raises ValidationError, before any evaluation, on a non-finite target,
-    an invalid bracket end or lo >= hi, and NoThresholdError when the
-    bracket does not straddle the level.  Each evaluation of the metric
-    covers the next seven levels of midpoints.
+    Raises ValidationError, before any evaluation, on an unknown metric, a
+    non-finite target, an invalid bracket end or lo >= hi, and
+    NoThresholdError when the bracket does not straddle the level.  Each
+    evaluation of the metric covers the next seven levels of midpoints.
     """
     analysis = analysis or AnalysisConfig()
+    _check_choice("threshold metric", metric, THRESHOLD_METRICS)
     if metric == "qber":
         crossed: Callable[[SystemParams], object] = lambda p: qber(analytic_gains(p)) > target
-    elif metric == "key_length":
-        crossed = lambda p: evaluate_analytic_point(p, analysis).key_length_bits <= target
     else:
-        raise ValueError(f"unknown threshold metric {metric!r}")
+        crossed = lambda p: evaluate_analytic_point(p, analysis).key_length_bits <= target
 
     if not math.isfinite(target):
         raise ValidationError(f"threshold target must be finite, got {target}")
@@ -282,6 +284,7 @@ def emit(rows: Sequence[ScanRow], format: str = "csv", destination: str | Path =
     destination "-" writes to stdout; anything else is a file path.
     Returns the serialized text either way.
     """
+    _check_choice("output format", format, OUTPUT_FORMATS)
     if format == "csv":
         *numbers, aborted, reasons = tuple(zip(*rows)) or ((),) * len(COLUMNS)
         quoted = {}
@@ -292,11 +295,9 @@ def emit(rows: Sequence[ScanRow], format: str = "csv", destination: str | Path =
         flags = map({False: "false", True: "true"}.__getitem__, aborted)
         cells = [*(map(repr, c) for c in numbers), flags, map(quoted.__getitem__, reasons)]
         text = "\n".join([CSV_HEADER, *map(",".join, zip(*cells))]) + "\n"
-    elif format == "json":
+    else:
         payload = [json_safe(dict(zip(COLUMNS, row))) for row in rows]
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    else:
-        raise ValueError(f"unknown output format {format!r}")
 
     write_text(text, destination)
     return text

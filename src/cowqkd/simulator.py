@@ -54,7 +54,7 @@ import numpy as np
 
 from .concentration import CLICK_FIELDS, CountRecord, validate_record
 from .gains import GainSet, _intensity
-from .params import SystemParams, ValidationError, _range_violations
+from .params import SystemParams, ValidationError, _check_choice, _range_violations
 
 __all__ = [
     "SimConfig",
@@ -126,8 +126,7 @@ class SimConfig:
             raise ValidationError(violations)
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.mode not in SIM_MODES:
-            raise ValidationError(f"unknown mode {self.mode!r}, expected one of {SIM_MODES}")
+        _check_choice("mode", self.mode, SIM_MODES)
 
 
 class MissingCountError(AttributeError):

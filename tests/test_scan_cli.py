@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -1109,3 +1110,128 @@ def test_rounds_rule_has_one_message(capsys):
                  TestSimulateScanSettings.GRID + ["--sim-rounds", "0"]):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", message)
+
+
+class TestScanFlagsAreScanSpecFields:
+    """Each scan flag is a ScanSpec field and parses its value as its scan.* key does."""
+
+    GRID = {"variable": "mu", "start": "0.25", "stop": "0.5"}
+    #: A value of each field other than its default and the grid's.
+    VALUES = {"variable": "length_km", "start": "0.125", "stop": "0.375", "step": "0.0625",
+              "mode": "simulate", "sim_seed": "1e3", "sim_rounds": "2e3", "replay_path": "x.txt"}
+
+    def spec(self, argv):
+        args = build_parser().parse_args(["scan", *argv])
+        cfg, _, _ = cowqkd.cli._inputs(args)
+        return cowqkd.cli.build_scan_spec(cfg, args)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ScanSpec)])
+    def test_flag_matches_config_key(self, name):
+        common = [arg for key, value in self.GRID.items() if key != name
+                  for arg in (f"--{key}", value)]
+        value = self.VALUES[name]
+        by_flag = self.spec(common + [f"--{name.replace('_', '-')}={value}"])
+        by_key = self.spec(common + ["--set", f"scan.{name}={value}"])
+        assert by_flag == by_key
+        assert getattr(by_flag, name) == CONFIG_KEYS[f"scan.{name}"](value)
+
+    def test_bad_number_names_the_flag(self, capsys):
+        assert main(["scan", "--variable", "mu", "--start", "abc", "--stop", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --start: expected a number, got 'abc'" in captured.err
+
+    @pytest.mark.parametrize("flag, name, allowed", [
+        ("--variable", "scan variable", cowqkd.scan.SCAN_VARIABLES),
+        ("--mode", "scan mode", cowqkd.scan.SCAN_MODES),
+    ])
+    def test_unknown_choice_gets_the_spec_message(self, capsys, flag, name, allowed):
+        argv = ["scan", *(f"--{key}={value}" for key, value in self.GRID.items()), flag, "bogus"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: unknown {name} 'bogus', expected one of {allowed}\n")
+
+
+def test_analyze_json_is_the_result_and_its_rate(capsys, replay_log):
+    log, record = replay_log
+    assert main(["analyze", "--counts", str(log)] + KEYRATE_SETS) == 0
+    payload = json.loads(capsys.readouterr().out)
+    params = cowqkd.cli.build_params(cowqkd.cli.parse_assignments(KEYRATE_SETS[1::2]))
+    result = evaluate_record(record, params, AnalysisConfig())
+    names = [f.name for f in dataclasses.fields(result)]
+    assert list(payload) == names + ["key_rate_bps"]
+    assert {name: payload[name] for name in names} == dataclasses.asdict(result)
+    assert payload["key_rate_bps"] == cowqkd.scan.key_rate_bps(
+        result.key_length_bits, record.rounds, params.source.pulse_pair_rate)
+
+
+def test_simulate_rejects_a_bad_analysis_key(capsys):
+    assert main(["simulate", "--rounds", "1000", "--set", "analysis.cross_term=bogus"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: unknown cross_term 'bogus', expected one of ('mixed', 'vacuum')\n")
+
+
+@pytest.mark.parametrize("mode", ["analytic", "replay", "simulate"])
+def test_out_of_range_points_become_error_rows(replay_log, mode):
+    settings = {"replay": dict(replay_path=str(replay_log[0])),
+                "simulate": dict(sim_seed=3, sim_rounds=200_000)}.get(mode, {})
+    params = keyrate_profile()
+    rows = run_scan(ScanSpec("mu", 0.9, 1.2, 0.1, mode=mode, **settings), params)
+    assert len(rows) == 4
+    # The in-range point is evaluated as in a scan of its own.
+    assert rows[0] == run_scan(ScanSpec("mu", 0.9, 0.9, mode=mode, **settings), params)[0]
+    for row in rows[1:]:
+        assert row.aborted and math.isnan(row.key_bits)
+        assert row.reason == f"error: source.mu must lie in (0, 1), got {row.value}"
+
+
+class TestEveryEnumeratedSettingIsChecked:
+    """Each setting that takes one of a list of names raises ValidationError
+    naming that list, with one message shape."""
+
+    CASES = {
+        "delta_provider": (lambda: AnalysisConfig(delta_provider="bogus"),
+                           "delta_provider", tuple(cowqkd.DELTA_PROVIDERS)),
+        "cross_term": (lambda: AnalysisConfig(cross_term="bogus"),
+                       "cross_term", cowqkd.finite_key.CROSS_TERM_MODES),
+        "remainder_terms": (lambda: AnalysisConfig(remainder_terms="bogus"),
+                            "remainder_terms", cowqkd.finite_key.REMAINDER_MODES),
+        "m1_model": (lambda: AnalysisConfig(m1_model="bogus"),
+                     "m1_model", cowqkd.gains.M1_MODELS),
+        "scan variable": (lambda: ScanSpec("bogus", 0.0, 1.0),
+                          "scan variable", cowqkd.scan.SCAN_VARIABLES),
+        "scan mode": (lambda: ScanSpec("mu", 0.4, 0.5, mode="bogus"),
+                      "scan mode", cowqkd.scan.SCAN_MODES),
+        "sim mode": (lambda: cowqkd.SimConfig(seed=1, rounds=10, mode="bogus"),
+                     "mode", cowqkd.simulator.SIM_MODES),
+        "with_variable": (lambda: with_variable(make_params(), "bogus", 1.0),
+                          "scan variable", cowqkd.scan.SCAN_VARIABLES),
+        "analytic_gains": (lambda: analytic_gains(make_params(), m1_model="bogus"),
+                           "m1_model", cowqkd.gains.M1_MODELS),
+        "xbasis_gain_lower_m0": (lambda: cowqkd.xbasis_gain_lower_m0(None, None, 0.5,
+                                                                     cross_term="bogus"),
+                                 "cross_term", cowqkd.finite_key.CROSS_TERM_MODES),
+        "direction": (lambda: cowqkd.bound_expected_count(1.0, 10.0, 1e-10, "bogus"),
+                      "direction", ("upper", "lower", "both")),
+        "provider": (lambda: cowqkd.bound_expected_count(1.0, 10.0, 1e-10, provider="bogus"),
+                     "provider", tuple(cowqkd.DELTA_PROVIDERS)),
+        "threshold metric": (lambda: find_threshold("bogus", 0.05, (100.0, 200.0), make_params()),
+                             "threshold metric", cowqkd.scan.THRESHOLD_METRICS),
+        "output format": (lambda: emit([], format="bogus"),
+                          "output format", cowqkd.scan.OUTPUT_FORMATS),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_raises_naming_the_allowed_values(self, capsys, case):
+        build, name, allowed = self.CASES[case]
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert str(exc.value) == f"unknown {name} 'bogus', expected one of {tuple(allowed)}"
+        assert capsys.readouterr().out == ""
+
+    def test_parser_choices_are_the_library_names(self):
+        commands = cowqkd.cli._parsers()[1]
+        choices = {action.dest: action.choices for parser in commands.values()
+                   for action in parser._actions if action.choices}
+        assert choices["metric"] == cowqkd.scan.THRESHOLD_METRICS
+        assert choices["format"] == cowqkd.scan.OUTPUT_FORMATS
