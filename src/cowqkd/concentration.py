@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .params import ValidationError, _any, _check_choice, _clamp01, _max, _sqrt
+from .params import ValidationError, _any, _check_choice, _clamp01, _is_integer, _max, _sqrt
 
 __all__ = [
     "CountRecord",
@@ -65,10 +65,7 @@ class BoundedValue:
     failure_prob: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.failure_prob < 1.0):
-            raise ValueError(
-                f"failure_prob must lie in (0, 1), got {self.failure_prob}"
-            )
+        _check_eps(self.failure_prob)
         if self.lower is not None and _any(self.lower > self.observed):
             raise ValueError(
                 f"lower bound {self.lower} exceeds observed value {self.observed}"
@@ -110,7 +107,7 @@ def validate_record(record: CountRecord) -> CountRecord:
         value = getattr(record, name)
         if value is None:
             continue
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_integer(value):
             out.append(f"{name} must be an integer, got {value!r}")
         elif value < 0:
             out.append(f"{name} must be non-negative, got {value}")

@@ -12,12 +12,12 @@ The pipeline is elementwise: parameters holding numpy arrays (a scan grid)
 give a KeyRateResult of arrays over the grid.  A check that fails at any
 element raises for the whole call.  Both entry points end in one flat pass
 over plain floats and arrays, _finish_pipeline, which holds each intermediate
-once: the six decoy bound sides, the sandwich, both phase errors, n_z, the
-raw key and the abort cause.  The pass calls bound_expected_count,
-phase_error_observed_upper and expected_sifted_clicks as they are; the
-sandwich bounds, phase_error_expected_upper, secure_key_length and
-bound_gain are thin adapters over the private formulas it calls, so every
-formula has one implementation.
+once: the six decoy bound sides, the sandwich and both phase errors.  The
+pass calls the public steps bound_expected_count, phase_error_expected_upper,
+phase_error_observed_upper and secure_key_length as they are.  Only the two
+sandwich steps, which take BoundedValue arguments, have float cores that the
+pass calls instead, _xg_upper and _xg_lower; bound_gain's rescaling is
+concentration._rescale.  So every formula has one implementation.
 """
 
 from __future__ import annotations
@@ -162,10 +162,11 @@ def xbasis_gain_upper_m1(
     """
     g_aa = _require_side(bounded_aa_m1, "upper", "bounded_aa_m1")
     g_vac = _require_side(bounded_vac_m1, "upper", "bounded_vac_m1")
-    return _xg_upper(g_aa, g_vac, mu, XBasisConstants.from_mu(mu), include_remainder)
+    return _xg_upper(g_aa, g_vac, mu, include_remainder)
 
 
-def _xg_upper(g_aa: float, g_vac: float, mu: float, c: XBasisConstants, include: bool) -> float:
+def _xg_upper(g_aa: float, g_vac: float, mu: float, include: bool) -> float:
+    c = XBasisConstants.from_mu(mu)
     s_aa, s_vac = _sqrt(g_aa), _sqrt(g_vac)
     root = np.exp(mu / 2.0) * s_aa + np.exp(-mu / 2.0) * s_vac
     value = root * root / c.n_plus
@@ -196,12 +197,12 @@ def xbasis_gain_lower_m0(
     lo_vac = _require_side(bounded_vac_m0, "lower", "bounded_vac_m0")
     up_aa = _require_side(bounded_aa_m0, "upper", "bounded_aa_m0")
     up_vac = _require_side(bounded_vac_m0, "upper", "bounded_vac_m0")
-    c = XBasisConstants.from_mu(mu)
-    return _xg_lower(lo_aa, lo_vac, up_aa, up_vac, mu, c, cross_term, include_remainder)
+    return _xg_lower(lo_aa, lo_vac, up_aa, up_vac, mu, cross_term, include_remainder)
 
 
 def _xg_lower(lo_aa: float, lo_vac: float, up_aa: float, up_vac: float, mu: float,
-              c: XBasisConstants, cross_term: str, include: bool) -> float:
+              cross_term: str, include: bool) -> float:
+    c = XBasisConstants.from_mu(mu)
     cross = 2.0 * _sqrt(up_aa * up_vac) if cross_term == "mixed" else 2.0 * up_vac
     e_mu = np.exp(mu)
     value = (e_mu * lo_aa + np.exp(-mu) * lo_vac - cross) / c.n_plus
@@ -222,13 +223,10 @@ def phase_error_expected_upper(
     [n_plus (xg_upper - xg_lower) + 2 (g_0z_m0 + g_1z_m0)] over
     2 (g_0z_m0 + g_0z_m1 + g_1z_m0 + g_1z_m1), clamped to [0, 1].
     """
-    return _ep_expected(gains, xg_upper, xg_lower, XBasisConstants.from_mu(mu).n_plus)
-
-
-def _ep_expected(gains: GainSet, xg_upper: float, xg_lower: float, n_plus: float) -> float:
     denom = 2.0 * (gains.mon_0z_m0 + gains.mon_0z_m1 + gains.mon_1z_m0 + gains.mon_1z_m1)
     if _any(denom == 0.0):
         raise DegenerateGainsError("all bit-state monitoring gains are zero, phase error undefined")
+    n_plus = XBasisConstants.from_mu(mu).n_plus
     numer = n_plus * (xg_upper - xg_lower) + 2.0 * (gains.mon_0z_m0 + gains.mon_1z_m0)
     return _clamp01(numer / denom)
 
@@ -269,42 +267,28 @@ def secure_key_length(
     sifted detections, when the QBER exceeds its threshold, when the
     phase-error bound reaches 0.5, or when no positive key remains.
     """
-    terms, cause = _raw_key(n_z, ep_observed_upper, qber_value, sec)
-    return _key_rate_result(qber_value, ep_expected_upper, ep_observed_upper, terms, cause,
-                            sec.qber_abort_threshold)
-
-
-def _raw_key(n_z: float, ep_obs: float, qber_value: float, sec: SecurityParams) -> tuple:
-    """The key before aborts with its deductions, (raw, leak_ec, correctness, secrecy) bits,
-    and the code of the first abort cause that holds per point, 0 where none does."""
+    threshold = sec.qber_abort_threshold
     correctness = math.log2(2.0 / sec.eps_cor)
     secrecy = 2.0 * math.log2(5.0 / sec.eps_sec)
     leak_ec = sec.f_ec * n_z * binary_entropy(qber_value)
     # An ep at or above 0.5 aborts before raw is read.
-    h_ep = binary_entropy(_min(ep_obs, 0.5))
+    h_ep = binary_entropy(_min(ep_observed_upper, 0.5))
     raw = n_z * (1.0 - h_ep) - leak_ec - correctness - secrecy
-    stops = (n_z <= 0, qber_value > sec.qber_abort_threshold, ep_obs >= 0.5, raw <= 0.0)
-    if np.ndim(raw) == 0:
-        cause = next((code for code in (1, 2, 3, 4) if stops[code - 1]), 0)
-    else:  # an array of raw's shape, which is the whole result's
-        cause = np.zeros(np.shape(raw), int)
-        for code in (4, 3, 2, 1):
-            np.copyto(cause, code, where=stops[code - 1])
-    return (raw, leak_ec, correctness, secrecy), cause
-
-
-def _key_rate_result(qber_value: float, ep_star: float, ep_obs: float, terms: tuple, cause: int,
-                     threshold: float) -> KeyRateResult:
-    raw, leak_ec, correctness, secrecy = terms
+    # The code of the first abort cause that holds per point, 0 where none does.
+    stops = (n_z <= 0, qber_value > threshold, ep_observed_upper >= 0.5, raw <= 0.0)
     # Without sifted detections (cause 1) the phase error is reported at its 0.5 cap.
     if np.ndim(raw) == 0:
+        cause = next((code for code in (1, 2, 3, 4) if stops[code - 1]), 0)
         reason = _ABORT_REASONS[cause]
-        ep_obs = 0.5 if cause == 1 else ep_obs
+        ep_obs = 0.5 if cause == 1 else ep_observed_upper
         return KeyRateResult(
-            float(qber_value), float(_min(ep_star, 0.5)), float(_min(ep_obs, 0.5)),
+            float(qber_value), float(_min(ep_expected_upper, 0.5)), float(_min(ep_obs, 0.5)),
             0.0 if cause else float(raw), float(leak_ec), correctness, secrecy,
             bool(cause), reason and reason.format(qber_value, threshold),
         )
+    cause = np.zeros(np.shape(raw), int)  # raw's shape is the whole result's
+    for code in (4, 3, 2, 1):
+        np.copyto(cause, code, where=stops[code - 1])
     shape, aborted, over = cause.shape, cause > 0, cause == 2
     spread = lambda f: f if np.shape(f) == shape else np.full(shape, f)
     reasons = _ABORT_REASONS[cause]
@@ -312,11 +296,12 @@ def _key_rate_result(qber_value: float, ep_star: float, ep_obs: float, terms: tu
         qbers = np.broadcast_to(qber_value, shape)
         for i in zip(*np.nonzero(over)):
             reasons[i] = reasons[i].format(qbers[i], threshold)
-    ep_obs = spread(np.minimum(ep_obs, 0.5))
+    ep_obs = spread(np.minimum(ep_observed_upper, 0.5))
     ep_obs[cause == 1] = 0.5
     return KeyRateResult(
-        spread(qber_value), spread(np.minimum(ep_star, 0.5)), ep_obs, np.where(aborted, 0.0, raw),
-        spread(leak_ec), np.full(shape, correctness), np.full(shape, secrecy), aborted, reasons,
+        spread(qber_value), spread(np.minimum(ep_expected_upper, 0.5)), ep_obs,
+        np.where(aborted, 0.0, raw), spread(leak_ec), np.full(shape, correctness),
+        np.full(shape, secrecy), aborted, reasons,
     )
 
 
@@ -343,27 +328,29 @@ def expected_sifted_clicks(params: SystemParams, duration_s: float = 1.0) -> flo
 def _finish_pipeline(gains: GainSet, counts: Mapping[str, float], qber_value: float, n_z: float,
                      rounds: int, params: SystemParams, analysis: AnalysisConfig) -> KeyRateResult:
     """Decoy bounds to key length in one pass; counts maps each decoy click
-    tally and decoy emission field to its count, a positive one for emissions."""
+    tally and decoy emission field to its count.  An emission count that is not
+    positive raises ValueError naming its field."""
     sec = params.security
     # The six decoy bounds as gains, (lower, upper) per click tally.  Each
     # count bound is checked when built; rescaling by a positive emission
     # count keeps its order, so the gain bound needs no second check.
     sides = {}
     for click, direction in _DECOY_SIDES.items():
-        emitted = counts[CLICK_FIELDS[click][0]]
+        sent = CLICK_FIELDS[click][0]
+        emitted = counts[sent]
+        if _any(emitted <= 0):
+            raise ValueError(f"no decoy emissions in {sent}, the bounds on {click} are undefined")
         b = bound_expected_count(counts[click], emitted, sec.eps_1, direction,
                                  provider=analysis.delta_provider)
         sides[click] = (_rescale(b.lower, emitted), _rescale(b.upper, emitted))
     mu, include = params.source.mu, analysis.remainder_terms == "include"
-    const = XBasisConstants.from_mu(mu)
-    xg_up = _xg_upper(sides["n_aa_m1"][1], sides["n_vac_m1"][1], mu, const, include)
+    xg_up = _xg_upper(sides["n_aa_m1"][1], sides["n_vac_m1"][1], mu, include)
     (lo_aa, up_aa), (lo_vac, up_vac) = sides["n_aa_m0"], sides["n_vac_m0"]
-    xg_lo = _xg_lower(lo_aa, lo_vac, up_aa, up_vac, mu, const, analysis.cross_term, include)
-    ep_star = _ep_expected(gains, xg_up, xg_lo, const.n_plus)
+    xg_lo = _xg_lower(lo_aa, lo_vac, up_aa, up_vac, mu, analysis.cross_term, include)
+    ep_star = phase_error_expected_upper(gains, xg_up, xg_lo, mu)
     # A point without sifted detections aborts; bound it as if it had one.
     ep_obs = phase_error_observed_upper(ep_star, _where(n_z > 0, n_z, 1.0), rounds, sec.eps_2)
-    terms, cause = _raw_key(n_z, ep_obs, qber_value, sec)
-    return _key_rate_result(qber_value, ep_star, ep_obs, terms, cause, sec.qber_abort_threshold)
+    return secure_key_length(n_z, ep_obs, qber_value, sec, ep_expected_upper=ep_star)
 
 
 def evaluate_analytic_point(
@@ -383,8 +370,6 @@ def evaluate_analytic_point(
         n_z = expected_sifted_clicks(params, params.block_duration_s())
         n_aa = params.rounds * params.source.p_decoy_alpha_alpha
         n_vac = params.rounds * params.source.p_decoy_vacuum
-        if _any((n_aa <= 0) | (n_vac <= 0)):
-            raise ValueError("both decoy probabilities must be positive for the analytic pipeline")
         counts = {"n_sent_alpha_alpha": n_aa, "n_sent_vac": n_vac}
         for click in _DECOY_SIDES:
             sent_name, gain = CLICK_FIELDS[click]
@@ -413,7 +398,5 @@ def evaluate_record(
             qber_value = (record.n_0z_tau1 + record.n_1z_tau0) / sum(per_bin)
         else:
             qber_value = qber(gains)
-        if record.n_sent_alpha_alpha <= 0 or record.n_sent_vac <= 0:
-            raise ValueError("record contains no decoy emissions, bounds undefined")
         return _finish_pipeline(gains, vars(record), qber_value, float(record.n_z), record.rounds,
                                 params, analysis)

@@ -37,6 +37,11 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def _is_integer(value: object) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_choice(name: str, value: object, allowed: Iterable[str]) -> None:
     """Raise ValidationError unless value is one of the allowed settings of name."""
     if value not in allowed:

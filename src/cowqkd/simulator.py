@@ -53,8 +53,8 @@ from typing import Iterator
 import numpy as np
 
 from .concentration import CLICK_FIELDS, CountRecord, validate_record
-from .gains import GainSet, _intensity
-from .params import SystemParams, ValidationError, _check_choice, _range_violations
+from .gains import _intensity
+from .params import SystemParams, ValidationError, _check_choice, _is_integer, _range_violations
 
 __all__ = [
     "SimConfig",
@@ -102,10 +102,6 @@ class DetectionEvent:
     is_dark: bool
 
 
-def _is_integer(value: object) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation run settings: seed, length, and dead-time handling.
@@ -147,18 +143,8 @@ class EmpiricalGains:
                 f"gain {name!r} unavailable: its state class has no recorded emissions"
             ) from None
 
-    def available(self) -> frozenset[str]:
-        return frozenset(self._values)
-
     def as_dict(self) -> dict[str, float]:
         return dict(self._values)
-
-    def as_gainset(self) -> GainSet:
-        """Build a GainSet; raises MissingCountError unless all fields exist."""
-        missing = [f for f in GainSet.__dataclass_fields__ if f not in self._values]
-        if missing:
-            raise MissingCountError(f"gains unavailable for {missing}")
-        return GainSet(**self._values)
 
 
 class CountFileError(ValueError):

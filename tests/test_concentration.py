@@ -93,6 +93,14 @@ class TestBoundedValue:
                 BoundedValue(observed=1.0, lower=0.0, upper=2.0, failure_prob=eps)
         BoundedValue(observed=1.0, lower=0.0, upper=2.0, failure_prob=1.0 - 1e-12)
 
+    def test_failure_prob_message_matches_the_deltas(self):
+        with pytest.raises(ValueError) as bounded:
+            BoundedValue(observed=1.0, lower=0.0, upper=2.0, failure_prob=2.0)
+        with pytest.raises(ValueError) as delta:
+            delta_hoeffding(10.0, 2.0)
+        message = "failure probability must lie in (0, 1), got 2.0"
+        assert str(bounded.value) == str(delta.value) == message
+
     def test_one_sided_views_allowed(self):
         up = BoundedValue(observed=5.0, lower=None, upper=9.0, failure_prob=0.1)
         assert up.lower is None

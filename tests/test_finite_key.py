@@ -24,6 +24,7 @@ from cowqkd import (
     phase_error_observed_upper,
     qber,
     secure_key_length,
+    validate_record,
     xbasis_gain_lower_m0,
     xbasis_gain_upper_m1,
 )
@@ -341,6 +342,12 @@ class TestEvaluateAnalyticPoint:
         with pytest.raises(ValueError):
             evaluate_analytic_point(make_params(p_decoy_vacuum=0.0))
 
+    def test_grid_point_without_decoy_emissions_names_its_field(self):
+        # Built without validate, which would reject the zero probability first.
+        p = make_params(p_decoy_vacuum=np.array([0.01, 0.0]))
+        with pytest.raises(ValueError, match="n_sent_vac"):
+            evaluate_analytic_point(p)
+
     def test_default_analysis_matches_explicit(self):
         p = keyrate_profile(length_km=60.0)
         assert evaluate_analytic_point(p) == evaluate_analytic_point(p, AnalysisConfig())
@@ -396,6 +403,22 @@ class TestEvaluateRecord:
                              n_vac_m0=0, n_vac_m1=0)
         with pytest.raises(ValueError):
             evaluate_record(record, p)
+
+    def test_missing_vacuum_emissions_name_their_field(self):
+        p = keyrate_profile(length_km=40.0)
+        record = CountRecord(rounds=1000, n_z=10, n_sent_alpha_alpha=100,
+                             n_sent_vac=0, n_aa_m0=3, n_aa_m1=1,
+                             n_vac_m0=0, n_vac_m1=0)
+        with pytest.raises(ValueError, match="n_sent_vac"):
+            evaluate_record(record, p)
+
+    def test_numpy_integer_counts_match_int_counts(self):
+        p = keyrate_profile(length_km=40.0)
+        record = self.modeled_record(p)
+        as_numpy = CountRecord(**{k: np.int64(v) for k, v in vars(record).items()
+                                  if v is not None})
+        assert validate_record(as_numpy) is as_numpy
+        assert evaluate_record(as_numpy, p) == evaluate_record(record, p)
 
     def test_zero_sifted_clicks_abort(self):
         p = keyrate_profile(length_km=40.0)
