@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .params import ValidationError, _any, _check_choice, _clamp01, _is_integer, _max, _sqrt
+import numpy as np
+
+from .params import ValidationError, _any, _check_choice, _clamp01, _is_integer, _max
 
 __all__ = [
     "CountRecord",
@@ -53,6 +55,23 @@ class CountRecord:
     n_0z_m1: int | None = None
     n_1z_m0: int | None = None
     n_1z_m1: int | None = None
+
+
+#: Count-log wire keys in canonical order, mapped to CountRecord fields.
+WIRE_KEYS = (
+    ("rounds", "rounds"),
+    ("n_z", "n_z"),
+    ("n_sent_aa", "n_sent_alpha_alpha"),
+    ("n_sent_vac", "n_sent_vac"),
+    ("n_aa_m0", "n_aa_m0"),
+    ("n_aa_m1", "n_aa_m1"),
+    ("n_vac_m0", "n_vac_m0"),
+    ("n_vac_m1", "n_vac_m1"),
+)
+
+#: Each CountRecord field as errors name it: its count-log key, then the
+#: field in parentheses where the two differ.
+_LOG_NAMES = {field: key if key == field else f"{key} ({field})" for key, field in WIRE_KEYS}
 
 
 @dataclass(frozen=True)
@@ -108,15 +127,16 @@ def validate_record(record: CountRecord) -> CountRecord:
         if value is None:
             continue
         if not _is_integer(value):
-            out.append(f"{name} must be an integer, got {value!r}")
+            out.append(f"{_LOG_NAMES.get(name, name)} must be an integer, got {value!r}")
         elif value < 0:
-            out.append(f"{name} must be non-negative, got {value}")
+            out.append(f"{_LOG_NAMES.get(name, name)} must be non-negative, got {value}")
     if out:
         raise ValidationError(out)
 
     for click_name, (cap_name, _) in CLICK_FIELDS.items():
         click, cap = getattr(record, click_name), getattr(record, cap_name)
         if click is not None and cap is not None and click > cap:
+            cap_name = _LOG_NAMES.get(cap_name, cap_name)
             out.append(f"{click_name} = {click} exceeds {cap_name} = {cap}")
     aa = record.n_sent_alpha_alpha
     if aa + record.n_sent_vac > record.rounds:
@@ -152,7 +172,7 @@ def delta_hoeffding(n: float, eps: float) -> float:
     _check_eps(eps)
     if _any(n < 0):
         raise ValueError(f"n must be non-negative, got {n}")
-    return _sqrt(0.5 * n * math.log(1.0 / eps))
+    return np.sqrt(0.5 * n * math.log(1.0 / eps))
 
 
 def delta_observed(observed: float, eps: float) -> float:
@@ -163,7 +183,7 @@ def delta_observed(observed: float, eps: float) -> float:
     tracks it at Poisson scale.
     """
     _check_eps(eps)
-    return _sqrt(2.0 * _max(observed, 0.0) * math.log(1.0 / eps))
+    return np.sqrt(2.0 * _max(observed, 0.0) * math.log(1.0 / eps))
 
 
 #: A provider maps (observed count, emission count, eps) to a deviation delta.
@@ -202,17 +222,12 @@ def bound_expected_count(
     return BoundedValue(observed=observed, lower=lower, upper=upper, failure_prob=eps)
 
 
-def _rescale(value: float | None, n_emitted: float) -> float | None:
-    """A count bound as a gain bound, clamped to [0, 1]; None stays None."""
-    return None if value is None else _clamp01(value / n_emitted)
-
-
 def bound_gain(bounded_count: BoundedValue, n_emitted: float) -> BoundedValue:
-    """Rescale count bounds into gain bounds, clamped to [0, 1]."""
+    """Rescale count bounds into gain bounds, clamped to [0, 1]; a missing side stays None."""
     if _any(n_emitted == 0):
         raise ZeroDivisionError(
             "n_emitted is zero: the decoy class was never sent, gains undefined"
         )
     b = bounded_count
-    return BoundedValue(_rescale(b.observed, n_emitted), _rescale(b.lower, n_emitted),
-                        _rescale(b.upper, n_emitted), b.failure_prob)
+    lower, upper = (None if v is None else _clamp01(v / n_emitted) for v in (b.lower, b.upper))
+    return BoundedValue(_clamp01(b.observed / n_emitted), lower, upper, b.failure_prob)

@@ -10,14 +10,13 @@ explicit mode.
 
 The pipeline is elementwise: parameters holding numpy arrays (a scan grid)
 give a KeyRateResult of arrays over the grid.  A check that fails at any
-element raises for the whole call.  Both entry points end in one flat pass
-over plain floats and arrays, _finish_pipeline, which holds each intermediate
-once: the six decoy bound sides, the sandwich and both phase errors.  The
-pass calls the public steps bound_expected_count, phase_error_expected_upper,
-phase_error_observed_upper and secure_key_length as they are.  Only the two
-sandwich steps, which take BoundedValue arguments, have float cores that the
-pass calls instead, _xg_upper and _xg_lower; bound_gain's rescaling is
-concentration._rescale.  So every formula has one implementation.
+element raises for the whole call.  Both entry points end in one pass,
+_finish_pipeline, that chains the public steps: bound_expected_count and
+bound_gain give the six decoy bounds as gain BoundedValues, which feed
+xbasis_gain_upper_m1 and xbasis_gain_lower_m0, then
+phase_error_expected_upper, phase_error_observed_upper and
+secure_key_length.  No step has a private core, so every formula has one
+implementation.
 """
 
 from __future__ import annotations
@@ -33,13 +32,14 @@ from .concentration import (
     DELTA_PROVIDERS,
     BoundedValue,
     CountRecord,
-    _rescale,
+    _LOG_NAMES,
     bound_expected_count,
+    bound_gain,
     delta_hoeffding,
 )
 from .gains import M1_MODELS, DegenerateGainsError, GainSet, _intensity, analytic_gains, qber
 from .params import SecurityParams, SystemParams, binary_entropy
-from .params import _any, _check_choice, _clamp01, _min, _sqrt, _where, raise_float_errors
+from .params import _any, _check_choice, _clamp01, _min, _where, raise_float_errors
 
 __all__ = [
     "XBasisConstants",
@@ -162,15 +162,11 @@ def xbasis_gain_upper_m1(
     """
     g_aa = _require_side(bounded_aa_m1, "upper", "bounded_aa_m1")
     g_vac = _require_side(bounded_vac_m1, "upper", "bounded_vac_m1")
-    return _xg_upper(g_aa, g_vac, mu, include_remainder)
-
-
-def _xg_upper(g_aa: float, g_vac: float, mu: float, include: bool) -> float:
     c = XBasisConstants.from_mu(mu)
-    s_aa, s_vac = _sqrt(g_aa), _sqrt(g_vac)
+    s_aa, s_vac = np.sqrt(g_aa), np.sqrt(g_vac)
     root = np.exp(mu / 2.0) * s_aa + np.exp(-mu / 2.0) * s_vac
     value = root * root / c.n_plus
-    if include:
+    if include_remainder:
         e_mu = np.exp(mu)
         value += (c.n_minus / c.n_plus) * (e_mu * c.n_minus / 4.0 + e_mu * s_aa + s_vac)
     return _clamp01(value)
@@ -197,17 +193,12 @@ def xbasis_gain_lower_m0(
     lo_vac = _require_side(bounded_vac_m0, "lower", "bounded_vac_m0")
     up_aa = _require_side(bounded_aa_m0, "upper", "bounded_aa_m0")
     up_vac = _require_side(bounded_vac_m0, "upper", "bounded_vac_m0")
-    return _xg_lower(lo_aa, lo_vac, up_aa, up_vac, mu, cross_term, include_remainder)
-
-
-def _xg_lower(lo_aa: float, lo_vac: float, up_aa: float, up_vac: float, mu: float,
-              cross_term: str, include: bool) -> float:
     c = XBasisConstants.from_mu(mu)
-    cross = 2.0 * _sqrt(up_aa * up_vac) if cross_term == "mixed" else 2.0 * up_vac
+    cross = 2.0 * np.sqrt(up_aa * up_vac) if cross_term == "mixed" else 2.0 * up_vac
     e_mu = np.exp(mu)
     value = (e_mu * lo_aa + np.exp(-mu) * lo_vac - cross) / c.n_plus
-    if include:
-        value -= (c.n_minus / c.n_plus) * (e_mu * _sqrt(up_aa) + _sqrt(up_vac))
+    if include_remainder:
+        value -= (c.n_minus / c.n_plus) * (e_mu * np.sqrt(up_aa) + np.sqrt(up_vac))
     return _clamp01(value)
 
 
@@ -329,24 +320,23 @@ def _finish_pipeline(gains: GainSet, counts: Mapping[str, float], qber_value: fl
                      rounds: int, params: SystemParams, analysis: AnalysisConfig) -> KeyRateResult:
     """Decoy bounds to key length in one pass; counts maps each decoy click
     tally and decoy emission field to its count.  An emission count that is not
-    positive raises ValueError naming its field."""
+    positive raises ValueError naming its count-log key."""
     sec = params.security
-    # The six decoy bounds as gains, (lower, upper) per click tally.  Each
-    # count bound is checked when built; rescaling by a positive emission
-    # count keeps its order, so the gain bound needs no second check.
-    sides = {}
+    # The six decoy bounds, as a gain BoundedValue per click tally.
+    gain = {}
     for click, direction in _DECOY_SIDES.items():
         sent = CLICK_FIELDS[click][0]
         emitted = counts[sent]
         if _any(emitted <= 0):
-            raise ValueError(f"no decoy emissions in {sent}, the bounds on {click} are undefined")
+            raise ValueError(f"no decoy emissions in {_LOG_NAMES[sent]}, the bounds on {click} "
+                             "are undefined")
         b = bound_expected_count(counts[click], emitted, sec.eps_1, direction,
                                  provider=analysis.delta_provider)
-        sides[click] = (_rescale(b.lower, emitted), _rescale(b.upper, emitted))
+        gain[click] = bound_gain(b, emitted)
     mu, include = params.source.mu, analysis.remainder_terms == "include"
-    xg_up = _xg_upper(sides["n_aa_m1"][1], sides["n_vac_m1"][1], mu, include)
-    (lo_aa, up_aa), (lo_vac, up_vac) = sides["n_aa_m0"], sides["n_vac_m0"]
-    xg_lo = _xg_lower(lo_aa, lo_vac, up_aa, up_vac, mu, analysis.cross_term, include)
+    xg_up = xbasis_gain_upper_m1(gain["n_aa_m1"], gain["n_vac_m1"], mu, include_remainder=include)
+    xg_lo = xbasis_gain_lower_m0(gain["n_aa_m0"], gain["n_vac_m0"], mu,
+                                 cross_term=analysis.cross_term, include_remainder=include)
     ep_star = phase_error_expected_upper(gains, xg_up, xg_lo, mu)
     # A point without sifted detections aborts; bound it as if it had one.
     ep_obs = phase_error_observed_upper(ep_star, _where(n_z > 0, n_z, 1.0), rounds, sec.eps_2)

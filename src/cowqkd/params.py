@@ -160,7 +160,7 @@ def raise_float_errors() -> np.errstate:
     return np.errstate(invalid="raise", divide="raise", over="raise", under="ignore")
 
 
-# Elementwise builtins; a scalar takes the builtin, as a numpy call costs 1-30 us on one.
+# Elementwise builtins; scalars (analyze evaluates one point) take the builtin: numpy costs 1-30 us.
 def _any(mask: object) -> bool:
     """Whether a bool, or any element of an array of bools, is true."""
     return bool(np.count_nonzero(mask)) if isinstance(mask, np.ndarray) else bool(mask)
@@ -179,11 +179,6 @@ def _max(a: object, b: object) -> object:
 def _min(a: object, b: object) -> object:
     """min(a, b) elementwise: b where b < a, else a, as the builtin decides."""
     return _where(b < a, b, a)
-
-
-def _sqrt(x: float) -> float:
-    """math.sqrt elementwise; IEEE 754 rounds it and np.sqrt alike."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def _clamp01(x: float) -> float:

@@ -52,7 +52,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .concentration import CLICK_FIELDS, CountRecord, validate_record
+from .concentration import CLICK_FIELDS, WIRE_KEYS, CountRecord, validate_record
 from .gains import _intensity
 from .params import SystemParams, ValidationError, _check_choice, _is_integer, _range_violations
 
@@ -70,18 +70,6 @@ __all__ = [
 ]
 
 SIM_MODES = ("per_pair", "streaming")
-
-#: Count-log wire keys in canonical order, mapped to CountRecord fields.
-WIRE_KEYS = (
-    ("rounds", "rounds"),
-    ("n_z", "n_z"),
-    ("n_sent_aa", "n_sent_alpha_alpha"),
-    ("n_sent_vac", "n_sent_vac"),
-    ("n_aa_m0", "n_aa_m0"),
-    ("n_aa_m1", "n_aa_m1"),
-    ("n_vac_m0", "n_vac_m0"),
-    ("n_vac_m1", "n_vac_m1"),
-)
 
 #: Rounds per RNG chunk; fixed so that tallies are seed-deterministic
 #: regardless of the total round count.

@@ -183,6 +183,10 @@ class TestDeltas:
     def test_loose_eps_limit(self):
         assert delta_hoeffding(10_000, 1.0 - 1e-12) == pytest.approx(0.0, abs=1e-3)
 
+    def test_hoeffding_rejects_negative_trials(self):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            delta_hoeffding(-1, 1e-11)
+
     def test_eps_domain(self):
         for eps in (0.0, 1.0, -1.0, 2.0):
             with pytest.raises(ValueError):

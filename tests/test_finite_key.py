@@ -524,3 +524,12 @@ class TestPipelineEqualsPublicSteps:
         result = evaluate_record(record, p, analysis)
         assert_identical(result, expected)
         assert set(result.abort_reason.tolist()) == {"no sifted detections"}
+
+
+def test_missing_both_bins_emissions_name_their_log_key():
+    p = keyrate_profile(length_km=40.0)
+    record = CountRecord(rounds=1000, n_z=10, n_sent_alpha_alpha=0,
+                         n_sent_vac=100, n_aa_m0=0, n_aa_m1=0,
+                         n_vac_m0=1, n_vac_m1=0)
+    with pytest.raises(ValueError, match=r"n_sent_aa \(n_sent_alpha_alpha\)"):
+        evaluate_record(record, p)

@@ -306,6 +306,14 @@ class TestConfigParsing:
         assert parsed == {"rounds": 500_000_000}
         assert isinstance(parsed["rounds"], int)
 
+    def test_fractional_integer_rejected(self):
+        with pytest.raises(ConfigError, match="rounds: expected an integer, got '1.5'"):
+            parse_config_text("rounds = 1.5\n")
+
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+            parse_config_text("source.mu = 0.5\nsource.mu 0.6\n")
+
 
 class TestCliCommands:
     def test_validate_ok(self, capsys):

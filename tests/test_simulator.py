@@ -13,6 +13,7 @@ from cowqkd import (
     GainSet,
     MissingCountError,
     SimConfig,
+    ValidationError,
     analytic_gains,
     channel_transmittance,
     detection_events,
@@ -28,6 +29,7 @@ from cowqkd.simulator import (
     _DETECTOR_GATES,
     _TALLY_ROWS,
     _apply_dead_time,
+    _bernoulli_rounds,
     _event_probabilities,
     _sample_chunk,
     _Sampler,
@@ -503,4 +505,34 @@ class TestCountFileRoundtrip:
         path = tmp_path / "counts.txt"
         write_counts(bad, path)
         with pytest.raises(CountFileError, match="n_aa_m0"):
+            replay_counts(path)
+
+
+class TestSamplerEdges:
+    def test_bernoulli_rounds_continue_past_the_first_batch(self):
+        # Gaps of 1 put an event in every round, far more than the first
+        # batch of draws (sized for rate q) covers.
+        class UnitGaps:
+            def geometric(self, p, size):
+                return np.ones(size, dtype=np.int64)
+
+        rounds = _bernoulli_rounds(UnitGaps(), 1000, 0.01)
+        assert np.array_equal(rounds, np.arange(1000))
+
+    def test_sampler_rejects_a_state_law_that_is_not_a_distribution(self):
+        # Unvalidated params: decoy probabilities summing above 1 leave
+        # negative bit-state probabilities.
+        p = make_params(p_decoy_alpha_alpha=0.7, p_decoy_vacuum=0.6)
+        with pytest.raises(ValidationError, match="must be a distribution"):
+            _Sampler.build(p)
+
+
+class TestCountLogKeysInErrors:
+    def test_cap_violation_names_the_log_key(self, tmp_path):
+        record = CountRecord(rounds=1_000_000, n_z=1000, n_sent_alpha_alpha=100,
+                             n_sent_vac=100, n_aa_m0=101, n_aa_m1=0,
+                             n_vac_m0=0, n_vac_m1=0)
+        path = tmp_path / "counts.txt"
+        write_counts(record, path)
+        with pytest.raises(CountFileError, match=r"exceeds n_sent_aa \(n_sent_alpha_alpha\) = 100"):
             replay_counts(path)
