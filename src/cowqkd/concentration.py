@@ -229,5 +229,7 @@ def bound_gain(bounded_count: BoundedValue, n_emitted: float) -> BoundedValue:
             "n_emitted is zero: the decoy class was never sent, gains undefined"
         )
     b = bounded_count
+    if _any((n_emitted < 0) | (b.observed > n_emitted)):
+        raise ValueError(f"emission count {n_emitted} is negative or below observed count {b.observed}")
     lower, upper = (None if v is None else _clamp01(v / n_emitted) for v in (b.lower, b.upper))
     return BoundedValue(_clamp01(b.observed / n_emitted), lower, upper, b.failure_prob)

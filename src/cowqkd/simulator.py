@@ -26,18 +26,21 @@ drawn: with pi_k the source distribution and q_k the probability that any
 event fires for state k, a Bernoulli process of rate q = sum_k pi_k q_k,
 placed by geometric gaps.  Each such round takes its state and all eight
 events from one uniform, by inversion (Devroye, Non-Uniform Random Variate
-Generation, 1986, ch. III) in a table of the joint law of the 1,024
-(state, pattern) rows, where the empty pattern has no mass.  That rounds each
-row's share of q to the 2^-53 grain of the uniform, as u < p tests round an
-event's probability: a row below about 1e-16 of q, such as four dark counts
-at p_d = 1.8e-6, is drawn at that grain or never.  One multinomial draw gives
-the states of all other rounds, whose law is pi_k (1 - q_k) / (1 - q).
+Generation, 1986, ch. III) in a table of the joint law of the 1,024 (state,
+pattern) rows, where the empty pattern has no mass; a guide table (Chen and
+Asau, 1974) of 4,096 cells of [0, 1) leaves to a binary search only uniforms
+in the few cells a row boundary splits.  That rounds each row's share of q to
+the 2^-53 grain of the uniform, as u < p tests round an event's probability:
+a row below about 1e-16 of q, such as four dark counts at p_d = 1.8e-6, is
+drawn at that grain or never.  One multinomial draw gives the other rounds'
+states, whose law is pi_k (1 - q_k) / (1 - q).
 
-Each event round is held once, as its row state * 256 + pattern, where bits
-g and g + 4 of the pattern are the photon click and the dark count at gate g
+Each event round is held once, as its row state * 256 + pattern, where bits g
+and g + 4 of the pattern are the photon click and the dark count at gate g
 and the state is in _Sampler.build's order: z0, z1, both-bins, vacuum.  The
-tallies count events per row, so the rules above run once, on all 1,024
-rows; the streaming dead-time filter clears both bits of each gate it drops
+tallies count events per row, so the rules above run once, on all 1,024 rows;
+the streaming dead-time filter walks each detector's candidate events, by
+one binary search per kept click, and clears both bits of each gate it drops
 from the row; detection_events decodes the rows.  Rounds are processed in
 fixed-size chunks, each with its own RNG stream spawned from the seed, so
 results are a deterministic function of seed, round count and chunk size.
@@ -147,6 +150,7 @@ _DETECTOR_GATES = {"data": [0, 1], "mon_m0": [2], "mon_m1": [3]}
 
 #: Rows state * 256 + pattern of (state, events), as in the module docstring.
 _ROWS = 4 * 256
+_CELLS = 4096  # cells of the guide table that finds each event's row
 
 
 def _event_probabilities(params: SystemParams) -> np.ndarray:
@@ -176,6 +180,7 @@ class _Sampler:
     rate: float          # probability that some event fires in a round
     cum: np.ndarray      # cumulative law of the rows given that some event fires
     idle: np.ndarray     # state law of the rounds where nothing fires
+    guide: np.ndarray    # int16 row of each of _CELLS cells of [0, 1), -1 if two rows share it
 
     @classmethod
     def build(cls, params: SystemParams) -> _Sampler:
@@ -192,7 +197,10 @@ class _Sampler:
         with np.errstate(invalid="ignore"):
             cum /= rate  # trailing empty rows stay at exactly 1, so u < 1 never draws them
         idle = probs * np.prod(1.0 - fire, axis=1)
-        return cls(rate, cum, idle / idle.sum())
+        # Cell j holds [j, j + 1) / _CELLS: one row unless a cum value lies strictly inside.
+        guide = cum.searchsorted(np.arange(_CELLS) / _CELLS, side="right")
+        guide[guide != cum.searchsorted(np.arange(1, _CELLS + 1) / _CELLS, side="left")] = -1
+        return cls(rate, cum, idle / idle.sum(), guide.astype(np.int16))
 
 
 @dataclass
@@ -226,7 +234,11 @@ def _sample_chunk(rng: np.random.Generator, start: int, n: int, sampler: _Sample
     """Sample one chunk.  Draw order is fixed, so identical seeds give
     identical samples."""
     rounds = _bernoulli_rounds(rng, n, sampler.rate)
-    rows = np.searchsorted(sampler.cum, rng.random(rounds.size), side="right").astype(np.int16)
+    u = rng.random(rounds.size)
+    # u * _CELLS is exact, so truncating it gives each uniform's cell.
+    rows = sampler.guide[np.multiply(u, _CELLS, out=np.empty_like(u, np.intp), casting="unsafe")]
+    split = np.flatnonzero(rows < 0)
+    rows[split] = sampler.cum.searchsorted(u[split], side="right")
     sent = np.bincount(rows >> 8, minlength=4) + rng.multinomial(n - rounds.size, sampler.idle)
     return _Chunk(sent, start + rounds, rows)
 
@@ -235,22 +247,28 @@ def _apply_dead_time(chunk: _Chunk, dead: int, last_kept: dict[str, int]) -> Non
     """Greedy non-paralyzable dead time per detector, applied in place; a
     suppressed gate registers nothing at all.
 
-    Times are integer half-period ticks, so the spacing test is exact, and
-    each kept click is found by one binary search past the previous one.
+    Times are integer half-period ticks, gate k of a detector's gates in round
+    r at tick 2r + k, so the spacing test is exact.  Each detector walks the
+    events with a click at any of its gates, one binary search per kept click;
     last_kept holds each detector's last kept tick across chunks.
     """
     # Rows keep their state, bits 8 and up, and each kept gate g's events, bits g and g + 4.
     keep = np.full(chunk.rows.size, -256, dtype=np.int16)
     for det, gates in _DETECTOR_GATES.items():
-        # Each event's gates side by side, so the flat indices, and the ticks, ascend.
-        flat = np.flatnonzero(np.stack([chunk.rows & 17 << g != 0 for g in gates], axis=1))
-        event_of, gate_of = np.divmod(flat, len(gates))
-        ticks = 2 * chunk.rounds[event_of] + gate_of
-        i = ticks.searchsorted(last_kept[det] + dead)
-        while i < ticks.size:
-            keep[event_of[i]] |= 17 << gates[gate_of[i]]
-            last_kept[det] = int(ticks[i])
-            i = ticks.searchsorted(last_kept[det] + dead)
+        events = np.flatnonzero(chunk.rows & sum(17 << g for g in gates) != 0)
+        rows, last = chunk.rows[events], 2 * chunk.rounds[events]
+        # Ticks of each candidate's first and last clicked gate, both ascending.
+        first = last + (rows & 17 << gates[0] == 0)
+        if len(gates) > 1:
+            last += rows & 17 << gates[1] != 0
+        live = last_kept[det] + dead  # first tick the detector can click again
+        i = last.searchsorted(live)
+        while i < events.size:
+            tick = first.item(i) if first.item(i) >= live else last.item(i)
+            keep[events.item(i)] |= 17 << gates[tick & 1]
+            live = tick + dead
+            i = last.searchsorted(live)
+        last_kept[det] = live - dead
     chunk.rows &= keep
 
 
@@ -341,7 +359,7 @@ def detection_events(params: SystemParams, cfg: SimConfig) -> Iterator[Detection
             )
 
 
-def empirical_gains(record: CountRecord, params: SystemParams | None = None) -> EmpiricalGains:
+def empirical_gains(record: CountRecord) -> EmpiricalGains:
     """Frequency estimates of every gain the record can resolve.
 
     Each gain is its class-conditional click count over the class emission

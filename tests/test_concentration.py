@@ -278,6 +278,24 @@ class TestBoundGain:
         with pytest.raises(ZeroDivisionError):
             bound_gain(counts, 0)
 
+    def test_zero_emissions_rejected_with_clicks(self):
+        with pytest.raises(ZeroDivisionError):
+            bound_gain(BoundedValue(3, 1, 5, 1e-9), 0)
+
+    def test_negative_emissions_rejected(self):
+        with pytest.raises(ValueError, match=r"emission count -10 .*observed count 3\b"):
+            bound_gain(BoundedValue(3, 1, 5, 1e-9), -10)
+
+    def test_emissions_below_the_count_rejected(self):
+        with pytest.raises(ValueError, match=r"emission count 2 .*observed count 3\b"):
+            bound_gain(BoundedValue(3, 1, 5, 1e-9), 2)
+
+    def test_emission_grid_checked_per_point(self):
+        counts = BoundedValue(np.array([3.0, 3.0]), np.array([1.0, 1.0]), np.array([5.0, 5.0]), 1e-9)
+        assert bound_gain(counts, np.array([10.0, 3.0])).observed.tolist() == [0.3, 1.0]
+        with pytest.raises(ValueError, match="emission count"):
+            bound_gain(counts, np.array([10.0, -1.0]))
+
     def test_all_zero(self):
         counts = BoundedValue(observed=0.0, lower=0.0, upper=0.0, failure_prob=0.1)
         g = bound_gain(counts, 1000)

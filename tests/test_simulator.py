@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from cowqkd import (
     validate_record,
     write_counts,
 )
+from cowqkd.cli import build_params, load_config
 from cowqkd.concentration import CLICK_FIELDS
 from cowqkd.simulator import (
+    _CELLS,
     _DETECTOR_GATES,
     _TALLY_ROWS,
     _apply_dead_time,
@@ -38,6 +41,8 @@ from helpers import make_params
 
 # Attenuation high enough that the transmittance underflows to exactly zero.
 OPAQUE_KM = 100_000.0
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def sim_params(**overrides):
@@ -196,6 +201,80 @@ class TestSamplerLaw:
         assert stats.chisquare(observed, expected).pvalue > 1e-3
         sent = stats.chisquare(chunk.sent, rounds * np.array(pi))
         assert sent.pvalue > 1e-3
+
+
+def eta20_params(**overrides):
+    """keyrate_eta20_dt30.cfg with config-key overrides."""
+    return build_params({**load_config(CONFIGS / "keyrate_eta20_dt30.cfg"), **overrides})
+
+
+class GivenUniforms:
+    """RNG stand-in: an event in every round, each taking the next given uniform."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def geometric(self, p, size):
+        return np.ones(size, dtype=np.int64)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+    def multinomial(self, n, pvals):
+        assert n == 0
+        return np.zeros(len(pvals), dtype=np.int64)
+
+
+class TestGuideTable:
+    @pytest.mark.parametrize("dark_count_prob", ["config", 0.05])
+    @pytest.mark.parametrize("length_km", [0.0, 20.0, 100.0])
+    def test_guide_lookup_equals_binary_search(self, length_km, dark_count_prob):
+        overrides = {"channel.length_km": length_km}
+        if dark_count_prob != "config":
+            overrides["detectors.dark_count_prob"] = dark_count_prob
+        sampler = _Sampler.build(eta20_params(**overrides))
+        # Both paths run: most cells hold one row, some are split by a row boundary.
+        assert 0 < np.count_nonzero(sampler.guide < 0) < _CELLS // 2
+        edges = np.arange(_CELLS + 1) / _CELLS
+        cum = np.unique(sampler.cum)
+        u = np.concatenate([
+            edges, np.nextafter(edges, 0.0),
+            cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
+            np.random.default_rng(17).random(1_000_000),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        chunk = _sample_chunk(GivenUniforms(u), 0, u.size, sampler)
+        assert np.array_equal(chunk.rounds, np.arange(u.size))
+        assert chunk.rows.dtype == np.int16
+        assert np.array_equal(chunk.rows, np.searchsorted(sampler.cum, u, side="right"))
+
+
+class TestPinnedRecords:
+    # A record is a function of the seed's draws alone, so a faster sampler
+    # must reproduce these exactly.  A deliberate change to the draws (ROADMAP
+    # item 8) re-pins them and records that in CHANGES.md.
+    SENT = dict(n_sent_0z=1130333, n_sent_1z=1133099, n_sent_alpha_alpha=441408, n_sent_vac=440889)
+    RECORDS = {
+        "per_pair": dict(
+            n_z=79738, n_aa_m0=809, n_aa_m1=1, n_vac_m0=0, n_vac_m1=1,
+            n_0z_tau0=39826, n_0z_tau1=2, n_1z_tau0=4, n_1z_tau1=39901,
+            n_0z_m0=2147, n_0z_m1=2094, n_1z_m0=2212, n_1z_m1=2178,
+        ),
+        "streaming": dict(
+            n_z=145, n_aa_m0=35, n_aa_m1=0, n_vac_m0=0, n_vac_m1=0,
+            n_0z_tau0=75, n_0z_tau1=0, n_1z_tau0=0, n_1z_tau1=70,
+            n_0z_m0=74, n_0z_m1=80, n_1z_m0=93, n_1z_m1=85,
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", ["per_pair", "streaming"])
+    def test_seed_3_record_at_20km(self, mode):
+        # Three full chunks and a fourth of one round.
+        rounds = 3 * (1 << 20) + 1
+        record = simulate_session(eta20_params(**{"channel.length_km": 20.0}),
+                                  SimConfig(seed=3, rounds=rounds, mode=mode))
+        assert record == CountRecord(rounds=rounds, **self.SENT, **self.RECORDS[mode])
 
 
 def greedy_rows(rounds, rows, dead):
