@@ -24,16 +24,17 @@ one Monte-Carlo standard deviation at any tested scale.
 Most rounds register nothing, so only rounds where some event fires are
 drawn: with pi_k the source distribution and q_k the probability that any
 event fires for state k, a Bernoulli process of rate q = sum_k pi_k q_k,
-placed by geometric gaps.  Each such round takes its state and all eight
-events from one uniform, by inversion (Devroye, Non-Uniform Random Variate
-Generation, 1986, ch. III) in a table of the joint law of the 1,024 (state,
-pattern) rows, where the empty pattern has no mass; a guide table (Chen and
-Asau, 1974) of 4,096 cells of [0, 1) leaves to a binary search only uniforms
-in the few cells a row boundary splits.  That rounds each row's share of q to
-the 2^-53 grain of the uniform, as u < p tests round an event's probability:
-a row below about 1e-16 of q, such as four dark counts at p_d = 1.8e-6, is
-drawn at that grain or never.  One multinomial draw gives the other rounds'
-states, whose law is pi_k (1 - q_k) / (1 - q).
+placed by geometric gaps ceil(E / -log1p(-q)) with E standard exponential,
+numpy's own geometric draw below q = 1/3 (Devroye, Non-Uniform Random Variate
+Generation, 1986, ch. X).  Each such round takes its state and all eight
+events from one uniform, by inversion (ch. III) in a table of the joint law
+of the 1,024 (state, pattern) rows, where the empty pattern has no mass; a
+guide table (Chen and Asau, 1974) of 4,096 cells of [0, 1) leaves to a binary
+search only uniforms in the few cells a row boundary splits.  That rounds
+each row's share of q to the 2^-53 grain of the uniform, as u < p tests round
+an event's probability: a row below about 1e-16 of q, such as four dark counts
+at p_d = 1.8e-6, is drawn at that grain or never.  One multinomial draw gives
+the other rounds' states, whose law is pi_k (1 - q_k) / (1 - q).
 
 Each event round is held once, as its row state * 256 + pattern, where bits g
 and g + 4 of the pattern are the photon click and the dark count at gate g
@@ -44,6 +45,8 @@ one binary search per kept click, and clears both bits of each gate it drops
 from the row; detection_events decodes the rows.  Rounds are processed in
 fixed-size chunks, each with its own RNG stream spawned from the seed, so
 results are a deterministic function of seed, round count and chunk size.
+A chunk's arrays are views into buffers the session allocates once, valid
+until the next chunk is drawn: each consumer reads a chunk before the next.
 """
 
 from __future__ import annotations
@@ -210,9 +213,29 @@ class _Chunk:
     sent: np.ndarray     # emissions per state over the whole chunk
     rounds: np.ndarray   # round index of each event
     rows: np.ndarray     # (state, pattern) row of each event, int16 to keep chunks small
+    buf: _Buffers        # session buffers that rounds and rows view until the next chunk
 
 
-def _bernoulli_rounds(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
+class _Buffers:
+    """Chunk-sized arrays, each its own block, that a session allocates once and
+    every chunk refills.  The first batch of gaps, a session's largest, sizes
+    them; the rare chunk whose events outnumber it grows them.  take() writes
+    straight into them with mode="clip", as its indices are in range."""
+
+    size = -1
+
+    def fit(self, size: int) -> _Buffers:
+        if size > self.size:
+            self.size = size
+            self.draws = np.empty(size)  # exponentials, then uniforms
+            # scratch holds the gaps, then guide cells and states, then a detector's first ticks.
+            self.rounds, self.scratch, self.last = (np.empty(size, np.intp) for _ in range(3))
+            self.rows, self.keep, self.cands = (np.empty(size, np.int16) for _ in range(3))
+        return self
+
+
+def _bernoulli_rounds(rng: np.random.Generator, n: int, q: float,
+                      buf: _Buffers | None = None) -> np.ndarray:
     """Ascending rounds below n of a Bernoulli(q) process, by geometric gaps."""
     if q == 0.0:
         return np.empty(0, dtype=np.int64)
@@ -220,27 +243,37 @@ def _bernoulli_rounds(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
     last = -1
     while True:
         expected = (n - 1 - last) * q
-        gaps = rng.geometric(q, int(expected + 4.0 * math.sqrt(expected) + 16))
-        # Any gap past the chunk's end ends it; clipping keeps the sum from overflowing.
-        pos = last + np.cumsum(np.minimum(gaps, n + 1))
+        size = int(expected + 4.0 * math.sqrt(expected) + 16)
+        buf = (buf or _Buffers()).fit(size)
+        draws = rng.standard_exponential(out=buf.draws[:size])
+        # Gaps in [1, n + 1] keep rounds distinct and the sum from overflowing; one
+        # past the chunk's end ends it.  Clipped before ceil, they are the same integers.
+        np.divide(draws, -math.log1p(-q), out=draws).clip(1, n + 1, out=draws)
+        pos = np.cumsum(np.ceil(draws, out=buf.scratch[:size], casting="unsafe"), out=buf.rounds[:size])
+        pos += last
         if pos[-1] >= n:
-            parts.append(pos[: np.searchsorted(pos, n)])
-            return np.concatenate(parts)
-        parts.append(pos)
+            pos = pos[: np.searchsorted(pos, n)]
+            return np.concatenate([*parts, pos]) if parts else pos
+        parts.append(pos.copy())
         last = int(pos[-1])
 
 
-def _sample_chunk(rng: np.random.Generator, start: int, n: int, sampler: _Sampler) -> _Chunk:
-    """Sample one chunk.  Draw order is fixed, so identical seeds give
-    identical samples."""
-    rounds = _bernoulli_rounds(rng, n, sampler.rate)
-    u = rng.random(rounds.size)
+def _sample_chunk(rng: np.random.Generator, start: int, n: int, sampler: _Sampler,
+                  buf: _Buffers | None = None) -> _Chunk:
+    """Sample one chunk into buf, or new buffers.  Draw order is fixed, so
+    identical seeds give identical samples."""
+    buf = buf or _Buffers()
+    rounds = _bernoulli_rounds(rng, n, sampler.rate, buf)
+    k = rounds.size
+    u = rng.random(out=buf.fit(k).draws[:k])
     # u * _CELLS is exact, so truncating it gives each uniform's cell.
-    rows = sampler.guide[np.multiply(u, _CELLS, out=np.empty_like(u, np.intp), casting="unsafe")]
+    rows = sampler.guide.take(np.multiply(u, _CELLS, out=buf.scratch[:k], casting="unsafe"),
+                              out=buf.rows[:k], mode="clip")
     split = np.flatnonzero(rows < 0)
     rows[split] = sampler.cum.searchsorted(u[split], side="right")
-    sent = np.bincount(rows >> 8, minlength=4) + rng.multinomial(n - rounds.size, sampler.idle)
-    return _Chunk(sent, start + rounds, rows)
+    sent = np.bincount(np.right_shift(rows, 8, out=buf.scratch[:k]), minlength=4)
+    sent += rng.multinomial(n - k, sampler.idle)
+    return _Chunk(sent, np.add(rounds, start, out=rounds), rows, buf)
 
 
 def _apply_dead_time(chunk: _Chunk, dead: int, last_kept: dict[str, int]) -> None:
@@ -252,13 +285,16 @@ def _apply_dead_time(chunk: _Chunk, dead: int, last_kept: dict[str, int]) -> Non
     events with a click at any of its gates, one binary search per kept click;
     last_kept holds each detector's last kept tick across chunks.
     """
+    buf, k = chunk.buf, chunk.rows.size
     # Rows keep their state, bits 8 and up, and each kept gate g's events, bits g and g + 4.
-    keep = np.full(chunk.rows.size, -256, dtype=np.int16)
+    keep = np.bitwise_and(chunk.rows, -256, out=buf.keep[:k])
     for det, gates in _DETECTOR_GATES.items():
         events = np.flatnonzero(chunk.rows & sum(17 << g for g in gates) != 0)
-        rows, last = chunk.rows[events], 2 * chunk.rounds[events]
+        rows = chunk.rows.take(events, out=buf.cands[: events.size], mode="clip")
+        last = chunk.rounds.take(events, out=buf.last[: events.size], mode="clip")
+        last *= 2
         # Ticks of each candidate's first and last clicked gate, both ascending.
-        first = last + (rows & 17 << gates[0] == 0)
+        first = np.add(last, rows & 17 << gates[0] == 0, out=buf.scratch[: events.size])
         if len(gates) > 1:
             last += rows & 17 << gates[1] != 0
         live = last_kept[det] + dead  # first tick the detector can click again
@@ -282,11 +318,12 @@ def _chunks(params: SystemParams, cfg: SimConfig) -> Iterator[_Chunk]:
     # A detector's clicks sit on distinct ticks, so a 1-tick filter drops nothing.
     streaming = cfg.mode == "streaming" and dead > 1
     last_kept = dict.fromkeys(_DETECTOR_GATES, -dead)
+    buf = _Buffers()
     n_chunks = (cfg.rounds + _CHUNK_ROUNDS - 1) // _CHUNK_ROUNDS
     for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_chunks)):
         start = i * _CHUNK_ROUNDS
         rng = np.random.Generator(np.random.PCG64(child))
-        chunk = _sample_chunk(rng, start, min(_CHUNK_ROUNDS, cfg.rounds - start), sampler)
+        chunk = _sample_chunk(rng, start, min(_CHUNK_ROUNDS, cfg.rounds - start), sampler, buf)
         if streaming:
             _apply_dead_time(chunk, dead, last_kept)
         yield chunk

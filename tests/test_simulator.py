@@ -214,12 +214,14 @@ class GivenUniforms:
     def __init__(self, u):
         self.u = u
 
-    def geometric(self, p, size):
-        return np.ones(size, dtype=np.int64)
+    def standard_exponential(self, out):
+        out[:] = 1e-9  # a gap of 1 at any event rate
+        return out
 
-    def random(self, size):
-        assert size == self.u.size
-        return self.u
+    def random(self, out):
+        assert out.size == self.u.size
+        out[:] = self.u
+        return out
 
     def multinomial(self, n, pvals):
         assert n == 0
@@ -275,6 +277,50 @@ class TestPinnedRecords:
         record = simulate_session(eta20_params(**{"channel.length_km": 20.0}),
                                   SimConfig(seed=3, rounds=rounds, mode=mode))
         assert record == CountRecord(rounds=rounds, **self.SENT, **self.RECORDS[mode])
+
+    # Other regimes at the same seed and round count: dense dead times, and
+    # dark counts that fill most of the joint table.  The first three have
+    # event rates below 1/3, where the exponential gap draw is numpy's
+    # geometric draw, and hold the records that Generator.geometric gaps give.
+    OTHER = {
+        "streaming, 20 km, 2 ns": (
+            {"channel.length_km": 20.0, "detectors.dead_time_s": 2e-9}, "streaming",
+            dict(n_z=79049, n_aa_m0=811, n_aa_m1=1, n_vac_m0=0, n_vac_m1=1,
+                 n_0z_tau0=39137, n_0z_tau1=2, n_1z_tau0=4, n_1z_tau1=39901,
+                 n_0z_m0=2151, n_0z_m1=2097, n_1z_m0=2212, n_1z_m1=2178, **SENT),
+        ),
+        "streaming, 20 km, 1 us": (
+            {"channel.length_km": 20.0, "detectors.dead_time_s": 1e-6}, "streaming",
+            dict(n_z=4303, n_aa_m0=450, n_aa_m1=0, n_vac_m0=0, n_vac_m1=1,
+                 n_0z_tau0=2172, n_0z_tau1=0, n_1z_tau0=0, n_1z_tau1=2131,
+                 n_0z_m0=1231, n_0z_m1=1183, n_1z_m0=1231, n_1z_m1=1244, **SENT),
+        ),
+        "per_pair, 0 km, p_d 0.05": (
+            {"channel.length_km": 0.0, "detectors.dark_count_prob": 0.05}, "per_pair",
+            dict(n_sent_0z=1132964, n_sent_1z=1132515, n_sent_alpha_alpha=439563,
+                 n_sent_vac=440687, n_z=397103, n_aa_m0=18906, n_aa_m1=17127,
+                 n_vac_m0=18997, n_vac_m1=18665, n_0z_tau0=83955, n_0z_tau1=51167,
+                 n_1z_tau0=51015, n_1z_tau1=83440, n_0z_m0=48771, n_0z_m1=48261,
+                 n_1z_m0=48627, n_1z_m1=48525),
+        ),
+        # The event rate is 0.59, where numpy's geometric draw searches its
+        # cumulative law instead: the stream differs from it, the law does not.
+        "per_pair, 0 km, p_d 0.2": (
+            {"channel.length_km": 0.0, "detectors.dark_count_prob": 0.2}, "per_pair",
+            dict(n_sent_0z=1132447, n_sent_1z=1132751, n_sent_alpha_alpha=440280,
+                 n_sent_vac=440251, n_z=940016, n_aa_m0=41501, n_aa_m1=41402,
+                 n_vac_m0=45392, n_vac_m1=45024, n_0z_tau0=50126, n_0z_tau1=144499,
+                 n_1z_tau0=144634, n_1z_tau1=50087, n_0z_m0=108649, n_0z_m1=108588,
+                 n_1z_m0=107813, n_1z_m1=108161),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(OTHER))
+    def test_seed_3_record_in_other_regimes(self, case):
+        overrides, mode, counts = self.OTHER[case]
+        rounds = 3 * (1 << 20) + 1
+        record = simulate_session(eta20_params(**overrides), SimConfig(seed=3, rounds=rounds, mode=mode))
+        assert record == CountRecord(rounds=rounds, **counts)
 
 
 def greedy_rows(rounds, rows, dead):
@@ -587,16 +633,68 @@ class TestCountFileRoundtrip:
             replay_counts(path)
 
 
+def geometric_rounds(rng, n, q):
+    """Rounds below n of a Bernoulli(q) process from Generator.geometric, in
+    the batches _bernoulli_rounds draws: the reference for its gap draw."""
+    parts, last = [], -1
+    while True:
+        expected = (n - 1 - last) * q
+        gaps = rng.geometric(q, int(expected + 4.0 * math.sqrt(expected) + 16))
+        pos = last + np.cumsum(np.minimum(gaps, n + 1))
+        if pos[-1] >= n:
+            return np.concatenate(parts + [pos[pos < n]])
+        parts.append(pos)
+        last = int(pos[-1])
+
+
+class TestGapDraw:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("q, n", [(1e-7, 10**8), (1e-3, 1 << 20), (0.0383, 1 << 20), (0.3333, 1 << 20)])
+    def test_gaps_are_numpys_geometric_below_a_third(self, q, n, seed):
+        rounds = _bernoulli_rounds(np.random.default_rng(seed), n, q)
+        assert rounds.size > 0
+        assert np.array_equal(rounds, geometric_rounds(np.random.default_rng(seed), n, q))
+
+    @pytest.mark.parametrize("q", [1 / 3, 0.59, 0.9])
+    def test_gap_law_at_and_above_a_third(self, q):
+        # numpy's geometric draw changes method here; the exponential draw keeps its law.
+        rounds = _bernoulli_rounds(np.random.default_rng(31), 1 << 18, q)
+        gaps = np.bincount(np.diff(rounds, prepend=-1))[1:]
+        k = np.arange(1, gaps.size + 1)
+        expected = rounds.size * q * (1.0 - q) ** (k - 1)
+        rare = expected < 20.0
+        observed = np.append(gaps[~rare], gaps[rare].sum())
+        expected = np.append(expected[~rare], rounds.size - expected[~rare].sum())
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+
 class TestSamplerEdges:
     def test_bernoulli_rounds_continue_past_the_first_batch(self):
         # Gaps of 1 put an event in every round, far more than the first
         # batch of draws (sized for rate q) covers.
         class UnitGaps:
-            def geometric(self, p, size):
-                return np.ones(size, dtype=np.int64)
+            def standard_exponential(self, out):
+                out[:] = 1e-9
+                return out
 
         rounds = _bernoulli_rounds(UnitGaps(), 1000, 0.01)
         assert np.array_equal(rounds, np.arange(1000))
+
+    def test_a_zero_exponential_still_advances_one_round(self):
+        # Unclipped, ceil(0 / -log1p(-q)) is a gap of 0, which repeats a round.
+        class ZeroExponentials(GivenUniforms):
+            drawn = 0
+
+            def standard_exponential(self, out):
+                # Gaps of 0 would never reach the chunk's end: fail, not hang.
+                self.drawn += out.size
+                assert self.drawn <= 2 * self.u.size + 1000
+                out[:] = 0.0
+                return out
+
+        u = np.random.default_rng(23).random(5000)
+        chunk = _sample_chunk(ZeroExponentials(u), 0, u.size, _Sampler.build(eta20_params()))
+        assert np.array_equal(chunk.rounds, np.arange(u.size))
 
     def test_sampler_rejects_a_state_law_that_is_not_a_distribution(self):
         # Unvalidated params: decoy probabilities summing above 1 leave
