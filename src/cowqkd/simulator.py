@@ -36,21 +36,27 @@ an event's probability: a row below about 1e-16 of q, such as four dark counts
 at p_d = 1.8e-6, is drawn at that grain or never.  One multinomial draw gives
 the other rounds' states, whose law is pi_k (1 - q_k) / (1 - q).
 
+Under a dead time of two half-period ticks or more, streaming mode draws only
+the clicks that live detectors register, with the law of a greedy filter over
+all events.  The set of live gates holds for runs of rounds, and the gaps are
+memoryless, so a walk draws each gap from the current set's own table and,
+when the gap reaches the next revival, draws afresh from there.
+
 Each event round is held once, as its row state * 256 + pattern, where bits g
 and g + 4 of the pattern are the photon click and the dark count at gate g
 and the state is in _Sampler.build's order: z0, z1, both-bins, vacuum.  The
-tallies count events per row, so the rules above run once, on all 1,024 rows;
-the streaming dead-time filter walks each detector's candidate events, by
-one binary search per kept click, and clears both bits of each gate it drops
-from the row; detection_events decodes the rows.  Rounds are processed in
-fixed-size chunks, each with its own RNG stream spawned from the seed, so
-results are a deterministic function of seed, round count and chunk size.
-A chunk's arrays are views into buffers the session allocates once, valid
-until the next chunk is drawn: each consumer reads a chunk before the next.
+tallies count events per row, so the rules above run once, on all 1,024 rows,
+and detection_events decodes the rows.  Rounds are processed in fixed-size
+chunks, each with its own RNG stream spawned from the seed, so results are a
+deterministic function of seed, round count and chunk size.  A chunk's arrays
+may be views into buffers the session allocates once, valid until the next
+chunk is drawn: each consumer reads a chunk before the next.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -147,10 +153,6 @@ class CountFileError(ValueError):
 
 _GATE_ORDER = ("d0", "d1", "m0", "m1")
 
-#: Gates of each physical detector, half a period apart within a round: one
-#: data-line detector covers both bins, each monitoring port is its own.
-_DETECTOR_GATES = {"data": [0, 1], "mon_m0": [2], "mon_m1": [3]}
-
 #: Rows state * 256 + pattern of (state, events), as in the module docstring.
 _ROWS = 4 * 256
 _CELLS = 4096  # cells of the guide table that finds each event's row
@@ -176,6 +178,28 @@ def _event_probabilities(params: SystemParams) -> np.ndarray:
     return np.hstack([-np.expm1(-means), np.full((4, 4), params.detectors.dark_count_prob)])
 
 
+def _joint_law(params: SystemParams) -> np.ndarray:
+    """Probability of each (state, event pattern) per round, shape (4, 256)."""
+    s = params.source
+    probs = np.array([s.p_z0, s.p_z1, s.p_decoy_alpha_alpha, s.p_decoy_vacuum])
+    if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-9:
+        raise ValidationError(f"state probabilities must be a distribution, got {probs}")
+    fire = _event_probabilities(params)
+    events = np.arange(256) & 1 << np.arange(8)[:, None] != 0
+    return probs[:, None] * np.where(events, fire[:, :, None], 1.0 - fire[:, :, None]).prod(axis=1)
+
+
+def _event_law(law: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cumulative row law given some event, whose trailing empty rows stay at
+    exactly 1 so u < 1 never draws them, event rate and state law given none."""
+    idle = law[..., 0].copy()
+    law[..., 0] = 0.0  # pattern 0 is no event
+    cum = np.cumsum(law.reshape(*law.shape[:-2], _ROWS), axis=-1)
+    rate = cum[..., -1].copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return cum / rate[..., None], rate, idle / idle.sum(axis=-1, keepdims=True)
+
+
 @dataclass(frozen=True)
 class _Sampler:
     """Joint law of state and event pattern, built once per session."""
@@ -187,33 +211,51 @@ class _Sampler:
 
     @classmethod
     def build(cls, params: SystemParams) -> _Sampler:
-        s = params.source
-        probs = np.array([s.p_z0, s.p_z1, s.p_decoy_alpha_alpha, s.p_decoy_vacuum])
-        if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-9:
-            raise ValidationError(f"state probabilities must be a distribution, got {probs}")
-        fire = _event_probabilities(params)
-        events = np.arange(256) & 1 << np.arange(8)[:, None] != 0
-        law = np.where(events, fire[:, :, None], 1.0 - fire[:, :, None]).prod(axis=1)
-        law[:, 0] = 0.0  # pattern 0 is no event, so searchsorted never lands on its rows
-        cum = np.cumsum(probs[:, None] * law)
-        rate = float(cum[-1])
-        with np.errstate(invalid="ignore"):
-            cum /= rate  # trailing empty rows stay at exactly 1, so u < 1 never draws them
-        idle = probs * np.prod(1.0 - fire, axis=1)
+        cum, rate, idle = _event_law(_joint_law(params))
         # Cell j holds [j, j + 1) / _CELLS: one row unless a cum value lies strictly inside.
         guide = cum.searchsorted(np.arange(_CELLS) / _CELLS, side="right")
         guide[guide != cum.searchsorted(np.arange(1, _CELLS + 1) / _CELLS, side="left")] = -1
-        return cls(rate, cum, idle / idle.sum(), guide.astype(np.int16))
+        return cls(float(rate), cum, idle, guide.astype(np.int16))
+
+
+def _mask_laws(joint: np.ndarray) -> np.ndarray:
+    """Probability of each (state, kept pattern) in a round whose live gates are
+    the set bits of a mask, shape (16, 4, 256): a dead gate registers nothing,
+    and a d0 click leaves d1 dead, as a dead time of 2 ticks or more does."""
+    mask = np.arange(16)[:, None]
+    kept = np.arange(256) & sum((mask >> g & 1) * (17 << g) for g in range(4))
+    kept = np.where(kept & 17 != 0, kept & ~34, kept)
+    index = (mask[:, :, None] * 4 + np.arange(4)[:, None]) * 256 + kept[:, None, :]
+    return np.bincount(index.ravel(), np.broadcast_to(joint, index.shape).ravel(),
+                       minlength=16 * _ROWS).reshape(16, 4, 256)
+
+
+@dataclass(frozen=True)
+class _Walk:
+    """Each live-gate mask's law of live events, as lists for bisect, built once per session."""
+
+    rows: list[list[int]]    # the rows a live event can take, per mask
+    cum: list[list[float]]   # their cumulative law, without the steps of zero that bisect skips
+    scale: list[float]       # 1 / -log1p(-rate), inf where no live event can fire
+    idle: np.ndarray
+
+    @classmethod
+    def build(cls, params: SystemParams) -> _Walk:
+        cum, rate, idle = _event_law(_mask_laws(_joint_law(params)))
+        rows = [np.flatnonzero(step) for step in np.diff(cum, axis=1, prepend=0.0) > 0]
+        with np.errstate(divide="ignore"):
+            return cls([r.tolist() for r in rows], [c[r].tolist() for c, r in zip(cum, rows)],
+                       (-1.0 / np.log1p(-rate)).tolist(), idle)
 
 
 @dataclass
 class _Chunk:
-    """The rounds of one chunk where some event fired, in round order."""
+    """The rounds of one chunk where some event fired, in round order; a
+    streaming chunk holds only the clicks its detectors keep."""
 
     sent: np.ndarray     # emissions per state over the whole chunk
     rounds: np.ndarray   # round index of each event
     rows: np.ndarray     # (state, pattern) row of each event, int16 to keep chunks small
-    buf: _Buffers        # session buffers that rounds and rows view until the next chunk
 
 
 class _Buffers:
@@ -228,9 +270,9 @@ class _Buffers:
         if size > self.size:
             self.size = size
             self.draws = np.empty(size)  # exponentials, then uniforms
-            # scratch holds the gaps, then guide cells and states, then a detector's first ticks.
-            self.rounds, self.scratch, self.last = (np.empty(size, np.intp) for _ in range(3))
-            self.rows, self.keep, self.cands = (np.empty(size, np.int16) for _ in range(3))
+            # scratch holds the gaps, then guide cells and states, then the rows cast for the tally.
+            self.rounds, self.scratch = np.empty(size, np.intp), np.empty(size, np.intp)
+            self.rows = np.empty(size, np.int16)
         return self
 
 
@@ -273,60 +315,89 @@ def _sample_chunk(rng: np.random.Generator, start: int, n: int, sampler: _Sample
     rows[split] = sampler.cum.searchsorted(u[split], side="right")
     sent = np.bincount(np.right_shift(rows, 8, out=buf.scratch[:k]), minlength=4)
     sent += rng.multinomial(n - k, sampler.idle)
-    return _Chunk(sent, np.add(rounds, start, out=rounds), rows, buf)
+    return _Chunk(sent, np.add(rounds, start, out=rounds), rows)
 
 
-def _apply_dead_time(chunk: _Chunk, dead: int, last_kept: dict[str, int]) -> None:
-    """Greedy non-paralyzable dead time per detector, applied in place; a
-    suppressed gate registers nothing at all.
-
-    Times are integer half-period ticks, gate k of a detector's gates in round
-    r at tick 2r + k, so the spacing test is exact.  Each detector walks the
-    events with a click at any of its gates, one binary search per kept click;
-    last_kept holds each detector's last kept tick across chunks.
-    """
-    buf, k = chunk.buf, chunk.rows.size
-    # Rows keep their state, bits 8 and up, and each kept gate g's events, bits g and g + 4.
-    keep = np.bitwise_and(chunk.rows, -256, out=buf.keep[:k])
-    for det, gates in _DETECTOR_GATES.items():
-        events = np.flatnonzero(chunk.rows & sum(17 << g for g in gates) != 0)
-        rows = chunk.rows.take(events, out=buf.cands[: events.size], mode="clip")
-        last = chunk.rounds.take(events, out=buf.last[: events.size], mode="clip")
-        last *= 2
-        # Ticks of each candidate's first and last clicked gate, both ascending.
-        first = np.add(last, rows & 17 << gates[0] == 0, out=buf.scratch[: events.size])
-        if len(gates) > 1:
-            last += rows & 17 << gates[1] != 0
-        live = last_kept[det] + dead  # first tick the detector can click again
-        i = last.searchsorted(live)
-        while i < events.size:
-            tick = first.item(i) if first.item(i) >= live else last.item(i)
-            keep[events.item(i)] |= 17 << gates[tick & 1]
-            live = tick + dead
-            i = last.searchsorted(live)
-        last_kept[det] = live - dead
-    chunk.rows &= keep
+def _draws(draw) -> Iterator[float]:
+    """Endless stream of one kind of draw, in batches growing from 256 to 8,192."""
+    size = 256
+    while True:
+        yield from draw(size).tolist()
+        size = min(2 * size, 1 << 13)
 
 
-def _chunks(params: SystemParams, cfg: SimConfig) -> Iterator[_Chunk]:
-    """Sampled chunks in round order, with dead time applied in streaming mode."""
-    sampler = _Sampler.build(params)
+def _walk_chunk(rng: np.random.Generator, start: int, n: int, walk: _Walk, dead: int,
+                live: list[int]) -> _Chunk:
+    """Draw the clicks that live gates register under a dead time of dead >= 2
+    ticks, gate k of a detector at tick 2r + k in round r.  live[g] is the
+    first round gate g is live in, carried from chunk to chunk."""
+    exps, uniforms = _draws(rng.standard_exponential), _draws(rng.random)
+    rows_of, cum, scale, up, down = walk.rows, walk.cum, walk.scale, (dead + 1) // 2, dead // 2
+    d0, d1, m0, m1 = live
+    rounds, rows, idle = [], [], [0] * 16
+    draw, find, add_round, add_row = next, bisect.bisect, rounds.append, rows.append
+    r, end = start, start + n
+    while r < end:
+        # The live gates' mask, and the first round after r where one revives or the chunk ends.
+        if r >= d0:  # d1 revives no later than d0
+            mask, stop = 3, end
+        elif r >= d1:
+            mask, stop = 2, d0 if d0 < end else end
+        else:
+            mask, stop = 0, d1 if d1 < end else end
+        if r >= m0:
+            mask |= 4
+        elif m0 < stop:
+            stop = m0
+        if r >= m1:
+            mask |= 8
+        elif m1 < stop:
+            stop = m1
+        # The next live event is floor(x) rounds on; x is NaN where none can fire.
+        x = draw(exps) * scale[mask]
+        if not x < stop - r:
+            idle[mask] += stop - r
+            r = stop
+            continue
+        gap = int(x)
+        idle[mask] += gap
+        r += gap
+        row = rows_of[mask][find(cum[mask], draw(uniforms))]
+        add_round(r)
+        add_row(row)
+        # A detector revives dead ticks after its click's tick: 2r at d0, m0 and m1, 2r + 1 at d1.
+        if row & 17:
+            d0, d1 = r + up, r + down
+        elif row & 34:
+            d0, d1 = r + down + 1, r + up
+        if row & 68:
+            m0 = r + up
+        if row & 136:
+            m1 = r + up
+        r += 1
+    live[:] = d0, d1, m0, m1
+    rows = np.array(rows, dtype=np.int16)
+    sent = np.bincount(rows >> 8, minlength=4) + sum(
+        rng.multinomial(count, law) for count, law in zip(idle, walk.idle) if count)
+    return _Chunk(sent, np.array(rounds, dtype=np.int64), rows)
+
+
+def _chunks(params: SystemParams, cfg: SimConfig, buf: _Buffers | None = None) -> Iterator[_Chunk]:
+    """Chunks in round order, drawn into buf or new buffers; in streaming mode
+    with a dead time above one tick, each holds only the kept clicks."""
     # Dead time in half-period ticks; rounding to a millionth of a tick first
     # keeps a whole number of ticks whole despite float error.
     ticks = 2.0 * params.detectors.dead_time_s * params.source.pulse_pair_rate
     dead = math.ceil(round(ticks, 6))
-    # A detector's clicks sit on distinct ticks, so a 1-tick filter drops nothing.
-    streaming = cfg.mode == "streaming" and dead > 1
-    last_kept = dict.fromkeys(_DETECTOR_GATES, -dead)
-    buf = _Buffers()
+    # A detector's clicks sit on distinct ticks, so a 1-tick dead time drops nothing.
+    if cfg.mode == "streaming" and dead > 1:
+        draw = functools.partial(_walk_chunk, walk=_Walk.build(params), dead=dead, live=[0] * 4)
+    else:
+        draw = functools.partial(_sample_chunk, sampler=_Sampler.build(params), buf=buf or _Buffers())
     n_chunks = (cfg.rounds + _CHUNK_ROUNDS - 1) // _CHUNK_ROUNDS
     for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_chunks)):
         start = i * _CHUNK_ROUNDS
-        rng = np.random.Generator(np.random.PCG64(child))
-        chunk = _sample_chunk(rng, start, min(_CHUNK_ROUNDS, cfg.rounds - start), sampler, buf)
-        if streaming:
-            _apply_dead_time(chunk, dead, last_kept)
-        yield chunk
+        yield draw(np.random.Generator(np.random.PCG64(child)), start, min(_CHUNK_ROUNDS, cfg.rounds - start))
 
 
 def _tally_masks(rows: np.ndarray) -> dict[str, np.ndarray]:
@@ -361,15 +432,18 @@ _TALLY_ROWS = _tally_masks(np.arange(_ROWS))
 def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
     """Simulate one session and return its validated count record.
 
-    Deterministic for a fixed seed and parameters.  In streaming mode the
-    dead-time filter runs over the merged click train of each physical
-    detector before tallying, so suppression can only remove counts relative
-    to per_pair mode on the same seed.
+    Deterministic for a fixed seed and parameters.  In streaming mode each
+    physical detector's clicks are those a greedy dead-time filter keeps from
+    the per_pair events, in law, so suppression can only lower the expected
+    counts; the two modes draw different streams from one seed.
     """
     sent, per_row = np.zeros(4, dtype=np.int64), np.zeros(_ROWS, dtype=np.int64)
-    for chunk in _chunks(params, cfg):
+    buf = _Buffers()
+    for chunk in _chunks(params, cfg, buf):
         sent += chunk.sent
-        per_row += np.bincount(chunk.rows, minlength=_ROWS)
+        # bincount would cast the int16 rows to intp itself: cast them into scratch.
+        k = chunk.rows.size
+        per_row += np.bincount(np.positive(chunk.rows, out=buf.fit(k).scratch[:k]), minlength=_ROWS)
     tallies = {field: int(per_row[rows].sum()) for field, rows in _TALLY_ROWS.items()}
     tallies.update(zip(_SENT_FIELDS, sent.tolist()))
     return validate_record(CountRecord(rounds=cfg.rounds, **tallies))
@@ -379,10 +453,11 @@ def detection_events(params: SystemParams, cfg: SimConfig) -> Iterator[Detection
     """Yield every surviving click of a session in round order, for small
     diagnostic runs.
 
-    Reads the same events and dead-time logic as simulate_session, so the
-    event stream is consistent with the tallies for the same seed.
+    Reads the same chunks as simulate_session, so the event stream is
+    consistent with the tallies for the same seed.
     """
-    detector = {gate: det for det, gates in _DETECTOR_GATES.items() for gate in gates}
+    # One data-line detector covers both bins; each monitoring port is its own.
+    detector = ("data", "data", "mon_m0", "mon_m1")
     gate_bin = ("tau0", "tau1", "interference", "interference")
     for chunk in _chunks(params, cfg):
         # Per event and gate: 1 a photon click, 16 a dark count, 17 both.

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 from collections import Counter
@@ -29,13 +30,16 @@ from cowqkd.cli import build_params, load_config
 from cowqkd.concentration import CLICK_FIELDS
 from cowqkd.simulator import (
     _CELLS,
-    _DETECTOR_GATES,
     _TALLY_ROWS,
-    _apply_dead_time,
     _bernoulli_rounds,
+    _chunks,
     _event_probabilities,
+    _joint_law,
+    _mask_laws,
     _sample_chunk,
     _Sampler,
+    _walk_chunk,
+    _Walk,
 )
 from helpers import make_params
 
@@ -263,10 +267,12 @@ class TestPinnedRecords:
             n_0z_tau0=39826, n_0z_tau1=2, n_1z_tau0=4, n_1z_tau1=39901,
             n_0z_m0=2147, n_0z_m1=2094, n_1z_m0=2212, n_1z_m1=2178,
         ),
+        # The live-set walk draws its own emissions.
         "streaming": dict(
-            n_z=145, n_aa_m0=35, n_aa_m1=0, n_vac_m0=0, n_vac_m1=0,
-            n_0z_tau0=75, n_0z_tau1=0, n_1z_tau0=0, n_1z_tau1=70,
-            n_0z_m0=74, n_0z_m1=80, n_1z_m0=93, n_1z_m1=85,
+            n_sent_0z=1132234, n_sent_1z=1131213, n_sent_alpha_alpha=441917, n_sent_vac=440365,
+            n_z=144, n_aa_m0=32, n_aa_m1=0, n_vac_m0=0, n_vac_m1=0,
+            n_0z_tau0=65, n_0z_tau1=0, n_1z_tau0=0, n_1z_tau1=79,
+            n_0z_m0=81, n_0z_m1=80, n_1z_m0=89, n_1z_m1=93,
         ),
     }
 
@@ -276,24 +282,27 @@ class TestPinnedRecords:
         rounds = 3 * (1 << 20) + 1
         record = simulate_session(eta20_params(**{"channel.length_km": 20.0}),
                                   SimConfig(seed=3, rounds=rounds, mode=mode))
-        assert record == CountRecord(rounds=rounds, **self.SENT, **self.RECORDS[mode])
+        assert record == CountRecord(rounds=rounds, **{**self.SENT, **self.RECORDS[mode]})
 
     # Other regimes at the same seed and round count: dense dead times, and
-    # dark counts that fill most of the joint table.  The first three have
-    # event rates below 1/3, where the exponential gap draw is numpy's
-    # geometric draw, and hold the records that Generator.geometric gaps give.
+    # dark counts that fill most of the joint table.  The streaming records
+    # are the live-set walk's; the per_pair one at p_d 0.05 has an event rate
+    # below 1/3, where the exponential gap draw is numpy's geometric draw, and
+    # holds the record that Generator.geometric gaps give.
     OTHER = {
         "streaming, 20 km, 2 ns": (
             {"channel.length_km": 20.0, "detectors.dead_time_s": 2e-9}, "streaming",
-            dict(n_z=79049, n_aa_m0=811, n_aa_m1=1, n_vac_m0=0, n_vac_m1=1,
-                 n_0z_tau0=39137, n_0z_tau1=2, n_1z_tau0=4, n_1z_tau1=39901,
-                 n_0z_m0=2151, n_0z_m1=2097, n_1z_m0=2212, n_1z_m1=2178, **SENT),
+            dict(n_sent_0z=1133322, n_sent_1z=1131985, n_sent_alpha_alpha=439959,
+                 n_sent_vac=440463, n_z=78920, n_aa_m0=868, n_aa_m1=0, n_vac_m0=2,
+                 n_vac_m1=0, n_0z_tau0=38974, n_0z_tau1=0, n_1z_tau0=4, n_1z_tau1=39937,
+                 n_0z_m0=2167, n_0z_m1=2126, n_1z_m0=2155, n_1z_m1=2165),
         ),
         "streaming, 20 km, 1 us": (
             {"channel.length_km": 20.0, "detectors.dead_time_s": 1e-6}, "streaming",
-            dict(n_z=4303, n_aa_m0=450, n_aa_m1=0, n_vac_m0=0, n_vac_m1=1,
-                 n_0z_tau0=2172, n_0z_tau1=0, n_1z_tau0=0, n_1z_tau1=2131,
-                 n_0z_m0=1231, n_0z_m1=1183, n_1z_m0=1231, n_1z_m1=1244, **SENT),
+            dict(n_sent_0z=1132343, n_sent_1z=1132327, n_sent_alpha_alpha=440028,
+                 n_sent_vac=441031, n_z=4354, n_aa_m0=505, n_aa_m1=2, n_vac_m0=1,
+                 n_vac_m1=0, n_0z_tau0=2104, n_0z_tau1=0, n_1z_tau0=1, n_1z_tau1=2249,
+                 n_0z_m0=1154, n_0z_m1=1193, n_1z_m0=1170, n_1z_m1=1245),
         ),
         "per_pair, 0 km, p_d 0.05": (
             {"channel.length_km": 0.0, "detectors.dark_count_prob": 0.05}, "per_pair",
@@ -344,6 +353,12 @@ def greedy_rows(rounds, rows, dead):
     return kept
 
 
+def tallies(rows, sent):
+    """Each click tally of the rows, in _TALLY_ROWS order, then the emissions."""
+    per_row = np.bincount(rows, minlength=1024)
+    return [int(per_row[counted].sum()) for counted in _TALLY_ROWS.values()] + sent.tolist()
+
+
 class TestRowTally:
     # With p_d = 5% every (state, pattern) cell can occur.
     @pytest.mark.parametrize("length_km", [0.0, 20.0, 100.0])
@@ -355,17 +370,40 @@ class TestRowTally:
         assert np.all(chunk.rows & 255 != 0)
 
     # Dead times of 1, 2 and 3 half-period ticks, and the 30 us of the
-    # eta = 0.2 profile (30,000).
+    # eta = 0.2 profile (30,000).  At 1 tick streaming mode draws the per_pair
+    # rows, all of which the filter keeps.  Above it the walk draws only kept
+    # clicks: its rows are the filter's fixed point, and their tallies have
+    # the law of the filter over per_pair rows.
     @pytest.mark.parametrize("dead", [1, 2, 3, 30_000])
     @pytest.mark.parametrize("length_km", [0.0, 20.0, 100.0])
     def test_dead_time_rows_equal_greedy_filter(self, length_km, dead):
-        p = make_params(length_km=length_km, dark_count_prob=0.05,
+        p = make_params(length_km=length_km, dark_count_prob=0.05, dead_time_s=dead * 1e-9,
                         p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
-        chunk = _sample_chunk(np.random.default_rng(59), 0, 1 << 17, _Sampler.build(p))
-        expected = greedy_rows(chunk.rounds, chunk.rows, dead)
-        _apply_dead_time(chunk, dead, dict.fromkeys(_DETECTOR_GATES, -dead))
+        if dead == 1:
+            cfg = SimConfig(seed=59, rounds=1 << 17)
+            (per_pair,) = _chunks(p, cfg)
+            (streaming,) = _chunks(p, dataclasses.replace(cfg, mode="streaming"))
+            expected = greedy_rows(per_pair.rounds, per_pair.rows, dead)
+            assert streaming.rows.tolist() == expected == per_pair.rows.tolist()
+            return
+        walk, sampler = _Walk.build(p), _Sampler.build(p)
+        chunk = _walk_chunk(np.random.default_rng(59), 0, 1 << 17, walk, dead, [0] * 4)
         assert chunk.rows.dtype == np.int16
-        assert chunk.rows.tolist() == expected
+        assert np.all(chunk.rows & 255 != 0)
+        assert greedy_rows(chunk.rounds, chunk.rows, dead) == chunk.rows.tolist()
+        # Seed-averaged tallies and emissions, over chunks long enough for
+        # several dead periods.
+        n, seeds = (1 << 11 if dead < 100 else 1 << 15), range(40)
+        walked, filtered = [], []
+        for seed in seeds:
+            chunk = _walk_chunk(np.random.default_rng(seed), 0, n, walk, dead, [0] * 4)
+            walked.append(tallies(chunk.rows, chunk.sent))
+            chunk = _sample_chunk(np.random.default_rng(seed), 0, n, sampler)
+            filtered.append(tallies(np.array(greedy_rows(chunk.rounds, chunk.rows, dead)), chunk.sent))
+        walked, filtered = np.array(walked), np.array(filtered)
+        diff = walked.mean(axis=0) - filtered.mean(axis=0)
+        sigma = np.sqrt((walked.var(axis=0, ddof=1) + filtered.var(axis=0, ddof=1)) / len(seeds))
+        assert np.all(np.abs(diff) <= 4.0 * sigma), (diff / sigma).round(2).tolist()
 
     def test_no_tally_counts_an_empty_pattern(self):
         # An event whose gates dead time all dropped keeps its row at pattern 0.
@@ -494,17 +532,20 @@ class TestDetectionEvents:
                                           p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)),
     ])
     def test_streaming_equals_greedy_dead_time(self, dead_time_s, rounds, overrides):
-        # A per-click greedy filter on integer half-period ticks, applied to
-        # the per_pair events of the same seed.
+        # A per-click greedy filter on integer half-period ticks.  At one tick it
+        # keeps every per_pair event of the same seed, which streaming mode then
+        # yields; above it, streaming events are its fixed point.
         p = make_params(dead_time_s=dead_time_s, **overrides)
         dead = round(2.0 * dead_time_s * p.source.pulse_pair_rate)
+        drawn = SimConfig(seed=47, rounds=rounds, mode="per_pair" if dead == 1 else "streaming")
         last: dict[str, float] = {}
         kept = []
-        for e in detection_events(p, SimConfig(seed=47, rounds=rounds)):
+        for e in detection_events(p, drawn):
             tick = 2 * e.round_index + (e.time_bin == "tau1")
             if tick - last.get(e.detector, -math.inf) >= dead:
                 kept.append(e)
                 last[e.detector] = tick
+        assert set(last) == {"data", "mon_m0", "mon_m1"}
         streaming = SimConfig(seed=47, rounds=rounds, mode="streaming")
         assert list(detection_events(p, streaming)) == kept
 
@@ -702,6 +743,86 @@ class TestSamplerEdges:
         p = make_params(p_decoy_alpha_alpha=0.7, p_decoy_vacuum=0.6)
         with pytest.raises(ValidationError, match="must be a distribution"):
             _Sampler.build(p)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("length_km", [0.0, 20.0])
+    def test_mask_laws_are_marginals_of_the_joint_law(self, length_km):
+        p = make_params(length_km=length_km, dark_count_prob=0.05,
+                        p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
+        src = p.source
+        pi = [src.p_z0, src.p_z1, src.p_decoy_alpha_alpha, src.p_decoy_vacuum]
+        fire = _event_probabilities(p)
+        law = [[pi[k] * math.prod(f if b >> j & 1 else 1.0 - f for j, f in enumerate(fire[k]))
+                for b in range(256)] for k in range(4)]
+        laws = _mask_laws(_joint_law(p))
+        walk = _Walk.build(p)
+        for mask in range(16):
+            live = sum(17 << g for g in range(4) if mask >> g & 1)
+            # Dead gates register nothing, and a d0 click leaves d1 dead.
+            expected = np.zeros((4, 256))
+            for k in range(4):
+                for b in range(256):
+                    kept = b & live
+                    expected[k, kept & ~34 if kept & 17 else kept] += law[k][b]
+            np.testing.assert_allclose(laws[mask], expected, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(walk.idle[mask], expected[:, 0] / expected[:, 0].sum(), rtol=1e-12)
+            rate = 1.0 - expected[:, 0].sum()
+            assert walk.scale[mask] == (pytest.approx(-1.0 / math.log1p(-rate), rel=1e-9)
+                                        if mask else math.inf)
+            # The rows kept for bisect find what a search of all 1,024 finds.
+            cum = np.cumsum(np.where(np.arange(256) == 0, 0.0, expected)) / rate
+            u = np.random.default_rng(mask).random(2000) if mask else []
+            assert [walk.rows[mask][bisect.bisect(walk.cum[mask], x)] for x in u] == \
+                np.searchsorted(cum, u, side="right").tolist()
+
+    @pytest.mark.parametrize("dead", [2, 3, 4])
+    def test_a_zero_exponential_still_advances_the_walk_one_round(self, dead):
+        # Gaps of 0 put a click in every round where some gate is live, a gate
+        # being live as the greedy filter over the kept clicks has it.
+        class ZeroExponentials:
+            def __init__(self):
+                self.draws = np.random.default_rng(23)
+
+            def standard_exponential(self, size):
+                return np.zeros(size)
+
+            def random(self, size):
+                return self.draws.random(size)
+
+            def multinomial(self, n, pvals):
+                return self.draws.multinomial(n, pvals)
+
+        p = eta20_params(**{"channel.length_km": 0.0, "detectors.dark_count_prob": 0.2})
+        n = 5000
+        chunk = _walk_chunk(ZeroExponentials(), 0, n, _Walk.build(p), dead, [0] * 4)
+        assert greedy_rows(chunk.rounds, chunk.rows, dead) == chunk.rows.tolist()
+        assert chunk.sent.sum() == n
+        rows = dict(zip(chunk.rounds.tolist(), chunk.rows.tolist()))
+        last = dict.fromkeys(("data", "m0", "m1"), -dead)  # each detector's last click tick
+        d1_alone = 0  # d1 clicks in rounds where d0 is still dead
+        for r in range(n):
+            d0_live, d1_live = 2 * r - last["data"] >= dead, 2 * r + 1 - last["data"] >= dead
+            live = d1_live or 2 * r - last["m0"] >= dead or 2 * r - last["m1"] >= dead
+            assert (r in rows) == live, r
+            row = rows.get(r, 0)
+            d1_alone += d1_live and not d0_live and row & 34 != 0
+            for gate, det in enumerate(("data", "data", "m0", "m1")):
+                if row & 17 << gate:
+                    last[det] = 2 * r + (gate == 1)
+        assert d1_alone > 0
+
+    def test_a_chunk_with_every_gate_dead_counts_every_emission(self):
+        p = eta20_params(**{"channel.length_km": 20.0})
+        live = [3 << 20] * 4  # every gate revives after the chunk
+        n = 1 << 20
+        chunk = _walk_chunk(np.random.default_rng(3), n, n, _Walk.build(p), 30_000, live)
+        assert chunk.rounds.size == chunk.rows.size == 0
+        assert live == [3 << 20] * 4
+        src = p.source
+        pi = np.array([src.p_z0, src.p_z1, src.p_decoy_alpha_alpha, src.p_decoy_vacuum])
+        assert chunk.sent.sum() == n
+        assert stats.chisquare(chunk.sent, n * pi).pvalue > 1e-3
 
 
 class TestCountLogKeysInErrors:
