@@ -21,42 +21,33 @@ dark-only events because the closed-form value models the destructive port as
 light-free; the residual-light suppression factors differ by far less than
 one Monte-Carlo standard deviation at any tested scale.
 
-Most rounds register nothing, so only rounds where some event fires are
-drawn: with pi_k the source distribution and q_k the probability that any
-event fires for state k, a Bernoulli process of rate q = sum_k pi_k q_k,
-placed by geometric gaps ceil(E / -log1p(-q)) with E standard exponential,
-numpy's own geometric draw below q = 1/3 (Devroye, Non-Uniform Random Variate
-Generation, 1986, ch. X).  Each such round takes its state and all eight
-events from one uniform, by inversion (ch. III) in a table of the joint law
-of the 1,024 (state, pattern) rows, where the empty pattern has no mass; a
-guide table (Chen and Asau, 1974) of 4,096 cells of [0, 1) leaves to a binary
-search only uniforms in the few cells a row boundary splits.  That rounds
-each row's share of q to the 2^-53 grain of the uniform, as u < p tests round
-an event's probability: a row below about 1e-16 of q, such as four dark counts
-at p_d = 1.8e-6, is drawn at that grain or never.  One multinomial draw gives
-the other rounds' states, whose law is pi_k (1 - q_k) / (1 - q).
+Every round is independent, so per_pair mode draws no round on its own: a
+session's counts of the 1,024 (state, pattern) rows, empty patterns included,
+are one multinomial draw of their joint law.  Streaming mode at a dead time of
+one tick or less draws the same, as it can drop nothing.
 
 Under a dead time of two half-period ticks or more, streaming mode draws only
 the clicks that live detectors register, with the law of a greedy filter over
-all events.  The set of live gates holds for runs of rounds, and the gaps are
-memoryless, so a walk draws each gap from the current set's own table and,
-when the gap reaches the next revival, draws afresh from there.
+all events.  The set of live gates holds for runs of rounds, between which
+events are a Bernoulli process with geometric gaps floor(E / -log1p(-q)), E
+standard exponential (Devroye, Non-Uniform Random Variate Generation, 1986,
+ch. X).  The gaps are memoryless, so a walk draws each gap from the current
+set's own law and, when the gap reaches the next revival, draws afresh there.
 
-Each event round is held once, as its row state * 256 + pattern, where bits g
-and g + 4 of the pattern are the photon click and the dark count at gate g
-and the state is in _Sampler.build's order: z0, z1, both-bins, vacuum.  The
-tallies count events per row, so the rules above run once, on all 1,024 rows,
-and detection_events decodes the rows.  Rounds are processed in fixed-size
-chunks, each with its own RNG stream spawned from the seed, so results are a
-deterministic function of seed, round count and chunk size.  A chunk's arrays
-may be views into buffers the session allocates once, valid until the next
-chunk is drawn: each consumer reads a chunk before the next.
+Each event is held once, as its row state * 256 + pattern, where bits g and
+g + 4 of the pattern are the photon click and the dark count at gate g and the
+state is in _joint_law's order: z0, z1, both-bins, vacuum.  The tallies count
+events per row, so the rules above run once, on all 1,024 rows, and
+detection_events decodes the rows.  A per_pair record is a function of the
+seed and the round count, not of any chunk size.  The walk runs over
+fixed-size chunks of rounds, each with its own RNG stream spawned from the
+seed, so its records are a deterministic function of seed, round count and
+chunk size.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,12 +74,12 @@ __all__ = [
 
 SIM_MODES = ("per_pair", "streaming")
 
-#: Rounds per RNG chunk; fixed so that tallies are seed-deterministic
-#: regardless of the total round count.
+#: Rounds per RNG chunk of the walk; fixed so that its tallies are
+#: seed-deterministic regardless of the total round count.
 _CHUNK_ROUNDS = 1 << 20
 
 
-#: Emission-count tally of each state, in _Sampler.build's order.
+#: Emission-count tally of each state, in _joint_law's order.
 _SENT_FIELDS = ("n_sent_0z", "n_sent_1z", "n_sent_alpha_alpha", "n_sent_vac")
 
 
@@ -120,6 +111,8 @@ class SimConfig:
             raise ValidationError(f"rounds must be an integer, got {self.rounds!r}")
         if violations := _range_violations(self, ["rounds"]):
             raise ValidationError(violations)
+        if self.rounds >= 2**63:
+            raise ValidationError(f"rounds must be below 2**63, the counts' 64-bit limit, got {self.rounds}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         _check_choice("mode", self.mode, SIM_MODES)
@@ -155,7 +148,6 @@ _GATE_ORDER = ("d0", "d1", "m0", "m1")
 
 #: Rows state * 256 + pattern of (state, events), as in the module docstring.
 _ROWS = 4 * 256
-_CELLS = 4096  # cells of the guide table that finds each event's row
 
 
 def _event_probabilities(params: SystemParams) -> np.ndarray:
@@ -189,35 +181,6 @@ def _joint_law(params: SystemParams) -> np.ndarray:
     return probs[:, None] * np.where(events, fire[:, :, None], 1.0 - fire[:, :, None]).prod(axis=1)
 
 
-def _event_law(law: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative row law given some event, whose trailing empty rows stay at
-    exactly 1 so u < 1 never draws them, event rate and state law given none."""
-    idle = law[..., 0].copy()
-    law[..., 0] = 0.0  # pattern 0 is no event
-    cum = np.cumsum(law.reshape(*law.shape[:-2], _ROWS), axis=-1)
-    rate = cum[..., -1].copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return cum / rate[..., None], rate, idle / idle.sum(axis=-1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class _Sampler:
-    """Joint law of state and event pattern, built once per session."""
-
-    rate: float          # probability that some event fires in a round
-    cum: np.ndarray      # cumulative law of the rows given that some event fires
-    idle: np.ndarray     # state law of the rounds where nothing fires
-    guide: np.ndarray    # int16 row of each of _CELLS cells of [0, 1), -1 if two rows share it
-
-    @classmethod
-    def build(cls, params: SystemParams) -> _Sampler:
-        cum, rate, idle = _event_law(_joint_law(params))
-        # Cell j holds [j, j + 1) / _CELLS: one row unless a cum value lies strictly inside.
-        guide = cum.searchsorted(np.arange(_CELLS) / _CELLS, side="right")
-        guide[guide != cum.searchsorted(np.arange(1, _CELLS + 1) / _CELLS, side="left")] = -1
-        return cls(float(rate), cum, idle, guide.astype(np.int16))
-
-
 def _mask_laws(joint: np.ndarray) -> np.ndarray:
     """Probability of each (state, kept pattern) in a round whose live gates are
     the set bits of a mask, shape (16, 4, 256): a dead gate registers nothing,
@@ -241,81 +204,26 @@ class _Walk:
 
     @classmethod
     def build(cls, params: SystemParams) -> _Walk:
-        cum, rate, idle = _event_law(_mask_laws(_joint_law(params)))
+        law = _mask_laws(_joint_law(params))
+        idle = law[..., 0].copy()
+        law[..., 0] = 0.0  # pattern 0 is no event
+        cum = np.cumsum(law.reshape(16, _ROWS), axis=1)
+        rate = cum[:, -1].copy()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cum /= rate[:, None]
+            scale = -1.0 / np.log1p(-rate)
         rows = [np.flatnonzero(step) for step in np.diff(cum, axis=1, prepend=0.0) > 0]
-        with np.errstate(divide="ignore"):
-            return cls([r.tolist() for r in rows], [c[r].tolist() for c, r in zip(cum, rows)],
-                       (-1.0 / np.log1p(-rate)).tolist(), idle)
+        return cls([r.tolist() for r in rows], [c[r].tolist() for c, r in zip(cum, rows)],
+                   scale.tolist(), idle / idle.sum(axis=1, keepdims=True))
 
 
 @dataclass
 class _Chunk:
-    """The rounds of one chunk where some event fired, in round order; a
-    streaming chunk holds only the clicks its detectors keep."""
+    """The rounds of a chunk where the detectors keep some click, in round order."""
 
     sent: np.ndarray     # emissions per state over the whole chunk
-    rounds: np.ndarray   # round index of each event
-    rows: np.ndarray     # (state, pattern) row of each event, int16 to keep chunks small
-
-
-class _Buffers:
-    """Chunk-sized arrays, each its own block, that a session allocates once and
-    every chunk refills.  The first batch of gaps, a session's largest, sizes
-    them; the rare chunk whose events outnumber it grows them.  take() writes
-    straight into them with mode="clip", as its indices are in range."""
-
-    size = -1
-
-    def fit(self, size: int) -> _Buffers:
-        if size > self.size:
-            self.size = size
-            self.draws = np.empty(size)  # exponentials, then uniforms
-            # scratch holds the gaps, then guide cells and states, then the rows cast for the tally.
-            self.rounds, self.scratch = np.empty(size, np.intp), np.empty(size, np.intp)
-            self.rows = np.empty(size, np.int16)
-        return self
-
-
-def _bernoulli_rounds(rng: np.random.Generator, n: int, q: float,
-                      buf: _Buffers | None = None) -> np.ndarray:
-    """Ascending rounds below n of a Bernoulli(q) process, by geometric gaps."""
-    if q == 0.0:
-        return np.empty(0, dtype=np.int64)
-    parts = []
-    last = -1
-    while True:
-        expected = (n - 1 - last) * q
-        size = int(expected + 4.0 * math.sqrt(expected) + 16)
-        buf = (buf or _Buffers()).fit(size)
-        draws = rng.standard_exponential(out=buf.draws[:size])
-        # Gaps in [1, n + 1] keep rounds distinct and the sum from overflowing; one
-        # past the chunk's end ends it.  Clipped before ceil, they are the same integers.
-        np.divide(draws, -math.log1p(-q), out=draws).clip(1, n + 1, out=draws)
-        pos = np.cumsum(np.ceil(draws, out=buf.scratch[:size], casting="unsafe"), out=buf.rounds[:size])
-        pos += last
-        if pos[-1] >= n:
-            pos = pos[: np.searchsorted(pos, n)]
-            return np.concatenate([*parts, pos]) if parts else pos
-        parts.append(pos.copy())
-        last = int(pos[-1])
-
-
-def _sample_chunk(rng: np.random.Generator, start: int, n: int, sampler: _Sampler,
-                  buf: _Buffers | None = None) -> _Chunk:
-    """Sample one chunk into buf, or new buffers.  Draw order is fixed, so
-    identical seeds give identical samples."""
-    buf = buf or _Buffers()
-    rounds = _bernoulli_rounds(rng, n, sampler.rate, buf)
-    k = rounds.size
-    u = rng.random(out=buf.fit(k).draws[:k])
-    # u * _CELLS is exact, so truncating it gives each uniform's cell.
-    rows = sampler.guide.take(np.multiply(u, _CELLS, out=buf.scratch[:k], casting="unsafe"),
-                              out=buf.rows[:k], mode="clip")
-    split = np.flatnonzero(rows < 0)
-    rows[split] = sampler.cum.searchsorted(u[split], side="right")
-    sent = np.bincount(np.right_shift(rows, 8, out=buf.scratch[:k]), minlength=4)
-    sent += rng.multinomial(n - k, sampler.idle)
-    return _Chunk(sent, np.add(rounds, start, out=rounds), rows)
+    rounds: np.ndarray   # round index of each such round
+    rows: np.ndarray     # its (state, kept pattern) row
 
 
 def _draws(draw) -> Iterator[float]:
@@ -334,7 +242,7 @@ def _walk_chunk(rng: np.random.Generator, start: int, n: int, walk: _Walk, dead:
     exps, uniforms = _draws(rng.standard_exponential), _draws(rng.random)
     rows_of, cum, scale, up, down = walk.rows, walk.cum, walk.scale, (dead + 1) // 2, dead // 2
     d0, d1, m0, m1 = live
-    rounds, rows, idle = [], [], [0] * 16
+    rounds, rows, idle, kept = [], [], [0] * 16, []
     draw, find, add_round, add_row = next, bisect.bisect, rounds.append, rows.append
     r, end = start, start + n
     while r < end:
@@ -365,6 +273,9 @@ def _walk_chunk(rng: np.random.Generator, start: int, n: int, walk: _Walk, dead:
         row = rows_of[mask][find(cum[mask], draw(uniforms))]
         add_round(r)
         add_row(row)
+        if len(rows) == 4096:  # in arrays a click takes 10 bytes, in the lists about 70
+            kept.append((np.array(rounds, dtype=np.int64), np.array(rows, dtype=np.int16)))
+            del rounds[:], rows[:]
         # A detector revives dead ticks after its click's tick: 2r at d0, m0 and m1, 2r + 1 at d1.
         if row & 17:
             d0, d1 = r + up, r + down
@@ -376,28 +287,50 @@ def _walk_chunk(rng: np.random.Generator, start: int, n: int, walk: _Walk, dead:
             m1 = r + up
         r += 1
     live[:] = d0, d1, m0, m1
-    rows = np.array(rows, dtype=np.int16)
+    kept.append((np.array(rounds, dtype=np.int64), np.array(rows, dtype=np.int16)))
+    rounds, rows = (np.concatenate(part) for part in zip(*kept))
     sent = np.bincount(rows >> 8, minlength=4) + sum(
         rng.multinomial(count, law) for count, law in zip(idle, walk.idle) if count)
-    return _Chunk(sent, np.array(rounds, dtype=np.int64), rows)
+    return _Chunk(sent, rounds, rows)
 
 
-def _chunks(params: SystemParams, cfg: SimConfig, buf: _Buffers | None = None) -> Iterator[_Chunk]:
-    """Chunks in round order, drawn into buf or new buffers; in streaming mode
-    with a dead time above one tick, each holds only the kept clicks."""
-    # Dead time in half-period ticks; rounding to a millionth of a tick first
-    # keeps a whole number of ticks whole despite float error.
-    ticks = 2.0 * params.detectors.dead_time_s * params.source.pulse_pair_rate
-    dead = math.ceil(round(ticks, 6))
-    # A detector's clicks sit on distinct ticks, so a 1-tick dead time drops nothing.
-    if cfg.mode == "streaming" and dead > 1:
-        draw = functools.partial(_walk_chunk, walk=_Walk.build(params), dead=dead, live=[0] * 4)
-    else:
-        draw = functools.partial(_sample_chunk, sampler=_Sampler.build(params), buf=buf or _Buffers())
+def _dead_ticks(params: SystemParams, cfg: SimConfig) -> int:
+    """Streaming mode's dead time in half-period ticks, 0 in per_pair mode."""
+    if cfg.mode == "per_pair":
+        return 0
+    # Rounding to a millionth of a tick first keeps a whole number of ticks whole despite float error.
+    return math.ceil(round(2.0 * params.detectors.dead_time_s * params.source.pulse_pair_rate, 6))
+
+
+def _walk(params: SystemParams, cfg: SimConfig, dead: int) -> Iterator[_Chunk]:
+    """The walk's chunks in round order, under a dead time of dead >= 2 ticks."""
+    walk, live = _Walk.build(params), [0] * 4
     n_chunks = (cfg.rounds + _CHUNK_ROUNDS - 1) // _CHUNK_ROUNDS
     for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_chunks)):
         start = i * _CHUNK_ROUNDS
-        yield draw(np.random.Generator(np.random.PCG64(child)), start, min(_CHUNK_ROUNDS, cfg.rounds - start))
+        yield _walk_chunk(np.random.Generator(np.random.PCG64(child)), start,
+                          min(_CHUNK_ROUNDS, cfg.rounds - start), walk, dead, live)
+
+
+def _row_counts(params: SystemParams, cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """Each row's count over a session of independent rounds, empty patterns included."""
+    # Reversed, so the last row, which takes what numpy's drifting sum leaves, is z0's empty pattern.
+    return rng.multinomial(cfg.rounds, _joint_law(params).ravel()[::-1])[::-1]
+
+
+def _events(params: SystemParams, cfg: SimConfig) -> Iterator[_Chunk]:
+    """The walk's chunks above one tick of streaming dead time, else one chunk
+    of every round where some event fires, drawn after simulate_session's counts."""
+    if (dead := _dead_ticks(params, cfg)) > 1:
+        yield from _walk(params, cfg, dead)
+        return
+    rng = np.random.default_rng(cfg.seed)
+    counts = _row_counts(params, cfg, rng)
+    sent = counts.reshape(4, 256).sum(axis=1)
+    counts[::256] = 0  # the rounds where nothing fires
+    # Given the counts, the event rounds are a uniform subset and their rows a uniform order.
+    rounds = np.sort(rng.choice(cfg.rounds, int(counts.sum()), replace=False, shuffle=False))
+    yield _Chunk(sent, rounds, rng.permutation(np.repeat(np.arange(_ROWS, dtype=np.int16), counts)))
 
 
 def _tally_masks(rows: np.ndarray) -> dict[str, np.ndarray]:
@@ -432,18 +365,21 @@ _TALLY_ROWS = _tally_masks(np.arange(_ROWS))
 def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
     """Simulate one session and return its validated count record.
 
-    Deterministic for a fixed seed and parameters.  In streaming mode each
-    physical detector's clicks are those a greedy dead-time filter keeps from
-    the per_pair events, in law, so suppression can only lower the expected
-    counts; the two modes draw different streams from one seed.
+    Deterministic for a fixed seed and parameters: a per_pair record is a
+    function of the seed and the round count, not of any chunk size.  In
+    streaming mode each physical detector's clicks are those a greedy
+    dead-time filter keeps from the per_pair events, in law, so suppression
+    can only lower the expected counts; above one tick of dead time the two
+    modes draw different streams from one seed.
     """
-    sent, per_row = np.zeros(4, dtype=np.int64), np.zeros(_ROWS, dtype=np.int64)
-    buf = _Buffers()
-    for chunk in _chunks(params, cfg, buf):
-        sent += chunk.sent
-        # bincount would cast the int16 rows to intp itself: cast them into scratch.
-        k = chunk.rows.size
-        per_row += np.bincount(np.positive(chunk.rows, out=buf.fit(k).scratch[:k]), minlength=_ROWS)
+    if (dead := _dead_ticks(params, cfg)) > 1:
+        sent, per_row = np.zeros(4, dtype=np.int64), np.zeros(_ROWS, dtype=np.int64)
+        for chunk in _walk(params, cfg, dead):
+            sent += chunk.sent
+            per_row += np.bincount(chunk.rows, minlength=_ROWS)
+    else:
+        per_row = _row_counts(params, cfg, np.random.default_rng(cfg.seed))
+        sent = per_row.reshape(4, 256).sum(axis=1)
     tallies = {field: int(per_row[rows].sum()) for field, rows in _TALLY_ROWS.items()}
     tallies.update(zip(_SENT_FIELDS, sent.tolist()))
     return validate_record(CountRecord(rounds=cfg.rounds, **tallies))
@@ -453,22 +389,25 @@ def detection_events(params: SystemParams, cfg: SimConfig) -> Iterator[Detection
     """Yield every surviving click of a session in round order, for small
     diagnostic runs.
 
-    Reads the same chunks as simulate_session, so the event stream is
-    consistent with the tallies for the same seed.
+    Draws what simulate_session draws from the same seed first, so the
+    events carry the tallies of its record.
     """
     # One data-line detector covers both bins; each monitoring port is its own.
     detector = ("data", "data", "mon_m0", "mon_m1")
     gate_bin = ("tau0", "tau1", "interference", "interference")
-    for chunk in _chunks(params, cfg):
-        # Per event and gate: 1 a photon click, 16 a dark count, 17 both.
-        clicked = chunk.rows[:, None] >> np.arange(4) & 17
-        for event, gate in zip(*np.nonzero(clicked)):
-            yield DetectionEvent(
-                round_index=int(chunk.rounds[event]),
-                detector=detector[gate],
-                time_bin=gate_bin[gate],
-                is_dark=bool(clicked[event, gate] == 16),
-            )
+    for chunk in _events(params, cfg):
+        # Decoded in slices, as a per_pair chunk holds the whole session.
+        for i in range(0, chunk.rows.size, 1 << 16):
+            rounds, rows = chunk.rounds[i:i + (1 << 16)], chunk.rows[i:i + (1 << 16)]
+            # Per event and gate: 1 a photon click, 16 a dark count, 17 both.
+            clicked = rows[:, None] >> np.arange(4, dtype=np.int16) & 17
+            for event, gate in zip(*np.nonzero(clicked)):
+                yield DetectionEvent(
+                    round_index=int(rounds[event]),
+                    detector=detector[gate],
+                    time_bin=gate_bin[gate],
+                    is_dark=bool(clicked[event, gate] == 16),
+                )
 
 
 def empirical_gains(record: CountRecord) -> EmpiricalGains:

@@ -487,7 +487,8 @@ class TestExitCodes:
         assert main(command + ["--set", "analysis.m1_model=bogus"]) == 1
         assert "m1_model" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--rounds", "0"]])
+    # 10**19 rounds is past the 64-bit counts, and fails before any draw.
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--rounds", "0"], ["--rounds", str(10**19)]])
     def test_bad_simulate_arguments_are_usage_errors(self, capsys, flag):
         assert main(["simulate", "--rounds", "10"] + flag) == 1
         assert "error:" in capsys.readouterr().err

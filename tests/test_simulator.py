@@ -29,15 +29,12 @@ from cowqkd import (
 from cowqkd.cli import build_params, load_config
 from cowqkd.concentration import CLICK_FIELDS
 from cowqkd.simulator import (
-    _CELLS,
     _TALLY_ROWS,
-    _bernoulli_rounds,
-    _chunks,
     _event_probabilities,
+    _events,
     _joint_law,
     _mask_laws,
-    _sample_chunk,
-    _Sampler,
+    _row_counts,
     _walk_chunk,
     _Walk,
 )
@@ -74,6 +71,13 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="seed"):
             SimConfig(seed=seed, rounds=100)
 
+    def test_rejects_rounds_past_the_64_bit_counts(self):
+        # Only the configs are built: no round is drawn.
+        assert SimConfig(seed=1, rounds=2**63 - 1).rounds == 2**63 - 1
+        for rounds in (2**63, 10**19):
+            with pytest.raises(ValidationError, match=r"below 2\*\*63"):
+                SimConfig(seed=1, rounds=rounds)
+
 
 class TestSimulateSession:
     def test_deterministic_across_runs(self):
@@ -95,9 +99,10 @@ class TestSimulateSession:
         assert r.n_sent_0z + r.n_sent_1z + r.n_sent_alpha_alpha + r.n_sent_vac == r.rounds
 
     def test_chunk_boundaries_do_not_change_totals(self):
-        # 2^20 + 1 rounds forces a second chunk holding a single round.
+        # 2^20 + 1 rounds forces the walk into a second chunk holding a single
+        # round; a per_pair session has no chunks.
         p = sim_params()
-        r = simulate_session(p, SimConfig(seed=5, rounds=(1 << 20) + 1))
+        r = simulate_session(p, SimConfig(seed=5, rounds=(1 << 20) + 1, mode="streaming"))
         assert r.rounds == (1 << 20) + 1
         assert validate_record(r) is r
 
@@ -110,8 +115,8 @@ class TestSimulateSession:
         assert r.n_sent_0z > 0 and r.n_sent_vac > 0
 
     def test_vanishing_click_probability(self):
-        # Geometric gaps between candidate rounds overflow int64 here; they
-        # must still end the chunk rather than wrap around.
+        # Every row with an event has a probability below 1e-299, yet each
+        # round still takes a state.
         p = sim_params(length_km=OPAQUE_KM, dark_count_prob=1e-300)
         r = simulate_session(p, SimConfig(seed=11, rounds=100_000))
         assert r.n_z == r.n_vac_m0 == r.n_aa_m0 == 0
@@ -141,7 +146,7 @@ class TestSimulateSession:
 
     def test_emission_counts_follow_source_distribution(self):
         # Every round's state, clicking or not, must follow the source
-        # distribution, including the rounds the sampler never looks at.
+        # distribution.
         p = make_params(length_km=20.0, p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
         rounds = 1 << 22
         r = simulate_session(p, SimConfig(seed=37, rounds=rounds))
@@ -195,16 +200,39 @@ class TestSamplerLaw:
                                            for j, f in enumerate(fire[k]))
                          for b in range(256)] for k in range(4)])
         rounds = 1 << 21
-        chunk = _sample_chunk(np.random.default_rng(53), 0, rounds, _Sampler.build(p))
-        counts = np.bincount(chunk.rows, minlength=1024).reshape(4, 256)
-        counts[:, 0] = chunk.sent - counts.sum(axis=1)
+        counts = _row_counts(p, SimConfig(seed=53, rounds=rounds), np.random.default_rng(53)).reshape(4, 256)
+        assert counts.sum() == rounds
         expected = rounds * law
         rare = expected < 20.0
         observed = np.append(counts[~rare], counts[rare].sum())
         expected = np.append(expected[~rare], expected[rare].sum())
         assert stats.chisquare(observed, expected).pvalue > 1e-3
-        sent = stats.chisquare(chunk.sent, rounds * np.array(pi))
+        sent = stats.chisquare(counts.sum(axis=1), rounds * np.array(pi))
         assert sent.pvalue > 1e-3
+
+    @pytest.mark.parametrize("length_km", [20.0, 100.0])
+    def test_rows_of_negligible_mass_stay_empty_at_any_round_count(self, length_km):
+        # numpy's multinomial gives its last category what the others leave,
+        # and its running sum drifts by about 1e-15: on a row of 1e-24, at
+        # 1e18 rounds, that drift alone would be thousands of counts.
+        p = make_params(length_km=length_km)
+        rounds = 10**18
+        law = _joint_law(p).ravel()
+        negligible = rounds * law < 1e-4
+        assert negligible.sum() > 100
+        for seed in range(3):
+            counts = _row_counts(p, SimConfig(seed=seed, rounds=rounds), np.random.default_rng(seed))
+            assert counts.sum() == rounds
+            assert not counts[negligible].any(), np.flatnonzero(counts * negligible)
+
+
+class TestSamplerEdges:
+    def test_sampler_rejects_a_state_law_that_is_not_a_distribution(self):
+        # Unvalidated params: decoy probabilities summing above 1 leave
+        # negative bit-state probabilities.
+        p = make_params(p_decoy_alpha_alpha=0.7, p_decoy_vacuum=0.6)
+        with pytest.raises(ValidationError, match="must be a distribution"):
+            _joint_law(p)
 
 
 def eta20_params(**overrides):
@@ -212,60 +240,16 @@ def eta20_params(**overrides):
     return build_params({**load_config(CONFIGS / "keyrate_eta20_dt30.cfg"), **overrides})
 
 
-class GivenUniforms:
-    """RNG stand-in: an event in every round, each taking the next given uniform."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def standard_exponential(self, out):
-        out[:] = 1e-9  # a gap of 1 at any event rate
-        return out
-
-    def random(self, out):
-        assert out.size == self.u.size
-        out[:] = self.u
-        return out
-
-    def multinomial(self, n, pvals):
-        assert n == 0
-        return np.zeros(len(pvals), dtype=np.int64)
-
-
-class TestGuideTable:
-    @pytest.mark.parametrize("dark_count_prob", ["config", 0.05])
-    @pytest.mark.parametrize("length_km", [0.0, 20.0, 100.0])
-    def test_guide_lookup_equals_binary_search(self, length_km, dark_count_prob):
-        overrides = {"channel.length_km": length_km}
-        if dark_count_prob != "config":
-            overrides["detectors.dark_count_prob"] = dark_count_prob
-        sampler = _Sampler.build(eta20_params(**overrides))
-        # Both paths run: most cells hold one row, some are split by a row boundary.
-        assert 0 < np.count_nonzero(sampler.guide < 0) < _CELLS // 2
-        edges = np.arange(_CELLS + 1) / _CELLS
-        cum = np.unique(sampler.cum)
-        u = np.concatenate([
-            edges, np.nextafter(edges, 0.0),
-            cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0),
-            np.random.default_rng(17).random(1_000_000),
-        ])
-        u = u[(u >= 0.0) & (u < 1.0)]
-        chunk = _sample_chunk(GivenUniforms(u), 0, u.size, sampler)
-        assert np.array_equal(chunk.rounds, np.arange(u.size))
-        assert chunk.rows.dtype == np.int16
-        assert np.array_equal(chunk.rows, np.searchsorted(sampler.cum, u, side="right"))
-
-
 class TestPinnedRecords:
     # A record is a function of the seed's draws alone, so a faster sampler
     # must reproduce these exactly.  A deliberate change to the draws (ROADMAP
     # item 8) re-pins them and records that in CHANGES.md.
-    SENT = dict(n_sent_0z=1130333, n_sent_1z=1133099, n_sent_alpha_alpha=441408, n_sent_vac=440889)
+    SENT = dict(n_sent_0z=1130910, n_sent_1z=1132163, n_sent_alpha_alpha=440927, n_sent_vac=441729)
     RECORDS = {
         "per_pair": dict(
-            n_z=79738, n_aa_m0=809, n_aa_m1=1, n_vac_m0=0, n_vac_m1=1,
-            n_0z_tau0=39826, n_0z_tau1=2, n_1z_tau0=4, n_1z_tau1=39901,
-            n_0z_m0=2147, n_0z_m1=2094, n_1z_m0=2212, n_1z_m1=2178,
+            n_z=79506, n_aa_m0=845, n_aa_m1=2, n_vac_m0=1, n_vac_m1=0,
+            n_0z_tau0=39807, n_0z_tau1=1, n_1z_tau0=1, n_1z_tau1=39693,
+            n_0z_m0=2113, n_0z_m1=2147, n_1z_m0=2214, n_1z_m1=2168,
         ),
         # The live-set walk draws its own emissions.
         "streaming": dict(
@@ -286,9 +270,7 @@ class TestPinnedRecords:
 
     # Other regimes at the same seed and round count: dense dead times, and
     # dark counts that fill most of the joint table.  The streaming records
-    # are the live-set walk's; the per_pair one at p_d 0.05 has an event rate
-    # below 1/3, where the exponential gap draw is numpy's geometric draw, and
-    # holds the record that Generator.geometric gaps give.
+    # are the live-set walk's, the per_pair ones the multinomial draw's.
     OTHER = {
         "streaming, 20 km, 2 ns": (
             {"channel.length_km": 20.0, "detectors.dead_time_s": 2e-9}, "streaming",
@@ -306,21 +288,19 @@ class TestPinnedRecords:
         ),
         "per_pair, 0 km, p_d 0.05": (
             {"channel.length_km": 0.0, "detectors.dark_count_prob": 0.05}, "per_pair",
-            dict(n_sent_0z=1132964, n_sent_1z=1132515, n_sent_alpha_alpha=439563,
-                 n_sent_vac=440687, n_z=397103, n_aa_m0=18906, n_aa_m1=17127,
-                 n_vac_m0=18997, n_vac_m1=18665, n_0z_tau0=83955, n_0z_tau1=51167,
-                 n_1z_tau0=51015, n_1z_tau1=83440, n_0z_m0=48771, n_0z_m1=48261,
-                 n_1z_m0=48627, n_1z_m1=48525),
+            dict(n_sent_0z=1132670, n_sent_1z=1131541, n_sent_alpha_alpha=440348,
+                 n_sent_vac=441170, n_z=397242, n_aa_m0=18802, n_aa_m1=17097,
+                 n_vac_m0=18970, n_vac_m1=18891, n_0z_tau0=83284, n_0z_tau1=51359,
+                 n_1z_tau0=51084, n_1z_tau1=83626, n_0z_m0=48979, n_0z_m1=48597,
+                 n_1z_m0=48229, n_1z_m1=48093),
         ),
-        # The event rate is 0.59, where numpy's geometric draw searches its
-        # cumulative law instead: the stream differs from it, the law does not.
         "per_pair, 0 km, p_d 0.2": (
             {"channel.length_km": 0.0, "detectors.dark_count_prob": 0.2}, "per_pair",
-            dict(n_sent_0z=1132447, n_sent_1z=1132751, n_sent_alpha_alpha=440280,
-                 n_sent_vac=440251, n_z=940016, n_aa_m0=41501, n_aa_m1=41402,
-                 n_vac_m0=45392, n_vac_m1=45024, n_0z_tau0=50126, n_0z_tau1=144499,
-                 n_1z_tau0=144634, n_1z_tau1=50087, n_0z_m0=108649, n_0z_m1=108588,
-                 n_1z_m0=107813, n_1z_m1=108161),
+            dict(n_sent_0z=1132242, n_sent_1z=1132353, n_sent_alpha_alpha=440600,
+                 n_sent_vac=440534, n_z=940547, n_aa_m0=42352, n_aa_m1=41195,
+                 n_vac_m0=45134, n_vac_m1=45105, n_0z_tau0=49944, n_0z_tau1=145195,
+                 n_1z_tau0=144975, n_1z_tau1=50233, n_0z_m0=108159, n_0z_m1=107940,
+                 n_1z_m0=108021, n_1z_m1=107758),
         ),
     }
 
@@ -365,9 +345,17 @@ class TestRowTally:
     def test_drawn_rows_have_some_event(self, length_km):
         p = make_params(length_km=length_km, dark_count_prob=0.05,
                         p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
-        chunk = _sample_chunk(np.random.default_rng(59), 0, 1 << 17, _Sampler.build(p))
+        cfg = SimConfig(seed=59, rounds=1 << 17)
+        (chunk,) = _events(p, cfg)
         assert chunk.rows.size > 0
         assert np.all(chunk.rows & 255 != 0)
+        # They are the counted rows with an event, in distinct ascending rounds.
+        counts = _row_counts(p, cfg, np.random.default_rng(59))
+        assert np.array_equal(chunk.sent, counts.reshape(4, 256).sum(axis=1))
+        counts[::256] = 0
+        assert np.array_equal(np.bincount(chunk.rows, minlength=1024), counts)
+        assert np.all(np.diff(chunk.rounds) > 0)
+        assert 0 <= chunk.rounds[0] and chunk.rounds[-1] < cfg.rounds
 
     # Dead times of 1, 2 and 3 half-period ticks, and the 30 us of the
     # eta = 0.2 profile (30,000).  At 1 tick streaming mode draws the per_pair
@@ -381,12 +369,12 @@ class TestRowTally:
                         p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
         if dead == 1:
             cfg = SimConfig(seed=59, rounds=1 << 17)
-            (per_pair,) = _chunks(p, cfg)
-            (streaming,) = _chunks(p, dataclasses.replace(cfg, mode="streaming"))
+            (per_pair,) = _events(p, cfg)
+            (streaming,) = _events(p, dataclasses.replace(cfg, mode="streaming"))
             expected = greedy_rows(per_pair.rounds, per_pair.rows, dead)
             assert streaming.rows.tolist() == expected == per_pair.rows.tolist()
             return
-        walk, sampler = _Walk.build(p), _Sampler.build(p)
+        walk = _Walk.build(p)
         chunk = _walk_chunk(np.random.default_rng(59), 0, 1 << 17, walk, dead, [0] * 4)
         assert chunk.rows.dtype == np.int16
         assert np.all(chunk.rows & 255 != 0)
@@ -398,7 +386,7 @@ class TestRowTally:
         for seed in seeds:
             chunk = _walk_chunk(np.random.default_rng(seed), 0, n, walk, dead, [0] * 4)
             walked.append(tallies(chunk.rows, chunk.sent))
-            chunk = _sample_chunk(np.random.default_rng(seed), 0, n, sampler)
+            (chunk,) = _events(p, SimConfig(seed=seed, rounds=n))
             filtered.append(tallies(np.array(greedy_rows(chunk.rounds, chunk.rows, dead)), chunk.sent))
         walked, filtered = np.array(walked), np.array(filtered)
         diff = walked.mean(axis=0) - filtered.mean(axis=0)
@@ -549,6 +537,36 @@ class TestDetectionEvents:
         streaming = SimConfig(seed=47, rounds=rounds, mode="streaming")
         assert list(detection_events(p, streaming)) == kept
 
+    # Each gate's detector and time bin, in row bit order.
+    GATES = (("data", "tau0"), ("data", "tau1"), ("mon_m0", "interference"), ("mon_m1", "interference"))
+
+    @pytest.mark.parametrize("mode, dead_time_s, rounds, dark_count_prob", [
+        ("per_pair", 30e-6, 300_000, 1e-3),
+        # Events enough to decode in several slices.
+        ("per_pair", 30e-6, 200_000, 0.2),
+        ("streaming", 1e-9, 300_000, 1e-3),
+        # The walk, with dead times that span a chunk boundary.
+        ("streaming", 30e-6, (1 << 20) + 100_000, 1e-3),
+    ])
+    def test_events_carry_the_records_tallies(self, mode, dead_time_s, rounds, dark_count_prob):
+        p = make_params(length_km=20.0, efficiency=0.2, dark_count_prob=dark_count_prob,
+                        dead_time_s=dead_time_s, p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
+        cfg = SimConfig(seed=61, rounds=rounds, mode=mode)
+        chunks = list(_events(p, cfg))
+        assert len(chunks) == (2 if dead_time_s > 1e-9 and mode == "streaming" else 1)
+        # The events are these rows decoded: a click at each gate with its photon or dark bit set.
+        decoded = [(r, self.GATES[g], row >> g & 17 == 16)
+                   for chunk in chunks for r, row in zip(chunk.rounds.tolist(), chunk.rows.tolist())
+                   for g in range(4) if row >> g & 17]
+        assert len(decoded) > 100
+        assert [(e.round_index, (e.detector, e.time_bin), e.is_dark)
+                for e in detection_events(p, cfg)] == decoded
+        # And the rows tally to the record that simulate_session draws from the same seed.
+        record = simulate_session(p, cfg)
+        rows = np.concatenate([chunk.rows for chunk in chunks])
+        assert tallies(rows, sum(chunk.sent for chunk in chunks)) == [getattr(record, field) for field in (
+            *_TALLY_ROWS, "n_sent_0z", "n_sent_1z", "n_sent_alpha_alpha", "n_sent_vac")]
+
     def test_photonic_clicks_flagged(self):
         p = sim_params(dark_count_prob=0.0)
         events = list(detection_events(p, SimConfig(seed=19, rounds=50_000)))
@@ -672,77 +690,6 @@ class TestCountFileRoundtrip:
         write_counts(bad, path)
         with pytest.raises(CountFileError, match="n_aa_m0"):
             replay_counts(path)
-
-
-def geometric_rounds(rng, n, q):
-    """Rounds below n of a Bernoulli(q) process from Generator.geometric, in
-    the batches _bernoulli_rounds draws: the reference for its gap draw."""
-    parts, last = [], -1
-    while True:
-        expected = (n - 1 - last) * q
-        gaps = rng.geometric(q, int(expected + 4.0 * math.sqrt(expected) + 16))
-        pos = last + np.cumsum(np.minimum(gaps, n + 1))
-        if pos[-1] >= n:
-            return np.concatenate(parts + [pos[pos < n]])
-        parts.append(pos)
-        last = int(pos[-1])
-
-
-class TestGapDraw:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("q, n", [(1e-7, 10**8), (1e-3, 1 << 20), (0.0383, 1 << 20), (0.3333, 1 << 20)])
-    def test_gaps_are_numpys_geometric_below_a_third(self, q, n, seed):
-        rounds = _bernoulli_rounds(np.random.default_rng(seed), n, q)
-        assert rounds.size > 0
-        assert np.array_equal(rounds, geometric_rounds(np.random.default_rng(seed), n, q))
-
-    @pytest.mark.parametrize("q", [1 / 3, 0.59, 0.9])
-    def test_gap_law_at_and_above_a_third(self, q):
-        # numpy's geometric draw changes method here; the exponential draw keeps its law.
-        rounds = _bernoulli_rounds(np.random.default_rng(31), 1 << 18, q)
-        gaps = np.bincount(np.diff(rounds, prepend=-1))[1:]
-        k = np.arange(1, gaps.size + 1)
-        expected = rounds.size * q * (1.0 - q) ** (k - 1)
-        rare = expected < 20.0
-        observed = np.append(gaps[~rare], gaps[rare].sum())
-        expected = np.append(expected[~rare], rounds.size - expected[~rare].sum())
-        assert stats.chisquare(observed, expected).pvalue > 1e-3
-
-
-class TestSamplerEdges:
-    def test_bernoulli_rounds_continue_past_the_first_batch(self):
-        # Gaps of 1 put an event in every round, far more than the first
-        # batch of draws (sized for rate q) covers.
-        class UnitGaps:
-            def standard_exponential(self, out):
-                out[:] = 1e-9
-                return out
-
-        rounds = _bernoulli_rounds(UnitGaps(), 1000, 0.01)
-        assert np.array_equal(rounds, np.arange(1000))
-
-    def test_a_zero_exponential_still_advances_one_round(self):
-        # Unclipped, ceil(0 / -log1p(-q)) is a gap of 0, which repeats a round.
-        class ZeroExponentials(GivenUniforms):
-            drawn = 0
-
-            def standard_exponential(self, out):
-                # Gaps of 0 would never reach the chunk's end: fail, not hang.
-                self.drawn += out.size
-                assert self.drawn <= 2 * self.u.size + 1000
-                out[:] = 0.0
-                return out
-
-        u = np.random.default_rng(23).random(5000)
-        chunk = _sample_chunk(ZeroExponentials(u), 0, u.size, _Sampler.build(eta20_params()))
-        assert np.array_equal(chunk.rounds, np.arange(u.size))
-
-    def test_sampler_rejects_a_state_law_that_is_not_a_distribution(self):
-        # Unvalidated params: decoy probabilities summing above 1 leave
-        # negative bit-state probabilities.
-        p = make_params(p_decoy_alpha_alpha=0.7, p_decoy_vacuum=0.6)
-        with pytest.raises(ValidationError, match="must be a distribution"):
-            _Sampler.build(p)
 
 
 class TestWalk:
