@@ -29,7 +29,9 @@ from cowqkd import (
 from cowqkd.cli import build_params, load_config
 from cowqkd.concentration import CLICK_FIELDS
 from cowqkd.simulator import (
+    _SENT_FIELDS,
     _TALLY_ROWS,
+    SIM_MODES,
     _event_probabilities,
     _events,
     _joint_law,
@@ -186,29 +188,66 @@ class TestSimulateSession:
             assert abs(sums[name] / len(seeds) - g) < 4.0 * sigma_mean, name
 
 
+def assert_rows_follow_the_pattern_law(p, seed, rounds):
+    """Chi-square of a session's 1,024 row counts, and of its emissions,
+    against a law built gate by gate from the firing probabilities."""
+    src = p.source
+    pi = [src.p_z0, src.p_z1, src.p_decoy_alpha_alpha, src.p_decoy_vacuum]
+    fire = _event_probabilities(p)
+    # law[k][b]: state k is sent and exactly the events of bit pattern b fire.
+    law = np.array([[pi[k] * math.prod(f if b >> j & 1 else 1.0 - f
+                                       for j, f in enumerate(fire[k]))
+                     for b in range(256)] for k in range(4)])
+    counts = _row_counts(p, SimConfig(seed=seed, rounds=rounds), np.random.default_rng(seed)).reshape(4, 256)
+    assert counts.sum() == rounds
+    expected = rounds * law
+    rare = expected < 20.0
+    observed = np.append(counts[~rare], counts[rare].sum())
+    expected = np.append(expected[~rare], expected[rare].sum())
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
+    sent = stats.chisquare(counts.sum(axis=1), rounds * np.array(pi))
+    assert sent.pvalue > 1e-3
+
+
+class TestSessionDraw:
+    # From sparse events to dense ones; 1e8 rounds cost a multinomial draw like any other count.
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("length_km, dark_count_prob, rounds", [
+        (100.0, 1.8e-6, 10**8), (100.0, 1e-3, 1 << 20), (20.0, 1e-2, 1 << 20), (0.0, 0.1, 1 << 20),
+    ])
+    def test_record_is_numpys_multinomial_of_the_reversed_law(self, length_km, dark_count_prob,
+                                                               rounds, seed):
+        # The reference draws in the test's own words: the seed's first generator,
+        # one multinomial of the rows in reverse order.  Streaming mode at one
+        # tick of dead time draws the same.
+        p = make_params(length_km=length_km, dark_count_prob=dark_count_prob, dead_time_s=1e-9,
+                        p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
+        law = _joint_law(p).ravel()
+        counts = np.random.default_rng(seed).multinomial(rounds, law[::-1])[::-1]
+        expected = [int(counts[rows].sum()) for rows in _TALLY_ROWS.values()]
+        expected += counts.reshape(4, 256).sum(axis=1).tolist()
+        assert expected[0] > 0
+        for mode in SIM_MODES:
+            record = simulate_session(p, SimConfig(seed=seed, rounds=rounds, mode=mode))
+            assert [getattr(record, field) for field in (*_TALLY_ROWS, *_SENT_FIELDS)] == expected, mode
+
+
 class TestSamplerLaw:
     @pytest.mark.parametrize("length_km", [0.0, 20.0, 100.0])
     def test_state_and_event_pattern_law(self, length_km):
         # Dark counts of 5% fill the cells where several events fire at once.
         p = make_params(length_km=length_km, dark_count_prob=0.05,
                         p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
-        src = p.source
-        pi = [src.p_z0, src.p_z1, src.p_decoy_alpha_alpha, src.p_decoy_vacuum]
-        fire = _event_probabilities(p)
-        # law[k][b]: state k is sent and exactly the events of bit pattern b fire.
-        law = np.array([[pi[k] * math.prod(f if b >> j & 1 else 1.0 - f
-                                           for j, f in enumerate(fire[k]))
-                         for b in range(256)] for k in range(4)])
-        rounds = 1 << 21
-        counts = _row_counts(p, SimConfig(seed=53, rounds=rounds), np.random.default_rng(53)).reshape(4, 256)
-        assert counts.sum() == rounds
-        expected = rounds * law
-        rare = expected < 20.0
-        observed = np.append(counts[~rare], counts[rare].sum())
-        expected = np.append(expected[~rare], expected[rare].sum())
-        assert stats.chisquare(observed, expected).pvalue > 1e-3
-        sent = stats.chisquare(counts.sum(axis=1), rounds * np.array(pi))
-        assert sent.pvalue > 1e-3
+        assert_rows_follow_the_pattern_law(p, seed=53, rounds=1 << 21)
+
+    # The profile's regimes, with its own dark counts and with 5%.
+    @pytest.mark.parametrize("dark_count_prob", ["config", 0.05])
+    @pytest.mark.parametrize("length_km", [0.0, 20.0, 100.0])
+    def test_row_law_of_the_eta20_profile(self, length_km, dark_count_prob):
+        overrides = {"channel.length_km": length_km}
+        if dark_count_prob != "config":
+            overrides["detectors.dark_count_prob"] = dark_count_prob
+        assert_rows_follow_the_pattern_law(eta20_params(**overrides), seed=67, rounds=1 << 22)
 
     @pytest.mark.parametrize("length_km", [20.0, 100.0])
     def test_rows_of_negligible_mass_stay_empty_at_any_round_count(self, length_km):
@@ -233,6 +272,15 @@ class TestSamplerEdges:
         p = make_params(p_decoy_alpha_alpha=0.7, p_decoy_vacuum=0.6)
         with pytest.raises(ValidationError, match="must be a distribution"):
             _joint_law(p)
+
+    @pytest.mark.parametrize("rounds", [1, 1000, (1 << 20) + 1])
+    def test_every_round_holds_one_event_when_every_gate_fires(self, rounds):
+        # Unvalidated params: dark counts of 1 fire all four gates in every round.
+        p = make_params(length_km=OPAQUE_KM, dark_count_prob=1.0)
+        (chunk,) = _events(p, SimConfig(seed=23, rounds=rounds))
+        assert np.array_equal(chunk.rounds, np.arange(rounds))
+        assert np.array_equal(chunk.rows & 255, np.full(rounds, 0xF0))
+        assert np.array_equal(np.bincount(chunk.rows >> 8, minlength=4), chunk.sent)
 
 
 def eta20_params(**overrides):
@@ -566,6 +614,20 @@ class TestDetectionEvents:
         rows = np.concatenate([chunk.rows for chunk in chunks])
         assert tallies(rows, sum(chunk.sent for chunk in chunks)) == [getattr(record, field) for field in (
             *_TALLY_ROWS, "n_sent_0z", "n_sent_1z", "n_sent_alpha_alpha", "n_sent_vac")]
+
+    @pytest.mark.parametrize("q", [1 / 3, 0.59, 0.9])
+    def test_event_round_gaps_are_geometric(self, q):
+        # Dark counts alone, set so that some gate fires in a round with probability q.
+        p = make_params(length_km=OPAQUE_KM, dark_count_prob=1.0 - (1.0 - q) ** 0.25)
+        (chunk,) = _events(p, SimConfig(seed=31, rounds=1 << 18))
+        rounds = chunk.rounds
+        gaps = np.bincount(np.diff(rounds, prepend=-1))[1:]
+        k = np.arange(1, gaps.size + 1)
+        expected = rounds.size * q * (1.0 - q) ** (k - 1)
+        rare = expected < 20.0
+        observed = np.append(gaps[~rare], gaps[rare].sum())
+        expected = np.append(expected[~rare], rounds.size - expected[~rare].sum())
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
 
     def test_photonic_clicks_flagged(self):
         p = sim_params(dark_count_prob=0.0)
