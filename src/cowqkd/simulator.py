@@ -38,11 +38,9 @@ Each event is held once, as its row state * 256 + pattern, where bits g and
 g + 4 of the pattern are the photon click and the dark count at gate g and the
 state is in _joint_law's order: z0, z1, both-bins, vacuum.  The tallies count
 events per row, so the rules above run once, on all 1,024 rows, and
-detection_events decodes the rows.  A per_pair record is a function of the
-seed and the round count, not of any chunk size.  The walk runs over
-fixed-size chunks of rounds, each with its own RNG stream spawned from the
-seed, so its records are a deterministic function of seed, round count and
-chunk size.
+detection_events decodes the rows.  Each session draws from one RNG stream
+seeded with the seed, so a record in either mode is a function of the seed
+and the round count.
 """
 
 from __future__ import annotations
@@ -74,9 +72,8 @@ __all__ = [
 
 SIM_MODES = ("per_pair", "streaming")
 
-#: Rounds per RNG chunk of the walk; fixed so that its tallies are
-#: seed-deterministic regardless of the total round count.
-_CHUNK_ROUNDS = 1 << 20
+#: Rounds per batch of the per_pair events that detection_events decodes.
+_EVENT_BLOCK = 1 << 16
 
 
 #: Emission-count tally of each state, in _joint_law's order.
@@ -218,12 +215,19 @@ class _Walk:
 
 
 @dataclass
-class _Chunk:
-    """The rounds of a chunk where the detectors keep some click, in round order."""
+class _Batch:
+    """Some of a session's rounds where the detectors keep a click, in round
+    order, and emissions that a session's batches sum to its own."""
 
-    sent: np.ndarray     # emissions per state over the whole chunk
-    rounds: np.ndarray   # round index of each such round
+    sent: np.ndarray     # emissions per state
+    rounds: np.ndarray   # round index of each round with a kept click
     rows: np.ndarray     # its (state, kept pattern) row
+
+
+def _batch(rounds: list[int], rows: list[int]) -> _Batch:
+    """The walk's clicks as a batch, with the emissions of their rounds."""
+    rows = np.array(rows, dtype=np.int16)
+    return _Batch(np.bincount(rows >> 8, minlength=4), np.array(rounds, dtype=np.int64), rows)
 
 
 def _draws(draw) -> Iterator[float]:
@@ -234,25 +238,24 @@ def _draws(draw) -> Iterator[float]:
         size = min(2 * size, 1 << 13)
 
 
-def _walk_chunk(rng: np.random.Generator, start: int, n: int, walk: _Walk, dead: int,
-                live: list[int]) -> _Chunk:
-    """Draw the clicks that live gates register under a dead time of dead >= 2
-    ticks, gate k of a detector at tick 2r + k in round r.  live[g] is the
-    first round gate g is live in, carried from chunk to chunk."""
+def _walk(rng: np.random.Generator, n: int, walk: _Walk, dead: int) -> Iterator[_Batch]:
+    """Draw the clicks that live gates register over n rounds under a dead time
+    of dead >= 2 ticks, gate k of a detector at tick 2r + k in round r, in
+    batches of 4,096; the last also carries the rounds without a click."""
     exps, uniforms = _draws(rng.standard_exponential), _draws(rng.random)
     rows_of, cum, scale, up, down = walk.rows, walk.cum, walk.scale, (dead + 1) // 2, dead // 2
-    d0, d1, m0, m1 = live
-    rounds, rows, idle, kept = [], [], [0] * 16, []
+    d0 = d1 = m0 = m1 = 0  # the first round each gate is live in
+    rounds, rows, idle = [], [], [0] * 16
     draw, find, add_round, add_row = next, bisect.bisect, rounds.append, rows.append
-    r, end = start, start + n
-    while r < end:
-        # The live gates' mask, and the first round after r where one revives or the chunk ends.
+    r = 0
+    while r < n:
+        # The live gates' mask, and the first round after r where one revives or the session ends.
         if r >= d0:  # d1 revives no later than d0
-            mask, stop = 3, end
+            mask, stop = 3, n
         elif r >= d1:
-            mask, stop = 2, d0 if d0 < end else end
+            mask, stop = 2, d0 if d0 < n else n
         else:
-            mask, stop = 0, d1 if d1 < end else end
+            mask, stop = 0, d1 if d1 < n else n
         if r >= m0:
             mask |= 4
         elif m0 < stop:
@@ -274,7 +277,7 @@ def _walk_chunk(rng: np.random.Generator, start: int, n: int, walk: _Walk, dead:
         add_round(r)
         add_row(row)
         if len(rows) == 4096:  # in arrays a click takes 10 bytes, in the lists about 70
-            kept.append((np.array(rounds, dtype=np.int64), np.array(rows, dtype=np.int16)))
+            yield _batch(rounds, rows)
             del rounds[:], rows[:]
         # A detector revives dead ticks after its click's tick: 2r at d0, m0 and m1, 2r + 1 at d1.
         if row & 17:
@@ -286,12 +289,9 @@ def _walk_chunk(rng: np.random.Generator, start: int, n: int, walk: _Walk, dead:
         if row & 136:
             m1 = r + up
         r += 1
-    live[:] = d0, d1, m0, m1
-    kept.append((np.array(rounds, dtype=np.int64), np.array(rows, dtype=np.int16)))
-    rounds, rows = (np.concatenate(part) for part in zip(*kept))
-    sent = np.bincount(rows >> 8, minlength=4) + sum(
-        rng.multinomial(count, law) for count, law in zip(idle, walk.idle) if count)
-    return _Chunk(sent, rounds, rows)
+    last = _batch(rounds, rows)
+    last.sent += sum(rng.multinomial(count, law) for count, law in zip(idle, walk.idle) if count)
+    yield last
 
 
 def _dead_ticks(params: SystemParams, cfg: SimConfig) -> int:
@@ -302,35 +302,33 @@ def _dead_ticks(params: SystemParams, cfg: SimConfig) -> int:
     return math.ceil(round(2.0 * params.detectors.dead_time_s * params.source.pulse_pair_rate, 6))
 
 
-def _walk(params: SystemParams, cfg: SimConfig, dead: int) -> Iterator[_Chunk]:
-    """The walk's chunks in round order, under a dead time of dead >= 2 ticks."""
-    walk, live = _Walk.build(params), [0] * 4
-    n_chunks = (cfg.rounds + _CHUNK_ROUNDS - 1) // _CHUNK_ROUNDS
-    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_chunks)):
-        start = i * _CHUNK_ROUNDS
-        yield _walk_chunk(np.random.Generator(np.random.PCG64(child)), start,
-                          min(_CHUNK_ROUNDS, cfg.rounds - start), walk, dead, live)
-
-
 def _row_counts(params: SystemParams, cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
     """Each row's count over a session of independent rounds, empty patterns included."""
     # Reversed, so the last row, which takes what numpy's drifting sum leaves, is z0's empty pattern.
     return rng.multinomial(cfg.rounds, _joint_law(params).ravel()[::-1])[::-1]
 
 
-def _events(params: SystemParams, cfg: SimConfig) -> Iterator[_Chunk]:
-    """The walk's chunks above one tick of streaming dead time, else one chunk
-    of every round where some event fires, drawn after simulate_session's counts."""
-    if (dead := _dead_ticks(params, cfg)) > 1:
-        yield from _walk(params, cfg, dead)
-        return
+def _events(params: SystemParams, cfg: SimConfig) -> Iterator[_Batch]:
+    """The walk's batches above one tick of streaming dead time, else blocks of
+    _EVENT_BLOCK rounds drawn after simulate_session's counts."""
     rng = np.random.default_rng(cfg.seed)
+    if (dead := _dead_ticks(params, cfg)) > 1:
+        yield from _walk(rng, cfg.rounds, _Walk.build(params), dead)
+        return
+    if cfg.rounds >= 10**9:
+        raise ValidationError(f"per_pair events are drawn for sessions below 1e9 rounds, numpy's "
+                              f"hypergeometric limit, got {cfg.rounds}")
     counts = _row_counts(params, cfg, rng)
-    sent = counts.reshape(4, 256).sum(axis=1)
-    counts[::256] = 0  # the rounds where nothing fires
-    # Given the counts, the event rounds are a uniform subset and their rows a uniform order.
-    rounds = np.sort(rng.choice(cfg.rounds, int(counts.sum()), replace=False, shuffle=False))
-    yield _Chunk(sent, rounds, rng.permutation(np.repeat(np.arange(_ROWS, dtype=np.int16), counts)))
+    # Given the counts the rounds' rows are a uniform order of them: each block takes a
+    # hypergeometric share, and its rounds with some event are a uniform subset in a uniform order.
+    for start in range(0, cfg.rounds, _EVENT_BLOCK):
+        size = min(_EVENT_BLOCK, cfg.rounds - start)
+        block = rng.multivariate_hypergeometric(counts, size)
+        counts -= block
+        sent = block.reshape(4, 256).sum(axis=1)
+        block[::256] = 0  # the rounds where nothing fires
+        rounds = start + np.sort(rng.choice(size, int(block.sum()), replace=False, shuffle=False))
+        yield _Batch(sent, rounds, rng.permutation(np.repeat(np.arange(_ROWS, dtype=np.int16), block)))
 
 
 def _tally_masks(rows: np.ndarray) -> dict[str, np.ndarray]:
@@ -365,18 +363,17 @@ _TALLY_ROWS = _tally_masks(np.arange(_ROWS))
 def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
     """Simulate one session and return its validated count record.
 
-    Deterministic for a fixed seed and parameters: a per_pair record is a
-    function of the seed and the round count, not of any chunk size.  In
-    streaming mode each physical detector's clicks are those a greedy
-    dead-time filter keeps from the per_pair events, in law, so suppression
-    can only lower the expected counts; above one tick of dead time the two
-    modes draw different streams from one seed.
+    Deterministic for a fixed seed and parameters: a record is a function of
+    the seed and the round count.  In streaming mode each physical detector's
+    clicks are those a greedy dead-time filter keeps from the per_pair
+    events, in law, so suppression can only lower the expected counts; above
+    one tick of dead time the two modes draw different streams from one seed.
     """
     if (dead := _dead_ticks(params, cfg)) > 1:
         sent, per_row = np.zeros(4, dtype=np.int64), np.zeros(_ROWS, dtype=np.int64)
-        for chunk in _walk(params, cfg, dead):
-            sent += chunk.sent
-            per_row += np.bincount(chunk.rows, minlength=_ROWS)
+        for batch in _events(params, cfg):
+            sent += batch.sent
+            per_row += np.bincount(batch.rows, minlength=_ROWS)
     else:
         per_row = _row_counts(params, cfg, np.random.default_rng(cfg.seed))
         sent = per_row.reshape(4, 256).sum(axis=1)
@@ -387,7 +384,7 @@ def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
 
 def detection_events(params: SystemParams, cfg: SimConfig) -> Iterator[DetectionEvent]:
     """Yield every surviving click of a session in round order, for small
-    diagnostic runs.
+    diagnostic runs: a per_pair session must be below 1e9 rounds.
 
     Draws what simulate_session draws from the same seed first, so the
     events carry the tallies of its record.
@@ -395,19 +392,16 @@ def detection_events(params: SystemParams, cfg: SimConfig) -> Iterator[Detection
     # One data-line detector covers both bins; each monitoring port is its own.
     detector = ("data", "data", "mon_m0", "mon_m1")
     gate_bin = ("tau0", "tau1", "interference", "interference")
-    for chunk in _events(params, cfg):
-        # Decoded in slices, as a per_pair chunk holds the whole session.
-        for i in range(0, chunk.rows.size, 1 << 16):
-            rounds, rows = chunk.rounds[i:i + (1 << 16)], chunk.rows[i:i + (1 << 16)]
-            # Per event and gate: 1 a photon click, 16 a dark count, 17 both.
-            clicked = rows[:, None] >> np.arange(4, dtype=np.int16) & 17
-            for event, gate in zip(*np.nonzero(clicked)):
-                yield DetectionEvent(
-                    round_index=int(rounds[event]),
-                    detector=detector[gate],
-                    time_bin=gate_bin[gate],
-                    is_dark=bool(clicked[event, gate] == 16),
-                )
+    for batch in _events(params, cfg):
+        # Per event and gate: 1 a photon click, 16 a dark count, 17 both.
+        clicked = batch.rows[:, None] >> np.arange(4, dtype=np.int16) & 17
+        for event, gate in zip(*np.nonzero(clicked)):
+            yield DetectionEvent(
+                round_index=int(batch.rounds[event]),
+                detector=detector[gate],
+                time_bin=gate_bin[gate],
+                is_dark=bool(clicked[event, gate] == 16),
+            )
 
 
 def empirical_gains(record: CountRecord) -> EmpiricalGains:

@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import itertools
 import math
 from collections import Counter
 from pathlib import Path
@@ -29,15 +30,17 @@ from cowqkd import (
 from cowqkd.cli import build_params, load_config
 from cowqkd.concentration import CLICK_FIELDS
 from cowqkd.simulator import (
+    _EVENT_BLOCK,
     _SENT_FIELDS,
     _TALLY_ROWS,
     SIM_MODES,
+    _Batch,
     _event_probabilities,
     _events,
     _joint_law,
     _mask_laws,
     _row_counts,
-    _walk_chunk,
+    _walk,
     _Walk,
 )
 from helpers import make_params
@@ -52,6 +55,13 @@ def sim_params(**overrides):
     defaults = dict(length_km=25.0, p_decoy_alpha_alpha=0.15, p_decoy_vacuum=0.15)
     defaults.update(overrides)
     return make_params(**defaults)
+
+
+def drawn(batches):
+    """A session's batches as one: their rounds and rows in order, their emissions summed."""
+    batches = list(batches)
+    return _Batch(sum(b.sent for b in batches), np.concatenate([b.rounds for b in batches]),
+                  np.concatenate([b.rows for b in batches]))
 
 
 class TestSimConfig:
@@ -101,8 +111,7 @@ class TestSimulateSession:
         assert r.n_sent_0z + r.n_sent_1z + r.n_sent_alpha_alpha + r.n_sent_vac == r.rounds
 
     def test_chunk_boundaries_do_not_change_totals(self):
-        # 2^20 + 1 rounds forces the walk into a second chunk holding a single
-        # round; a per_pair session has no chunks.
+        # The walk's record over a round count one past a power of two.
         p = sim_params()
         r = simulate_session(p, SimConfig(seed=5, rounds=(1 << 20) + 1, mode="streaming"))
         assert r.rounds == (1 << 20) + 1
@@ -277,7 +286,7 @@ class TestSamplerEdges:
     def test_every_round_holds_one_event_when_every_gate_fires(self, rounds):
         # Unvalidated params: dark counts of 1 fire all four gates in every round.
         p = make_params(length_km=OPAQUE_KM, dark_count_prob=1.0)
-        (chunk,) = _events(p, SimConfig(seed=23, rounds=rounds))
+        chunk = drawn(_events(p, SimConfig(seed=23, rounds=rounds)))
         assert np.array_equal(chunk.rounds, np.arange(rounds))
         assert np.array_equal(chunk.rows & 255, np.full(rounds, 0xF0))
         assert np.array_equal(np.bincount(chunk.rows >> 8, minlength=4), chunk.sent)
@@ -290,8 +299,8 @@ def eta20_params(**overrides):
 
 class TestPinnedRecords:
     # A record is a function of the seed's draws alone, so a faster sampler
-    # must reproduce these exactly.  A deliberate change to the draws (ROADMAP
-    # item 8) re-pins them and records that in CHANGES.md.
+    # must reproduce these exactly.  A deliberate change to the draws re-pins
+    # them and records each old and new value in CHANGES.md.
     SENT = dict(n_sent_0z=1130910, n_sent_1z=1132163, n_sent_alpha_alpha=440927, n_sent_vac=441729)
     RECORDS = {
         "per_pair": dict(
@@ -301,16 +310,16 @@ class TestPinnedRecords:
         ),
         # The live-set walk draws its own emissions.
         "streaming": dict(
-            n_sent_0z=1132234, n_sent_1z=1131213, n_sent_alpha_alpha=441917, n_sent_vac=440365,
-            n_z=144, n_aa_m0=32, n_aa_m1=0, n_vac_m0=0, n_vac_m1=0,
-            n_0z_tau0=65, n_0z_tau1=0, n_1z_tau0=0, n_1z_tau1=79,
-            n_0z_m0=81, n_0z_m1=80, n_1z_m0=89, n_1z_m1=93,
+            n_sent_0z=1133442, n_sent_1z=1131759, n_sent_alpha_alpha=440401, n_sent_vac=440127,
+            n_z=153, n_aa_m0=42, n_aa_m1=0, n_vac_m0=0, n_vac_m1=0,
+            n_0z_tau0=78, n_0z_tau1=0, n_1z_tau0=0, n_1z_tau1=75,
+            n_0z_m0=87, n_0z_m1=78, n_1z_m0=74, n_1z_m1=88,
         ),
     }
 
     @pytest.mark.parametrize("mode", ["per_pair", "streaming"])
     def test_seed_3_record_at_20km(self, mode):
-        # Three full chunks and a fourth of one round.
+        # A round count of no special form: 3 * 2^20 + 1.
         rounds = 3 * (1 << 20) + 1
         record = simulate_session(eta20_params(**{"channel.length_km": 20.0}),
                                   SimConfig(seed=3, rounds=rounds, mode=mode))
@@ -322,17 +331,17 @@ class TestPinnedRecords:
     OTHER = {
         "streaming, 20 km, 2 ns": (
             {"channel.length_km": 20.0, "detectors.dead_time_s": 2e-9}, "streaming",
-            dict(n_sent_0z=1133322, n_sent_1z=1131985, n_sent_alpha_alpha=439959,
-                 n_sent_vac=440463, n_z=78920, n_aa_m0=868, n_aa_m1=0, n_vac_m0=2,
-                 n_vac_m1=0, n_0z_tau0=38974, n_0z_tau1=0, n_1z_tau0=4, n_1z_tau1=39937,
-                 n_0z_m0=2167, n_0z_m1=2126, n_1z_m0=2155, n_1z_m1=2165),
+            dict(n_sent_0z=1132690, n_sent_1z=1133750, n_sent_alpha_alpha=439714,
+                 n_sent_vac=439575, n_z=78981, n_aa_m0=861, n_aa_m1=1, n_vac_m0=1,
+                 n_vac_m1=0, n_0z_tau0=39331, n_0z_tau1=4, n_1z_tau0=1, n_1z_tau1=39641,
+                 n_0z_m0=2135, n_0z_m1=2239, n_1z_m0=2254, n_1z_m1=2145),
         ),
         "streaming, 20 km, 1 us": (
             {"channel.length_km": 20.0, "detectors.dead_time_s": 1e-6}, "streaming",
-            dict(n_sent_0z=1132343, n_sent_1z=1132327, n_sent_alpha_alpha=440028,
-                 n_sent_vac=441031, n_z=4354, n_aa_m0=505, n_aa_m1=2, n_vac_m0=1,
-                 n_vac_m1=0, n_0z_tau0=2104, n_0z_tau1=0, n_1z_tau0=1, n_1z_tau1=2249,
-                 n_0z_m0=1154, n_0z_m1=1193, n_1z_m0=1170, n_1z_m1=1245),
+            dict(n_sent_0z=1132025, n_sent_1z=1133121, n_sent_alpha_alpha=440130,
+                 n_sent_vac=440453, n_z=4249, n_aa_m0=467, n_aa_m1=0, n_vac_m0=0,
+                 n_vac_m1=2, n_0z_tau0=2082, n_0z_tau1=0, n_1z_tau0=0, n_1z_tau1=2167,
+                 n_0z_m0=1205, n_0z_m1=1233, n_1z_m0=1238, n_1z_m1=1189),
         ),
         "per_pair, 0 km, p_d 0.05": (
             {"channel.length_km": 0.0, "detectors.dark_count_prob": 0.05}, "per_pair",
@@ -394,7 +403,7 @@ class TestRowTally:
         p = make_params(length_km=length_km, dark_count_prob=0.05,
                         p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
         cfg = SimConfig(seed=59, rounds=1 << 17)
-        (chunk,) = _events(p, cfg)
+        chunk = drawn(_events(p, cfg))
         assert chunk.rows.size > 0
         assert np.all(chunk.rows & 255 != 0)
         # They are the counted rows with an event, in distinct ascending rounds.
@@ -417,24 +426,24 @@ class TestRowTally:
                         p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
         if dead == 1:
             cfg = SimConfig(seed=59, rounds=1 << 17)
-            (per_pair,) = _events(p, cfg)
-            (streaming,) = _events(p, dataclasses.replace(cfg, mode="streaming"))
+            per_pair = drawn(_events(p, cfg))
+            streaming = drawn(_events(p, dataclasses.replace(cfg, mode="streaming")))
             expected = greedy_rows(per_pair.rounds, per_pair.rows, dead)
             assert streaming.rows.tolist() == expected == per_pair.rows.tolist()
             return
         walk = _Walk.build(p)
-        chunk = _walk_chunk(np.random.default_rng(59), 0, 1 << 17, walk, dead, [0] * 4)
+        chunk = drawn(_walk(np.random.default_rng(59), 1 << 17, walk, dead))
         assert chunk.rows.dtype == np.int16
         assert np.all(chunk.rows & 255 != 0)
         assert greedy_rows(chunk.rounds, chunk.rows, dead) == chunk.rows.tolist()
-        # Seed-averaged tallies and emissions, over chunks long enough for
+        # Seed-averaged tallies and emissions, over sessions long enough for
         # several dead periods.
         n, seeds = (1 << 11 if dead < 100 else 1 << 15), range(40)
         walked, filtered = [], []
         for seed in seeds:
-            chunk = _walk_chunk(np.random.default_rng(seed), 0, n, walk, dead, [0] * 4)
+            chunk = drawn(_walk(np.random.default_rng(seed), n, walk, dead))
             walked.append(tallies(chunk.rows, chunk.sent))
-            (chunk,) = _events(p, SimConfig(seed=seed, rounds=n))
+            chunk = drawn(_events(p, SimConfig(seed=seed, rounds=n)))
             filtered.append(tallies(np.array(greedy_rows(chunk.rounds, chunk.rows, dead)), chunk.sent))
         walked, filtered = np.array(walked), np.array(filtered)
         diff = walked.mean(axis=0) - filtered.mean(axis=0)
@@ -562,8 +571,7 @@ class TestDetectionEvents:
         (1e-9, 200_000, dict(length_km=5.0, efficiency=0.2, dark_count_prob=1e-3)),
         (2e-9, 200_000, dict(length_km=5.0, efficiency=0.2, dark_count_prob=1e-3)),
         (3e-9, 200_000, dict(length_km=5.0, efficiency=0.2, dark_count_prob=1e-3)),
-        # The 30 us of the eta = 0.2 profile, with dead times that span a
-        # chunk boundary.
+        # The 30 us of the eta = 0.2 profile, over more than 2^20 rounds.
         (30e-6, (1 << 20) + 100_000, dict(length_km=20.0, efficiency=0.2,
                                           p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)),
     ])
@@ -590,10 +598,10 @@ class TestDetectionEvents:
 
     @pytest.mark.parametrize("mode, dead_time_s, rounds, dark_count_prob", [
         ("per_pair", 30e-6, 300_000, 1e-3),
-        # Events enough to decode in several slices.
+        # Several blocks of dense events.
         ("per_pair", 30e-6, 200_000, 0.2),
         ("streaming", 1e-9, 300_000, 1e-3),
-        # The walk, with dead times that span a chunk boundary.
+        # The walk, over more than 2^20 rounds.
         ("streaming", 30e-6, (1 << 20) + 100_000, 1e-3),
     ])
     def test_events_carry_the_records_tallies(self, mode, dead_time_s, rounds, dark_count_prob):
@@ -601,7 +609,9 @@ class TestDetectionEvents:
                         dead_time_s=dead_time_s, p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
         cfg = SimConfig(seed=61, rounds=rounds, mode=mode)
         chunks = list(_events(p, cfg))
-        assert len(chunks) == (2 if dead_time_s > 1e-9 and mode == "streaming" else 1)
+        # The walk's few hundred clicks fill one batch; other sessions come in blocks of rounds.
+        walked = dead_time_s > 1e-9 and mode == "streaming"
+        assert len(chunks) == (1 if walked else -(-rounds // _EVENT_BLOCK))
         # The events are these rows decoded: a click at each gate with its photon or dark bit set.
         decoded = [(r, self.GATES[g], row >> g & 17 == 16)
                    for chunk in chunks for r, row in zip(chunk.rounds.tolist(), chunk.rows.tolist())
@@ -615,11 +625,27 @@ class TestDetectionEvents:
         assert tallies(rows, sum(chunk.sent for chunk in chunks)) == [getattr(record, field) for field in (
             *_TALLY_ROWS, "n_sent_0z", "n_sent_1z", "n_sent_alpha_alpha", "n_sent_vac")]
 
+    # A 2-tick dead time and the 30 us of the eta = 0.2 profile, with first
+    # rounds on both sides of 2^20.
+    @pytest.mark.parametrize("dead_time_s", [2e-9, 30e-6])
+    @pytest.mark.parametrize("n", [(1 << 20) - 5000, (1 << 20) + 5000])
+    def test_streaming_events_in_the_first_rounds_ignore_the_round_count(self, dead_time_s, n):
+        p = make_params(length_km=20.0, efficiency=0.2, dead_time_s=dead_time_s,
+                        p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
+
+        def first(rounds):
+            events = detection_events(p, SimConfig(seed=67, rounds=rounds, mode="streaming"))
+            return list(itertools.takewhile(lambda e: e.round_index < n, events))
+
+        events = first(n)
+        assert len(events) > 100
+        assert first(n + 1) == first(3 << 20) == events
+
     @pytest.mark.parametrize("q", [1 / 3, 0.59, 0.9])
     def test_event_round_gaps_are_geometric(self, q):
         # Dark counts alone, set so that some gate fires in a round with probability q.
         p = make_params(length_km=OPAQUE_KM, dark_count_prob=1.0 - (1.0 - q) ** 0.25)
-        (chunk,) = _events(p, SimConfig(seed=31, rounds=1 << 18))
+        chunk = drawn(_events(p, SimConfig(seed=31, rounds=1 << 18)))
         rounds = chunk.rounds
         gaps = np.bincount(np.diff(rounds, prepend=-1))[1:]
         k = np.arange(1, gaps.size + 1)
@@ -628,6 +654,13 @@ class TestDetectionEvents:
         observed = np.append(gaps[~rare], gaps[rare].sum())
         expected = np.append(expected[~rare], rounds.size - expected[~rare].sum())
         assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+    def test_per_pair_events_need_a_session_below_numpys_hypergeometric_limit(self):
+        with pytest.raises(ValidationError, match="below 1e9 rounds"):
+            next(detection_events(sim_params(), SimConfig(seed=1, rounds=10**9)))
+        # The walk has no such limit.
+        p = sim_params(length_km=OPAQUE_KM, dark_count_prob=0.0)
+        assert list(detection_events(p, SimConfig(seed=1, rounds=10**9, mode="streaming"))) == []
 
     def test_photonic_clicks_flagged(self):
         p = sim_params(dark_count_prob=0.0)
@@ -804,7 +837,11 @@ class TestWalk:
 
         p = eta20_params(**{"channel.length_km": 0.0, "detectors.dark_count_prob": 0.2})
         n = 5000
-        chunk = _walk_chunk(ZeroExponentials(), 0, n, _Walk.build(p), dead, [0] * 4)
+        batches = list(_walk(ZeroExponentials(), n, _Walk.build(p), dead))
+        # The walk flushes its clicks every 4,096.
+        assert len(batches) > 1
+        assert all(b.rows.size == 4096 for b in batches[:-1])
+        chunk = drawn(batches)
         assert greedy_rows(chunk.rounds, chunk.rows, dead) == chunk.rows.tolist()
         assert chunk.sent.sum() == n
         rows = dict(zip(chunk.rounds.tolist(), chunk.rows.tolist()))
@@ -821,13 +858,14 @@ class TestWalk:
                     last[det] = 2 * r + (gate == 1)
         assert d1_alone > 0
 
-    def test_a_chunk_with_every_gate_dead_counts_every_emission(self):
-        p = eta20_params(**{"channel.length_km": 20.0})
-        live = [3 << 20] * 4  # every gate revives after the chunk
+    def test_a_session_of_mostly_dead_gates_counts_every_emission(self):
+        # 20% dark counts at 0 km: each gate clicks within a few rounds of
+        # reviving, so 30 us (15,000 rounds) of dead time covers nearly every
+        # round, whose emissions the walk draws from the dead gates' law.
+        p = eta20_params(**{"channel.length_km": 0.0, "detectors.dark_count_prob": 0.2})
         n = 1 << 20
-        chunk = _walk_chunk(np.random.default_rng(3), n, n, _Walk.build(p), 30_000, live)
-        assert chunk.rounds.size == chunk.rows.size == 0
-        assert live == [3 << 20] * 4
+        chunk = drawn(_walk(np.random.default_rng(3), n, _Walk.build(p), 30_000))
+        assert 0 < chunk.rows.size < n // 3000
         src = p.source
         pi = np.array([src.p_z0, src.p_z1, src.p_decoy_alpha_alpha, src.p_decoy_vacuum])
         assert chunk.sent.sum() == n
