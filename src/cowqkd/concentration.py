@@ -19,10 +19,6 @@ from .params import ValidationError, _any, _check_choice, _clamp01, _is_integer,
 __all__ = [
     "CountRecord",
     "BoundedValue",
-    "DELTA_PROVIDERS",
-    "delta_hoeffding",
-    "delta_observed",
-    "validate_record",
     "bound_expected_count",
     "bound_gain",
 ]

@@ -42,7 +42,6 @@ from .params import SecurityParams, SystemParams, binary_entropy
 from .params import _any, _check_choice, _clamp01, _min, _where, raise_float_errors
 
 __all__ = [
-    "XBasisConstants",
     "KeyRateResult",
     "AnalysisConfig",
     "xbasis_gain_upper_m1",
@@ -80,17 +79,10 @@ _ABORT_REASONS = np.array([None, "no sifted detections", "qber {:.6g} above abor
 _DECOY_SIDES = {"n_aa_m0": "both", "n_aa_m1": "upper", "n_vac_m0": "both", "n_vac_m1": "upper"}
 
 
-@dataclass(frozen=True)
-class XBasisConstants:
-    """Normalization constants of the virtual X-basis states."""
-
-    n_plus: float
-    n_minus: float
-
-    @classmethod
-    def from_mu(cls, mu: float) -> "XBasisConstants":
-        e = np.exp(-mu)
-        return cls(n_plus=2.0 * (1.0 + e), n_minus=2.0 * (1.0 - e))
+def _xbasis_norms(mu: float) -> tuple[float, float]:
+    """n_plus and n_minus, 2 (1 +/- e^-mu): the virtual X-basis states' normalizations."""
+    e = np.exp(-mu)
+    return 2.0 * (1.0 + e), 2.0 * (1.0 - e)
 
 
 @dataclass(frozen=True)
@@ -162,13 +154,13 @@ def xbasis_gain_upper_m1(
     """
     g_aa = _require_side(bounded_aa_m1, "upper", "bounded_aa_m1")
     g_vac = _require_side(bounded_vac_m1, "upper", "bounded_vac_m1")
-    c = XBasisConstants.from_mu(mu)
+    n_plus, n_minus = _xbasis_norms(mu)
     s_aa, s_vac = np.sqrt(g_aa), np.sqrt(g_vac)
     root = np.exp(mu / 2.0) * s_aa + np.exp(-mu / 2.0) * s_vac
-    value = root * root / c.n_plus
+    value = root * root / n_plus
     if include_remainder:
         e_mu = np.exp(mu)
-        value += (c.n_minus / c.n_plus) * (e_mu * c.n_minus / 4.0 + e_mu * s_aa + s_vac)
+        value += (n_minus / n_plus) * (e_mu * n_minus / 4.0 + e_mu * s_aa + s_vac)
     return _clamp01(value)
 
 
@@ -193,12 +185,12 @@ def xbasis_gain_lower_m0(
     lo_vac = _require_side(bounded_vac_m0, "lower", "bounded_vac_m0")
     up_aa = _require_side(bounded_aa_m0, "upper", "bounded_aa_m0")
     up_vac = _require_side(bounded_vac_m0, "upper", "bounded_vac_m0")
-    c = XBasisConstants.from_mu(mu)
+    n_plus, n_minus = _xbasis_norms(mu)
     cross = 2.0 * np.sqrt(up_aa * up_vac) if cross_term == "mixed" else 2.0 * up_vac
     e_mu = np.exp(mu)
-    value = (e_mu * lo_aa + np.exp(-mu) * lo_vac - cross) / c.n_plus
+    value = (e_mu * lo_aa + np.exp(-mu) * lo_vac - cross) / n_plus
     if include_remainder:
-        value -= (c.n_minus / c.n_plus) * (e_mu * np.sqrt(up_aa) + np.sqrt(up_vac))
+        value -= (n_minus / n_plus) * (e_mu * np.sqrt(up_aa) + np.sqrt(up_vac))
     return _clamp01(value)
 
 
@@ -217,7 +209,7 @@ def phase_error_expected_upper(
     denom = 2.0 * (gains.mon_0z_m0 + gains.mon_0z_m1 + gains.mon_1z_m0 + gains.mon_1z_m1)
     if _any(denom == 0.0):
         raise DegenerateGainsError("all bit-state monitoring gains are zero, phase error undefined")
-    n_plus = XBasisConstants.from_mu(mu).n_plus
+    n_plus, _ = _xbasis_norms(mu)
     numer = n_plus * (xg_upper - xg_lower) + 2.0 * (gains.mon_0z_m0 + gains.mon_1z_m0)
     return _clamp01(numer / denom)
 

@@ -57,7 +57,6 @@ class ScanSpec:
     step: float = 1.0
     mode: str = "analytic"
     sim_seed: int = 1
-    sim_rounds: int = 1_000_000
     replay_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -73,7 +72,7 @@ class ScanSpec:
         if self.mode == "replay" and not self.replay_path:
             raise ValidationError("replay mode requires replay_path")
         if self.mode == "simulate":
-            SimConfig(seed=self.sim_seed, rounds=self.sim_rounds)  # raises on a bad seed or rounds
+            SimConfig(seed=self.sim_seed, rounds=1)  # raises on a bad seed
         if (n := grid_size(self)) > MAX_SCAN_POINTS:
             raise ValidationError(f"scan grid has {n:,} points, above the limit of {MAX_SCAN_POINTS:,}")
 
@@ -119,13 +118,13 @@ def scan_values(spec: ScanSpec) -> list[float]:
 
 
 def _evaluate(
-    point: SystemParams, spec: ScanSpec, analysis: AnalysisConfig, record: CountRecord | None
+    point: SystemParams, analysis: AnalysisConfig, source: CountRecord | SimConfig | None
 ) -> tuple[KeyRateResult, int]:
-    """The result at point, and the rounds its key length is counted over."""
-    if spec.mode == "analytic":
+    """The result at point, and the rounds its key length is counted over:
+    closed-form without a source, else from the replayed or simulated record."""
+    if source is None:
         return evaluate_analytic_point(point, analysis), point.rounds
-    if spec.mode == "simulate":
-        record = simulate_session(point, SimConfig(seed=spec.sim_seed, rounds=spec.sim_rounds))
+    record = simulate_session(point, source) if isinstance(source, SimConfig) else source
     return evaluate_record(record, point, analysis), record.rounds
 
 
@@ -151,8 +150,9 @@ def run_scan(
 ) -> list[ScanRow]:
     """Evaluate the grid; a failing point becomes an aborted NaN row.
 
-    Analytic and replay scans evaluate the grid in one call (simulate mode:
-    a session per point).  A point's value and arithmetic errors (a value
+    Analytic and replay scans evaluate the grid in one call; simulate mode
+    draws a session of params.rounds rounds per point, the block an analytic
+    scan evaluates.  A point's value and arithmetic errors (a value
     outside its validate interval, degenerate gains, a malformed replay log)
     are captured rather than raised, point by point after the grid call
     raised one, so one bad point cannot lose the rest of a long sweep; any
@@ -160,10 +160,11 @@ def run_scan(
     """
     analysis = analysis or AnalysisConfig()
     values = scan_values(spec)
-    record = None
+    # rounds is not a scan variable: every point draws one block, checked before the first.
+    source = SimConfig(seed=spec.sim_seed, rounds=params.rounds) if spec.mode == "simulate" else None
     if spec.mode == "replay":
         try:
-            record = replay_counts(spec.replay_path)
+            source = replay_counts(spec.replay_path)
         except (ValueError, ArithmeticError) as exc:
             return [_error_row(value, exc) for value in values]
     if spec.mode != "simulate":
@@ -173,14 +174,14 @@ def run_scan(
             # decoy sum rule involves none), so valid ends make a valid grid.
             for end in (values[0], values[-1]):
                 validate(with_variable(params, spec.variable, end))
-            return _rows(values, *_evaluate(grid, spec, analysis, record), params)
+            return _rows(values, *_evaluate(grid, analysis, source), params)
         except (ValueError, ArithmeticError):
             pass
     rows: list[ScanRow] = []
     for value in values:
         point = with_variable(params, spec.variable, value)
         try:
-            rows += _rows([value], *_evaluate(validate(point), spec, analysis, record), point)
+            rows += _rows([value], *_evaluate(validate(point), analysis, source), point)
         except (ValueError, ArithmeticError) as exc:
             rows.append(_error_row(value, exc))
     return rows

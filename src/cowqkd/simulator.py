@@ -369,7 +369,7 @@ def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
     events, in law, so suppression can only lower the expected counts; above
     one tick of dead time the two modes draw different streams from one seed.
     """
-    if (dead := _dead_ticks(params, cfg)) > 1:
+    if _dead_ticks(params, cfg) > 1:
         sent, per_row = np.zeros(4, dtype=np.int64), np.zeros(_ROWS, dtype=np.int64)
         for batch in _events(params, cfg):
             sent += batch.sent

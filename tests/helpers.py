@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 
 from cowqkd import (
-    DELTA_PROVIDERS,
     AnalysisConfig,
     ChannelParams,
     DetectorParams,
@@ -14,6 +13,7 @@ from cowqkd import (
     SourceParams,
     SystemParams,
 )
+from cowqkd.concentration import DELTA_PROVIDERS
 from cowqkd.finite_key import CROSS_TERM_MODES, REMAINDER_MODES
 from cowqkd.gains import M1_MODELS
 

@@ -1,6 +1,8 @@
 """The shape of the public API: each module's __all__ is the package's export list."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,10 @@ def test_star_import_binds_exactly_all():
 @pytest.mark.parametrize("module, name", [
     ("gains", "M1_MODELS"),
     ("concentration", "CLICK_FIELDS"),
+    ("concentration", "DELTA_PROVIDERS"),
+    ("concentration", "delta_hoeffding"),
+    ("concentration", "delta_observed"),
+    ("concentration", "validate_record"),
     ("finite_key", "CROSS_TERM_MODES"),
     ("finite_key", "REMAINDER_MODES"),
     ("scan", "SCAN_VARIABLES"),
@@ -47,3 +53,8 @@ def test_star_import_binds_exactly_all():
 def test_module_only_names_stay_importable_by_module_path(module, name):
     assert hasattr(importlib.import_module(f"cowqkd.{module}"), name)
     assert name not in cowqkd.__all__
+
+
+def test_readme_names_every_export():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [name for name in cowqkd.__all__ if not re.search(rf"\b{name}\b", readme)] == []

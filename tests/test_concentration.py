@@ -7,15 +7,17 @@ import pytest
 from cowqkd import (
     BoundedValue,
     CountRecord,
-    DELTA_PROVIDERS,
     bound_expected_count,
     bound_gain,
+    GainSet,
+)
+from cowqkd.concentration import (
+    CLICK_FIELDS,
+    DELTA_PROVIDERS,
     delta_hoeffding,
     delta_observed,
-    GainSet,
     validate_record,
 )
-from cowqkd.concentration import CLICK_FIELDS
 from cowqkd.simulator import WIRE_KEYS
 
 

@@ -12,7 +12,6 @@ from cowqkd import (
     DegenerateGainsError,
     KeyRateResult,
     SecurityParams,
-    XBasisConstants,
     analytic_gains,
     binary_entropy,
     bound_expected_count,
@@ -24,11 +23,11 @@ from cowqkd import (
     phase_error_observed_upper,
     qber,
     secure_key_length,
-    validate_record,
     xbasis_gain_lower_m0,
     xbasis_gain_upper_m1,
 )
-from cowqkd.concentration import CLICK_FIELDS
+from cowqkd.concentration import CLICK_FIELDS, validate_record
+from cowqkd.finite_key import _xbasis_norms
 from helpers import EVERY_ANALYSIS, analysis_id, make_params
 
 MU = 0.5
@@ -46,26 +45,26 @@ def keyrate_profile(**overrides):
     return make_params(**defaults)
 
 
-class TestXBasisConstants:
+class TestXBasisNorms:
     def test_frozen_values(self):
-        c = XBasisConstants.from_mu(MU)
-        assert c.n_plus == pytest.approx(3.213061319425267, rel=1e-14, abs=0.0)
-        assert c.n_minus == pytest.approx(0.7869386805747332, rel=1e-14, abs=0.0)
+        n_plus, n_minus = _xbasis_norms(MU)
+        assert n_plus == pytest.approx(3.213061319425267, rel=1e-14, abs=0.0)
+        assert n_minus == pytest.approx(0.7869386805747332, rel=1e-14, abs=0.0)
 
     def test_sum_is_four(self):
         rng = random.Random(5)
         for _ in range(20):
-            c = XBasisConstants.from_mu(rng.uniform(0.01, 2.0))
-            assert c.n_plus + c.n_minus == pytest.approx(4.0, rel=1e-14, abs=0.0)
-            assert 2.0 < c.n_plus < 4.0
-            assert 0.0 < c.n_minus < 2.0
+            n_plus, n_minus = _xbasis_norms(rng.uniform(0.01, 2.0))
+            assert n_plus + n_minus == pytest.approx(4.0, rel=1e-14, abs=0.0)
+            assert 2.0 < n_plus < 4.0
+            assert 0.0 < n_minus < 2.0
 
 
 class TestXBasisGainUpper:
     def test_zero_gains_leave_constant_remainder(self):
         value = xbasis_gain_upper_m1(exact(0.0), exact(0.0), MU)
-        c = XBasisConstants.from_mu(MU)
-        expected = (c.n_minus / c.n_plus) * math.exp(MU) * c.n_minus / 4.0
+        n_plus, n_minus = _xbasis_norms(MU)
+        expected = (n_minus / n_plus) * math.exp(MU) * n_minus / 4.0
         assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
         assert value == pytest.approx(0.07944197294635495, rel=1e-12, abs=0.0)
 
@@ -106,9 +105,9 @@ class TestXBasisGainLower:
         g_aa, g_vac = 2e-3, 1.8e-6
         value = xbasis_gain_lower_m0(exact(g_aa), exact(g_vac), MU,
                                      include_remainder=False)
-        c = XBasisConstants.from_mu(MU)
+        n_plus, _ = _xbasis_norms(MU)
         cross = 2.0 * math.sqrt(g_aa * g_vac)
-        expected = (math.exp(MU) * g_aa + math.exp(-MU) * g_vac - cross) / c.n_plus
+        expected = (math.exp(MU) * g_aa + math.exp(-MU) * g_vac - cross) / n_plus
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_cross_term_modes_differ(self):

@@ -11,6 +11,7 @@ from cowqkd import (
     NoThresholdError,
     ScanRow,
     ScanSpec,
+    SimConfig,
     ValidationError,
     analytic_gains,
     emit,
@@ -20,6 +21,7 @@ from cowqkd import (
     qber,
     replay_counts,
     run_scan,
+    simulate_session,
 )
 import cowqkd.cli
 import cowqkd.scan
@@ -141,7 +143,7 @@ class TestRunScan:
 
     def test_simulate_mode_produces_finite_rows(self):
         spec = ScanSpec(variable="length_km", start=30.0, stop=40.0, step=10.0,
-                        mode="simulate", sim_seed=3, sim_rounds=200_000)
+                        mode="simulate", sim_seed=3)
         rows = run_scan(spec, keyrate_profile(rounds=200_000))
         assert all(not math.isnan(r.qber) for r in rows)
 
@@ -580,6 +582,18 @@ class TestGridMatchesPoints:
             point = with_variable(p, variable, row.value)
             assert_row_matches(row, evaluate_record(record, point), record.rounds)
 
+    @pytest.mark.parametrize("variable", sorted(GRID_SPECS))
+    def test_simulate_rows_equal_their_points(self, variable):
+        # Every point draws the configured block from the scan's seed.
+        p = keyrate_profile(length_km=60.0)
+        spec = ScanSpec(variable, *GRID_SPECS[variable], mode="simulate", sim_seed=3)
+        rows = run_scan(spec, p)
+        assert len(rows) == len(scan_values(spec))
+        sim = SimConfig(seed=3, rounds=p.rounds)
+        for row in rows:
+            point = with_variable(p, variable, row.value)
+            assert_row_matches(row, evaluate_record(simulate_session(point, sim), point), p.rounds)
+
     # The flat finite-key pass rewrites every non-default branch, so the grid
     # must match its points in each of the 16 analysis modes too.
     @pytest.mark.parametrize("analysis", EVERY_ANALYSIS, ids=analysis_id)
@@ -734,12 +748,12 @@ class TestGridEndpoints:
 
 @pytest.mark.parametrize("mode", ["simulate", "replay"])
 def test_scan_key_rate_uses_the_records_rounds(capsys, tmp_path, mode):
-    # The configured block stays at its default of 5e8 rounds; the record
-    # holds 2e6.
+    # The record holds 2e6 rounds: a simulate scan draws the configured block,
+    # and a replay scan's block stays at its default of 5e8 rounds.
     args = ["scan", "--variable", "length_km", "--start", "30", "--stop", "30",
             "--format", "json"] + KEYRATE_SETS
     if mode == "simulate":
-        args += ["--mode", "simulate", "--sim-seed", "5", "--sim-rounds", "2000000"]
+        args += ["--mode", "simulate", "--sim-seed", "5", "--set", "rounds=2000000"]
     else:
         log = tmp_path / "counts.txt"
         assert main(["simulate", "--seed", "5", "--rounds", "2000000",
@@ -904,7 +918,8 @@ class TestSimulateScanSettings:
             "--mode", "simulate"]
 
     @pytest.mark.parametrize("flag, message", [
-        (["--sim-rounds", "0"], "rounds must lie in [1, inf), got 0"),
+        (["--set", "rounds=0"], "rounds must lie in [1, inf), got 0"),
+        (["--set", f"rounds={2**63}"], f"rounds must be below 2**63, the counts' 64-bit limit, got {2**63}"),
         (["--sim-seed", "-1"], "seed must be a non-negative integer, got -1"),
     ])
     def test_bad_setting_exits_1_before_any_row(self, capsys, flag, message):
@@ -913,13 +928,29 @@ class TestSimulateScanSettings:
         assert captured.out == ""
         assert message in captured.err
 
-    @pytest.mark.parametrize("settings", [dict(sim_rounds=0), dict(sim_seed=-1)])
-    def test_spec_rejects_bad_setting(self, settings):
-        with pytest.raises(ValueError):
-            ScanSpec(variable="mu", start=0.4, stop=0.5, step=0.05, mode="simulate", **settings)
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be a non-negative integer, got -1"),
+        (1.5, "seed must be a non-negative integer, got 1.5"),
+    ])
+    def test_spec_rejects_bad_setting(self, seed, message):
+        with pytest.raises(ValueError) as exc:
+            ScanSpec(variable="mu", start=0.4, stop=0.5, step=0.05, mode="simulate", sim_seed=seed)
+        assert str(exc.value) == message
+
+    def test_keyrate_scan_keeps_a_key_where_the_analytic_scan_does(self, capsys):
+        # Both scans evaluate the config's own 5e8-round block.
+        argv = ["scan", "--config", str(CONFIGS / "keyrate_eta20_dt30.cfg"), "--step", "10",
+                "--format", "json"]
+        kept = {}
+        for mode in ("analytic", "simulate"):
+            assert main(argv + ["--mode", mode, "--sim-seed", "1"]) == 0
+            rows = json.loads(capsys.readouterr().out)
+            assert [row["variable"] for row in rows] == [20.0 + 10 * i for i in range(11)]
+            kept[mode] = [row["variable"] for row in rows if row["key_bits"] > 0]
+        assert kept["simulate"] == kept["analytic"] == [20.0 + 10 * i for i in range(8)]
 
     def test_unused_settings_are_not_checked(self):
-        ScanSpec(variable="mu", start=0.4, stop=0.5, step=0.05, sim_rounds=0)
+        ScanSpec(variable="mu", start=0.4, stop=0.5, step=0.05, sim_seed=-1)
 
 
 class TestGridLimit:
@@ -1104,10 +1135,10 @@ class TestConfigObjectsRaiseValidationError:
     @pytest.mark.parametrize("build", [
         lambda: AnalysisConfig(cross_term="bogus"),
         lambda: ScanSpec(variable="mu", start=0.5, stop=0.4),
-        lambda: ScanSpec(variable="mu", start=0.4, stop=0.5, mode="simulate", sim_rounds=0),
+        lambda: ScanSpec(variable="mu", start=0.4, stop=0.5, mode="simulate", sim_seed=-1),
         lambda: cowqkd.SimConfig(seed=1, rounds=0),
         lambda: cowqkd.SimConfig(seed=-1, rounds=10),
-    ], ids=["analysis", "scan", "scan-sim-rounds", "sim-rounds", "sim-seed"])
+    ], ids=["analysis", "scan", "scan-sim-seed", "sim-rounds", "sim-seed"])
     def test_bad_setting(self, build):
         with pytest.raises(ValidationError):
             build()
@@ -1116,7 +1147,7 @@ class TestConfigObjectsRaiseValidationError:
 def test_rounds_rule_has_one_message(capsys):
     message = "error: rounds must lie in [1, inf), got 0\n"
     for argv in (["simulate", "--rounds", "0"], ["simulate", "--set", "rounds=0"],
-                 TestSimulateScanSettings.GRID + ["--sim-rounds", "0"]):
+                 TestSimulateScanSettings.GRID + ["--set", "rounds=0"]):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", message)
 
@@ -1127,7 +1158,7 @@ class TestScanFlagsAreScanSpecFields:
     GRID = {"variable": "mu", "start": "0.25", "stop": "0.5"}
     #: A value of each field other than its default and the grid's.
     VALUES = {"variable": "length_km", "start": "0.125", "stop": "0.375", "step": "0.0625",
-              "mode": "simulate", "sim_seed": "1e3", "sim_rounds": "2e3", "replay_path": "x.txt"}
+              "mode": "simulate", "sim_seed": "1e3", "replay_path": "x.txt"}
 
     def spec(self, argv):
         args = build_parser().parse_args(["scan", *argv])
@@ -1183,7 +1214,7 @@ def test_simulate_rejects_a_bad_analysis_key(capsys):
 @pytest.mark.parametrize("mode", ["analytic", "replay", "simulate"])
 def test_out_of_range_points_become_error_rows(replay_log, mode):
     settings = {"replay": dict(replay_path=str(replay_log[0])),
-                "simulate": dict(sim_seed=3, sim_rounds=200_000)}.get(mode, {})
+                "simulate": dict(sim_seed=3)}.get(mode, {})
     params = keyrate_profile()
     rows = run_scan(ScanSpec("mu", 0.9, 1.2, 0.1, mode=mode, **settings), params)
     assert len(rows) == 4
@@ -1200,7 +1231,7 @@ class TestEveryEnumeratedSettingIsChecked:
 
     CASES = {
         "delta_provider": (lambda: AnalysisConfig(delta_provider="bogus"),
-                           "delta_provider", tuple(cowqkd.DELTA_PROVIDERS)),
+                           "delta_provider", tuple(cowqkd.concentration.DELTA_PROVIDERS)),
         "cross_term": (lambda: AnalysisConfig(cross_term="bogus"),
                        "cross_term", cowqkd.finite_key.CROSS_TERM_MODES),
         "remainder_terms": (lambda: AnalysisConfig(remainder_terms="bogus"),
@@ -1223,7 +1254,7 @@ class TestEveryEnumeratedSettingIsChecked:
         "direction": (lambda: cowqkd.bound_expected_count(1.0, 10.0, 1e-10, "bogus"),
                       "direction", ("upper", "lower", "both")),
         "provider": (lambda: cowqkd.bound_expected_count(1.0, 10.0, 1e-10, provider="bogus"),
-                     "provider", tuple(cowqkd.DELTA_PROVIDERS)),
+                     "provider", tuple(cowqkd.concentration.DELTA_PROVIDERS)),
         "threshold metric": (lambda: find_threshold("bogus", 0.05, (100.0, 200.0), make_params()),
                              "threshold metric", cowqkd.scan.THRESHOLD_METRICS),
         "output format": (lambda: emit([], format="bogus"),

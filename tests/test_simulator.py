@@ -24,11 +24,10 @@ from cowqkd import (
     format_counts,
     replay_counts,
     simulate_session,
-    validate_record,
     write_counts,
 )
 from cowqkd.cli import build_params, load_config
-from cowqkd.concentration import CLICK_FIELDS
+from cowqkd.concentration import CLICK_FIELDS, validate_record
 from cowqkd.simulator import (
     _EVENT_BLOCK,
     _SENT_FIELDS,
