@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .finite_key import AnalysisConfig, KeyRateResult, evaluate_record
-from .params import SystemParams, ValidationError, validate
+from .params import SystemParams, ValidationError, _parse_lines, validate
 from .scan import (
     OUTPUT_FORMATS,
     SCAN_VARIABLES,
@@ -86,29 +86,11 @@ CONFIG_KEYS: dict[str, Callable[[str], object]] = {
 CONFIG_KEYS["rounds"] = _to_int
 
 
-def _parse_entry(key: str, value_text: str, where: str) -> object:
-    if key not in CONFIG_KEYS:
-        raise ConfigError(f"{where}: unknown key {key!r}")
-    try:
-        return CONFIG_KEYS[key](value_text.strip())
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {key}: {exc}") from None
-
-
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, object]:
-    """Parse flat "key = value" lines; strict about keys and duplicates."""
-    values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{origin} line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value_text = line.partition("=")
-        key = key.strip()
-        if key in values:
-            raise ConfigError(f"{origin} line {lineno}: repeated key {key!r}")
-        values[key] = _parse_entry(key, value_text, f"{origin} line {lineno}")
+    """Parse flat "key = value" lines; one ConfigError names every bad line."""
+    values, errors = _parse_lines(text.splitlines(), CONFIG_KEYS, lambda n: f"{origin} line {n}")
+    if errors:
+        raise ConfigError("; ".join(errors))
     return values
 
 
@@ -122,14 +104,11 @@ def load_config(path: str | Path) -> dict[str, object]:
 
 
 def parse_assignments(assignments: Sequence[str]) -> dict[str, object]:
-    """Parse --set key=value overrides."""
-    values: dict[str, object] = {}
-    for item in assignments:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value_text = item.partition("=")
-        key = key.strip()
-        values[key] = _parse_entry(key, value_text, "--set")
+    """Parse --set key=value overrides; a later one of the same key wins."""
+    values, errors = _parse_lines(assignments, CONFIG_KEYS, lambda n: "--set", form="key=value",
+                                  overrides=True)
+    if errors:
+        raise ConfigError("; ".join(errors))
     return values
 
 

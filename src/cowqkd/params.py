@@ -2,9 +2,10 @@
 
 Holds the immutable configuration of a two-decoy coherent one-way QKD link
 (source, fiber channel, detectors, receiver optics, security targets), the
-channel transmittance model and binary entropy.  validate checks every
-parameter against its allowed interval, all listed in one table, _RANGES,
-and the one cross-field rule: the decoy probabilities sum to at most 1.
+channel transmittance model, binary entropy and _parse_lines, which reads the
+"key = value" lines of configs, --set items and count logs.  validate checks
+every parameter against its allowed interval, all listed in one table,
+_RANGES, and the one cross-field rule: the decoy probabilities sum to at most 1.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -40,6 +41,38 @@ class ValidationError(ValueError):
 def _is_integer(value: object) -> bool:
     """Whether value is a Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _parse_lines(lines: Iterable[str], parsers: Mapping[str, Callable[[str], object]],
+                 where: Callable[[int], str], *, form: str = "key = value",
+                 overrides: bool = False) -> tuple[dict[str, object], list[str]]:
+    """Parse flat "key = value" lines, skipping blanks and lines that start with '#'.
+
+    Returns the parsed values and one diagnostic, led by where(line number), per line with
+    no '=' (which was to read form), an unknown or repeated key, or a value its parser
+    raises ValueError on.  As overrides (--set items) a later key wins, and a blank or '#'
+    item is bad."""
+    values, errors = {}, []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not overrides and (not line or line[0] == "#"):
+            continue
+        key, eq, text = line.partition("=")
+        key = key.strip()
+        if not eq:
+            problem = f"expected {form!r}, got {raw!r}"
+        elif key not in parsers:
+            problem = f"unknown key {key!r}"
+        elif key in values and not overrides:
+            problem = f"repeated key {key!r}"
+        else:
+            try:
+                values[key] = parsers[key](text.strip())
+                continue
+            except ValueError as exc:
+                problem = f"{key}: {exc}"
+        errors.append(f"{where(lineno)}: {problem}")
+    return values, errors
 
 
 def _check_choice(name: str, value: object, allowed: Iterable[str]) -> None:

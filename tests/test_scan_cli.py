@@ -1275,3 +1275,54 @@ class TestEveryEnumeratedSettingIsChecked:
                    for action in parser._actions if action.choices}
         assert choices["metric"] == cowqkd.scan.THRESHOLD_METRICS
         assert choices["format"] == cowqkd.scan.OUTPUT_FORMATS
+
+
+class TestEveryBadEntryIsNamed:
+    """Config files, --set lists and count logs share one key = value reader,
+    which reports every bad line rather than the first."""
+
+    def test_config_names_every_bad_line(self):
+        text = "source.brightness = 2\nsource.mu = 0.5\nrounds = 1.5\nsource.mu = 0.4\nbare\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text, origin="two.cfg")
+        assert str(exc.value) == (
+            "two.cfg line 1: unknown key 'source.brightness'; "
+            "two.cfg line 3: rounds: expected an integer, got '1.5'; "
+            "two.cfg line 4: repeated key 'source.mu'; "
+            "two.cfg line 5: expected 'key = value', got 'bare'")
+
+    def test_one_bad_line_keeps_its_message(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("channel.length_km = 20\nsource.mu = tiny\n")
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg} line 2: source.mu: expected a number, got 'tiny'\n"
+
+    def test_cli_exits_1_naming_both_bad_config_lines(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("source.bogus = 1\nsource.mu = 0.5\nrounds = many\n")
+        assert main(["validate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg} line 1: unknown key 'source.bogus'" in err
+        assert f"{cfg} line 3: rounds: expected a number, got 'many'" in err
+
+    def test_set_names_every_bad_item(self, capsys):
+        argv = ["validate", "--set", "source.bogus=1", "--set", "source.mu=tiny", "--set", "rounds"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: --set: unknown key 'source.bogus'; "
+            "--set: source.mu: expected a number, got 'tiny'; "
+            "--set: expected 'key=value', got 'rounds'\n")
+
+    def test_blank_set_item_is_bad(self):
+        with pytest.raises(ConfigError, match="--set: expected 'key=value', got ''"):
+            cowqkd.cli.parse_assignments([""])
+
+    def test_later_set_wins(self):
+        assert cowqkd.cli.parse_assignments(["source.mu=0.3", "source.mu=0.4"]) == {"source.mu": 0.4}
+
+    def test_inline_comment_is_part_of_the_value(self):
+        # A comment is a whole line; '#' inside a value, as in a replay path, stays in it.
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("# settings\nsource.mu = 0.5  # note\n", origin="c.cfg")
+        assert str(exc.value) == "c.cfg line 2: source.mu: expected a number, got '0.5  # note'"
+        assert parse_config_text("scan.replay_path = runs/#3.txt\n") == {"scan.replay_path": "runs/#3.txt"}

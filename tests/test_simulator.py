@@ -26,7 +26,7 @@ from cowqkd import (
     simulate_session,
     write_counts,
 )
-from cowqkd.cli import build_params, load_config
+from cowqkd.cli import build_params, load_config, main
 from cowqkd.concentration import CLICK_FIELDS, validate_record
 from cowqkd.simulator import (
     _EVENT_BLOCK,
@@ -880,3 +880,73 @@ class TestCountLogKeysInErrors:
         write_counts(record, path)
         with pytest.raises(CountFileError, match=r"exceeds n_sent_aa \(n_sent_alpha_alpha\) = 100"):
             replay_counts(path)
+
+
+class TestCountLogNamesEveryBadLine:
+    LOG = format_counts(CountRecord(rounds=1_000_000, n_z=350_000, n_sent_alpha_alpha=150_000,
+                                    n_sent_vac=150_000, n_aa_m0=120, n_aa_m1=3, n_vac_m0=2, n_vac_m1=1))
+
+    def test_two_bad_lines_are_both_named(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text(self.LOG
+                        .replace("n_z = 350000", "n_z = many").replace("n_aa_m1 = 3", "n_aa_m1 3"))
+        with pytest.raises(CountFileError) as exc:
+            replay_counts(path)
+        assert str(exc.value) == (
+            f"{path}: line 2: n_z: not an integer: 'many'; "
+            "line 6: expected 'key = integer', got 'n_aa_m1 3'; missing keys: n_z, n_aa_m1")
+
+    def test_analyze_exits_2_naming_both_lines(self, capsys, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text(self.LOG + "n_bogus = 1\nn_z = 2\n")
+        assert main(["analyze", "--counts", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 9: unknown key 'n_bogus'" in err and "line 10: repeated key 'n_z'" in err
+
+
+class TestClosedFormsAreTheSimulatorsMarginals:
+    """Each closed-form gain is its tally's share of its state's joint law."""
+
+    GRID = list(itertools.product((0.0, 20.0, 100.0, 150.0), (1.8e-6, 0.05),
+                                  (math.pi / 2, 0.3, 2.0), (0.1, 0.2)))
+
+    @staticmethod
+    def marginal_gains(p):
+        s = p.source
+        state = dict(zip(_SENT_FIELDS, (s.p_z0, s.p_z1, s.p_decoy_alpha_alpha, s.p_decoy_vacuum)))
+        law = _joint_law(p).ravel()
+        return {field: law[_TALLY_ROWS[click]].sum() / state[sent]
+                for click, (sent, field) in CLICK_FIELDS.items()}
+
+    @pytest.mark.parametrize("length_km, p_d, phase, efficiency", GRID)
+    def test_eleven_gains_equal_their_tallies(self, length_km, p_d, phase, efficiency):
+        p = make_params(length_km=length_km, dark_count_prob=p_d, phase_shift=phase,
+                        efficiency=efficiency, p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
+        gains = analytic_gains(p)
+        marginals = self.marginal_gains(p)
+        del marginals["mon_alpha_alpha_m1"]
+        for field, value in marginals.items():
+            assert value == pytest.approx(getattr(gains, field), rel=1e-13, abs=0.0), field
+
+    # The tally counts dark-only m1 clicks, exp(-b/2) at phase pi/2; the closed form suppresses with exp(-2b).
+    @pytest.mark.parametrize("length_km, gap", [(0.0, 1.51e-2), (20.0, 5.99e-3), (100.0, 1.50e-4),
+                                                (150.0, 1.50e-5)])
+    def test_destructive_port_gap(self, length_km, gap):
+        p = make_params(length_km=length_km, efficiency=0.2, phase_shift=math.pi / 2,
+                        p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
+        tally = self.marginal_gains(p)["mon_alpha_alpha_m1"]
+        assert tally / analytic_gains(p).mon_alpha_alpha_m1 - 1.0 == pytest.approx(gap, rel=5e-3)
+
+
+class TestDeadTimePastTheSession:
+    def test_endless_dead_time_draws_as_one_second(self):
+        p = make_params(length_km=0.0, dead_time_s=1.0)
+        sim = SimConfig(seed=1, rounds=10_000, mode="streaming")
+        endless = dataclasses.replace(p, detectors=dataclasses.replace(p.detectors, dead_time_s=1e300))
+        assert simulate_session(endless, sim) == simulate_session(p, sim)
+
+    def test_cli_simulates_an_endless_dead_time(self, capsys):
+        argv = ["simulate", "--mode", "streaming", "--set", "detectors.dead_time_s=1e300",
+                "--rounds", "1000"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("rounds = 1000\n")
