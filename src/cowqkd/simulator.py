@@ -38,16 +38,16 @@ set's own law and, when the gap reaches the next revival, draws afresh there.
 Each event is held once, as its row state * 256 + pattern, where bits g and
 g + 4 of the pattern are the photon click and the dark count at gate g and the
 state is in _joint_law's order: z0, z1, both-bins, vacuum.  The tallies count
-events per row, so the rules above run once, on all 1,024 rows, and
-detection_events decodes the rows.  Each session draws from one RNG stream
-seeded with the seed, so a record in either mode is a function of the seed
-and the round count.
+events per row, so the rules above run once, on all 1,024 rows.  Each session
+draws from one RNG stream seeded with the seed, so a record in either mode is
+a function of the seed and the round count.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -65,7 +65,6 @@ __all__ = [
     "EmpiricalGains",
     "CountFileError",
     "simulate_session",
-    "detection_events",
     "empirical_gains",
     "replay_counts",
     "format_counts",
@@ -74,22 +73,8 @@ __all__ = [
 
 SIM_MODES = ("per_pair", "streaming")
 
-#: Rounds per batch of the per_pair events that detection_events decodes.
-_EVENT_BLOCK = 1 << 16
-
-
 #: Emission-count tally of each state, in _joint_law's order.
 _SENT_FIELDS = ("n_sent_0z", "n_sent_1z", "n_sent_alpha_alpha", "n_sent_vac")
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    """One surviving click: which detector, which time bin, dark or photonic."""
-
-    round_index: int
-    detector: str
-    time_bin: str
-    is_dark: bool
 
 
 @dataclass(frozen=True)
@@ -312,29 +297,6 @@ def _row_counts(params: SystemParams, cfg: SimConfig, rng: np.random.Generator) 
     return rng.multinomial(cfg.rounds, _joint_law(params).ravel()[::-1])[::-1]
 
 
-def _events(params: SystemParams, cfg: SimConfig) -> Iterator[_Batch]:
-    """The walk's batches above one tick of streaming dead time, else blocks of
-    _EVENT_BLOCK rounds drawn after simulate_session's counts."""
-    rng = np.random.default_rng(cfg.seed)
-    if (dead := _dead_ticks(params, cfg)) > 1:
-        yield from _walk(rng, cfg.rounds, _Walk.build(params), dead)
-        return
-    if cfg.rounds >= 10**9:
-        raise ValidationError(f"per_pair events are drawn for sessions below 1e9 rounds, numpy's "
-                              f"hypergeometric limit, got {cfg.rounds}")
-    counts = _row_counts(params, cfg, rng)
-    # Given the counts the rounds' rows are a uniform order of them: each block takes a
-    # hypergeometric share, and its rounds with some event are a uniform subset in a uniform order.
-    for start in range(0, cfg.rounds, _EVENT_BLOCK):
-        size = min(_EVENT_BLOCK, cfg.rounds - start)
-        block = rng.multivariate_hypergeometric(counts, size)
-        counts -= block
-        sent = block.reshape(4, 256).sum(axis=1)
-        block[::256] = 0  # the rounds where nothing fires
-        rounds = start + np.sort(rng.choice(size, int(block.sum()), replace=False, shuffle=False))
-        yield _Batch(sent, rounds, rng.permutation(np.repeat(np.arange(_ROWS, dtype=np.int16), block)))
-
-
 def _tally_masks(rows: np.ndarray) -> dict[str, np.ndarray]:
     """Rows each click tally counts, from their state and gate bits, with P, D
     and C per gate as in the module docstring's table."""
@@ -373,9 +335,9 @@ def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
     events, in law, so suppression can only lower the expected counts; above
     one tick of dead time the two modes draw different streams from one seed.
     """
-    if _dead_ticks(params, cfg) > 1:
+    if (dead := _dead_ticks(params, cfg)) > 1:
         sent, per_row = np.zeros(4, dtype=np.int64), np.zeros(_ROWS, dtype=np.int64)
-        for batch in _events(params, cfg):
+        for batch in _walk(np.random.default_rng(cfg.seed), cfg.rounds, _Walk.build(params), dead):
             sent += batch.sent
             per_row += np.bincount(batch.rows, minlength=_ROWS)
     else:
@@ -384,28 +346,6 @@ def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
     tallies = {field: int(per_row[rows].sum()) for field, rows in _TALLY_ROWS.items()}
     tallies.update(zip(_SENT_FIELDS, sent.tolist()))
     return validate_record(CountRecord(rounds=cfg.rounds, **tallies))
-
-
-def detection_events(params: SystemParams, cfg: SimConfig) -> Iterator[DetectionEvent]:
-    """Yield every surviving click of a session in round order, for small
-    diagnostic runs: a per_pair session must be below 1e9 rounds.
-
-    Draws what simulate_session draws from the same seed first, so the
-    events carry the tallies of its record.
-    """
-    # One data-line detector covers both bins; each monitoring port is its own.
-    detector = ("data", "data", "mon_m0", "mon_m1")
-    gate_bin = ("tau0", "tau1", "interference", "interference")
-    for batch in _events(params, cfg):
-        # Per event and gate: 1 a photon click, 16 a dark count, 17 both.
-        clicked = batch.rows[:, None] >> np.arange(4, dtype=np.int16) & 17
-        for event, gate in zip(*np.nonzero(clicked)):
-            yield DetectionEvent(
-                round_index=int(batch.rounds[event]),
-                detector=detector[gate],
-                time_bin=gate_bin[gate],
-                is_dark=bool(clicked[event, gate] == 16),
-            )
 
 
 def empirical_gains(record: CountRecord) -> EmpiricalGains:
@@ -426,10 +366,11 @@ def empirical_gains(record: CountRecord) -> EmpiricalGains:
 
 
 def _count(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"not an integer: {text!r}") from None
+    # ASCII digits only: int() would also take 1_000, +5 and non-ASCII digits.  The sign is
+    # read so that a negative count gets validate_record's "must be non-negative".
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 #: Each count-log key's value parser: a count is a plain integer literal.

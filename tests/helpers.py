@@ -1,8 +1,10 @@
-"""Shared parameter builder and analysis modes for the test suite."""
+"""Shared parameter builder, analysis modes and per-round draw for the test suite."""
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from cowqkd import (
     AnalysisConfig,
@@ -16,6 +18,7 @@ from cowqkd import (
 from cowqkd.concentration import DELTA_PROVIDERS
 from cowqkd.finite_key import CROSS_TERM_MODES, REMAINDER_MODES
 from cowqkd.gains import M1_MODELS
+from cowqkd.simulator import _Batch, _event_probabilities
 
 #: Every combination of the four analysis switches: 2 x 2 x 2 x 2 = 16 modes.
 EVERY_ANALYSIS = [
@@ -70,3 +73,21 @@ def make_params(
         security=security or SecurityParams(),
         rounds=rounds,
     )
+
+
+def per_round_draw(params: SystemParams, rounds: int, rng: np.random.Generator) -> _Batch:
+    """A per_pair session drawn round by round and gate by gate, as a reference
+    that shares no code with the joint law the simulator draws from.
+
+    Each round's state comes from the four state probabilities and each of its
+    eight events is its own Bernoulli of _event_probabilities.  The row is
+    state * 256 + pattern, and the batch holds the rounds with some event.
+    """
+    src = params.source
+    states = rng.choice(4, size=rounds, p=[src.p_z0, src.p_z1, src.p_decoy_alpha_alpha,
+                                           src.p_decoy_vacuum])
+    fired = rng.random((rounds, 8)) < _event_probabilities(params)[states]
+    patterns = fired @ (1 << np.arange(8))
+    events = np.flatnonzero(patterns)
+    return _Batch(np.bincount(states, minlength=4), events,
+                  (states[events] * 256 + patterns[events]).astype(np.int16))

@@ -48,7 +48,6 @@ def test_star_import_binds_exactly_all():
     ("scan", "SCAN_VARIABLES"),
     ("scan", "SCAN_MODES"),
     ("scan", "scan_values"),
-    ("simulator", "DetectionEvent"),
 ])
 def test_module_only_names_stay_importable_by_module_path(module, name):
     assert hasattr(importlib.import_module(f"cowqkd.{module}"), name)

@@ -2,7 +2,6 @@ import bisect
 import dataclasses
 import itertools
 import math
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,6 @@ from cowqkd import (
     ValidationError,
     analytic_gains,
     channel_transmittance,
-    detection_events,
     empirical_gains,
     format_counts,
     replay_counts,
@@ -29,20 +27,19 @@ from cowqkd import (
 from cowqkd.cli import build_params, load_config, main
 from cowqkd.concentration import CLICK_FIELDS, validate_record
 from cowqkd.simulator import (
-    _EVENT_BLOCK,
     _SENT_FIELDS,
     _TALLY_ROWS,
     SIM_MODES,
     _Batch,
+    _dead_ticks,
     _event_probabilities,
-    _events,
     _joint_law,
     _mask_laws,
     _row_counts,
     _walk,
     _Walk,
 )
-from helpers import make_params
+from helpers import make_params, per_round_draw
 
 # Attenuation high enough that the transmittance underflows to exactly zero.
 OPAQUE_KM = 100_000.0
@@ -285,10 +282,35 @@ class TestSamplerEdges:
     def test_every_round_holds_one_event_when_every_gate_fires(self, rounds):
         # Unvalidated params: dark counts of 1 fire all four gates in every round.
         p = make_params(length_km=OPAQUE_KM, dark_count_prob=1.0)
-        chunk = drawn(_events(p, SimConfig(seed=23, rounds=rounds)))
-        assert np.array_equal(chunk.rounds, np.arange(rounds))
-        assert np.array_equal(chunk.rows & 255, np.full(rounds, 0xF0))
-        assert np.array_equal(np.bincount(chunk.rows >> 8, minlength=4), chunk.sent)
+        counts = _row_counts(p, SimConfig(seed=23, rounds=rounds), np.random.default_rng(23))
+        assert counts.sum() == rounds
+        assert np.all(np.flatnonzero(counts) & 255 == 0xF0)
+
+    def test_dark_floor_frequency_per_gate(self):
+        # Without light each gate's dark bit fires with p_d, which the pattern
+        # law's test takes from _event_probabilities rather than checks.
+        p = make_params(length_km=OPAQUE_KM, dark_count_prob=0.01)
+        rounds = 200_000
+        counts = _row_counts(p, SimConfig(seed=17, rounds=rounds), np.random.default_rng(17))
+        rows = np.arange(1024)
+        assert not counts[rows & 15 != 0].any()
+        sigma = math.sqrt(0.01 * 0.99 / rounds)
+        for gate in range(4):
+            fired = counts[rows & 16 << gate != 0].sum()
+            assert abs(fired / rounds - 0.01) < 3.0 * sigma, gate
+
+    def test_dark_gate_multiplicity_per_round(self):
+        # Darks fire independently at the four gates, so the number of dark
+        # gates in a round is binomial in p_d: exactly two with 6 p_d^2 (1-p_d)^2.
+        p_d = 0.05
+        p = make_params(length_km=OPAQUE_KM, dark_count_prob=p_d)
+        rounds = 200_000
+        counts = _row_counts(p, SimConfig(seed=41, rounds=rounds), np.random.default_rng(41))
+        darks = np.array([bin(row >> 4 & 15).count("1") for row in range(1024)])
+        for k in (1, 2, 3):
+            expected = math.comb(4, k) * p_d**k * (1.0 - p_d) ** (4 - k)
+            sigma = math.sqrt(expected * (1.0 - expected) / rounds)
+            assert abs(counts[darks == k].sum() / rounds - expected) < 4.0 * sigma, k
 
 
 def eta20_params(**overrides):
@@ -396,39 +418,21 @@ def tallies(rows, sent):
 
 
 class TestRowTally:
-    # With p_d = 5% every (state, pattern) cell can occur.
-    @pytest.mark.parametrize("length_km", [0.0, 20.0, 100.0])
-    def test_drawn_rows_have_some_event(self, length_km):
-        p = make_params(length_km=length_km, dark_count_prob=0.05,
-                        p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
-        cfg = SimConfig(seed=59, rounds=1 << 17)
-        chunk = drawn(_events(p, cfg))
-        assert chunk.rows.size > 0
-        assert np.all(chunk.rows & 255 != 0)
-        # They are the counted rows with an event, in distinct ascending rounds.
-        counts = _row_counts(p, cfg, np.random.default_rng(59))
-        assert np.array_equal(chunk.sent, counts.reshape(4, 256).sum(axis=1))
-        counts[::256] = 0
-        assert np.array_equal(np.bincount(chunk.rows, minlength=1024), counts)
-        assert np.all(np.diff(chunk.rounds) > 0)
-        assert 0 <= chunk.rounds[0] and chunk.rounds[-1] < cfg.rounds
-
     # Dead times of 1, 2 and 3 half-period ticks, and the 30 us of the
-    # eta = 0.2 profile (30,000).  At 1 tick streaming mode draws the per_pair
-    # rows, all of which the filter keeps.  Above it the walk draws only kept
-    # clicks: its rows are the filter's fixed point, and their tallies have
-    # the law of the filter over per_pair rows.
+    # eta = 0.2 profile (30,000), against the filter over per_pair rows drawn
+    # round by round in tests/helpers.py; with p_d = 5% every (state, pattern)
+    # cell can occur.  At 1 tick the filter keeps every row.  Above it the walk
+    # draws only kept clicks: its rows are the filter's fixed point, and their
+    # tallies have the law of the filter over per_pair rows.
     @pytest.mark.parametrize("dead", [1, 2, 3, 30_000])
     @pytest.mark.parametrize("length_km", [0.0, 20.0, 100.0])
     def test_dead_time_rows_equal_greedy_filter(self, length_km, dead):
         p = make_params(length_km=length_km, dark_count_prob=0.05, dead_time_s=dead * 1e-9,
                         p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
         if dead == 1:
-            cfg = SimConfig(seed=59, rounds=1 << 17)
-            per_pair = drawn(_events(p, cfg))
-            streaming = drawn(_events(p, dataclasses.replace(cfg, mode="streaming")))
-            expected = greedy_rows(per_pair.rounds, per_pair.rows, dead)
-            assert streaming.rows.tolist() == expected == per_pair.rows.tolist()
+            per_pair = per_round_draw(p, 1 << 17, np.random.default_rng(59))
+            assert per_pair.rows.size > 0
+            assert greedy_rows(per_pair.rounds, per_pair.rows, dead) == per_pair.rows.tolist()
             return
         walk = _Walk.build(p)
         chunk = drawn(_walk(np.random.default_rng(59), 1 << 17, walk, dead))
@@ -442,7 +446,7 @@ class TestRowTally:
         for seed in seeds:
             chunk = drawn(_walk(np.random.default_rng(seed), n, walk, dead))
             walked.append(tallies(chunk.rows, chunk.sent))
-            chunk = drawn(_events(p, SimConfig(seed=seed, rounds=n)))
+            chunk = per_round_draw(p, n, np.random.default_rng(1000 + seed))
             filtered.append(tallies(np.array(greedy_rows(chunk.rounds, chunk.rows, dead)), chunk.sent))
         walked, filtered = np.array(walked), np.array(filtered)
         diff = walked.mean(axis=0) - filtered.mean(axis=0)
@@ -454,6 +458,32 @@ class TestRowTally:
         for field, rows in _TALLY_ROWS.items():
             assert rows.shape == (1024,)
             assert not rows[::256].any(), field
+
+
+class TestPerRoundDraw:
+    # The greedy-filter reference in tests/helpers.py, built gate by gate,
+    # against the joint law the simulator draws from; with p_d = 5% every
+    # (state, pattern) cell can occur.
+    @pytest.mark.parametrize("length_km", [0.0, 20.0, 100.0])
+    def test_rows_follow_the_joint_law(self, length_km):
+        p = make_params(length_km=length_km, dark_count_prob=0.05,
+                        p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
+        rounds = 1 << 18
+        chunk = per_round_draw(p, rounds, np.random.default_rng(59))
+        # The event rounds, each with some event, in distinct ascending rounds.
+        assert chunk.rows.size > 0
+        assert np.all(chunk.rows & 255 != 0)
+        assert np.all(np.diff(chunk.rounds) > 0)
+        assert 0 <= chunk.rounds[0] and chunk.rounds[-1] < rounds
+        # With the rounds without an event put back, the rows follow _joint_law.
+        counts = np.bincount(chunk.rows, minlength=1024)
+        counts[::256] = chunk.sent - counts.reshape(4, 256).sum(axis=1)
+        assert counts.sum() == rounds
+        expected = rounds * _joint_law(p).ravel()
+        rare = expected < 20.0
+        observed = np.append(counts[~rare], counts[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+        assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
 class TestStreamingMode:
@@ -519,159 +549,120 @@ class TestRareDecoyTallies:
                 f"P(X >= k) = {at_least:.3g}, P(X <= k) = {at_most:.3g}")
 
 
-class TestDetectionEvents:
-    def test_dark_floor_frequency_per_gate(self):
-        p = make_params(length_km=OPAQUE_KM, dark_count_prob=0.01)
-        rounds = 200_000
-        counts = {}
-        for event in detection_events(p, SimConfig(seed=17, rounds=rounds)):
-            assert 0 <= event.round_index < rounds
-            assert event.is_dark
-            counts[(event.detector, event.time_bin)] = \
-                counts.get((event.detector, event.time_bin), 0) + 1
-        expected_gates = {("data", "tau0"), ("data", "tau1"),
-                          ("mon_m0", "interference"), ("mon_m1", "interference")}
-        assert set(counts) == expected_gates
-        sigma = math.sqrt(0.01 * 0.99 / rounds)
-        for gate, n in counts.items():
-            assert abs(n / rounds - 0.01) < 3.0 * sigma, gate
+def walk_session(p, rounds, dead, seed):
+    """A session's walk under a dead time of dead ticks, as one batch."""
+    return drawn(_walk(np.random.default_rng(seed), rounds, _Walk.build(p), dead))
 
-    def test_dark_gate_multiplicity_per_round(self):
-        # Darks fire independently at the four gates, so the number of dark
-        # gates in a round is binomial: exactly two with 6 p_d^2 (1-p_d)^2.
-        p_d = 0.05
-        p = make_params(length_km=OPAQUE_KM, dark_count_prob=p_d)
-        rounds = 200_000
-        per_round = Counter(e.round_index for e in detection_events(p, SimConfig(seed=41, rounds=rounds)))
-        multiplicity = Counter(per_round.values())
-        for k in (1, 2, 3):
-            expected = math.comb(4, k) * p_d**k * (1.0 - p_d) ** (4 - k)
-            sigma = math.sqrt(expected * (1.0 - expected) / rounds)
-            assert abs(multiplicity[k] / rounds - expected) < 4.0 * sigma, k
 
+class TestWalkBatches:
     def test_streaming_clicks_respect_dead_time(self):
         # The data line is one detector: both bins, half a period apart,
         # share its dead time.
         p = make_params(length_km=5.0, efficiency=0.2, dark_count_prob=1e-3, dead_time_s=1.01e-7)
         cfg = SimConfig(seed=43, rounds=300_000, mode="streaming")
-        period = 1.0 / p.source.pulse_pair_rate
-        times: dict[str, list[float]] = {}
-        for e in detection_events(p, cfg):
-            shift = period / 2.0 if e.time_bin == "tau1" else 0.0
-            times.setdefault(e.detector, []).append(e.round_index * period + shift)
-        assert set(times) == {"data", "mon_m0", "mon_m1"}
-        per_pair = sum(1 for _ in detection_events(p, SimConfig(seed=43, rounds=300_000)))
-        assert sum(map(len, times.values())) < per_pair / 2
-        for detector, ts in times.items():
-            gaps = [b - a for a, b in zip(ts, ts[1:])]
-            assert min(gaps) >= p.detectors.dead_time_s * (1.0 - 1e-9), detector
+        chunk = walk_session(p, cfg.rounds, _dead_ticks(p, cfg), seed=43)
+        half_period = 0.5 / p.source.pulse_pair_rate
+        ticks = {"data": [], "m0": [], "m1": []}
+        for r, row in zip(chunk.rounds.tolist(), chunk.rows.tolist()):
+            for gate, detector in enumerate(("data", "data", "m0", "m1")):
+                if row & 17 << gate:
+                    ticks[detector].append(2 * r + (gate == 1))
+        # The gate clicks of a per_pair session of the same length, from its row counts.
+        per_pair = _row_counts(p, cfg, np.random.default_rng(43))
+        clicks = sum(((np.arange(1024) >> gate & 17) != 0) * per_pair for gate in range(4)).sum()
+        assert sum(map(len, ticks.values())) < clicks / 2
+        for detector, ts in ticks.items():
+            assert len(ts) > 1, detector
+            assert min(np.diff(ts)) * half_period >= p.detectors.dead_time_s * (1.0 - 1e-9), detector
 
-    @pytest.mark.parametrize("dead_time_s, rounds, overrides", [
-        (1e-9, 200_000, dict(length_km=5.0, efficiency=0.2, dark_count_prob=1e-3)),
-        (2e-9, 200_000, dict(length_km=5.0, efficiency=0.2, dark_count_prob=1e-3)),
-        (3e-9, 200_000, dict(length_km=5.0, efficiency=0.2, dark_count_prob=1e-3)),
-        # The 30 us of the eta = 0.2 profile, over more than 2^20 rounds.
-        (30e-6, (1 << 20) + 100_000, dict(length_km=20.0, efficiency=0.2,
-                                          p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)),
+    # Dead times of 2 and 3 ticks, and the 30 us of the eta = 0.2 profile
+    # over more than 2^20 rounds.  At one tick streaming mode draws the
+    # per_pair record, as TestSessionDraw checks.
+    @pytest.mark.parametrize("dead, rounds, overrides", [
+        (2, 200_000, dict(length_km=5.0, efficiency=0.2, dark_count_prob=1e-3)),
+        (3, 200_000, dict(length_km=5.0, efficiency=0.2, dark_count_prob=1e-3)),
+        (30_000, (1 << 20) + 100_000, dict(length_km=20.0, efficiency=0.2,
+                                           p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)),
     ])
-    def test_streaming_equals_greedy_dead_time(self, dead_time_s, rounds, overrides):
-        # A per-click greedy filter on integer half-period ticks.  At one tick it
-        # keeps every per_pair event of the same seed, which streaming mode then
-        # yields; above it, streaming events are its fixed point.
-        p = make_params(dead_time_s=dead_time_s, **overrides)
-        dead = round(2.0 * dead_time_s * p.source.pulse_pair_rate)
-        drawn = SimConfig(seed=47, rounds=rounds, mode="per_pair" if dead == 1 else "streaming")
-        last: dict[str, float] = {}
-        kept = []
-        for e in detection_events(p, drawn):
-            tick = 2 * e.round_index + (e.time_bin == "tau1")
-            if tick - last.get(e.detector, -math.inf) >= dead:
-                kept.append(e)
-                last[e.detector] = tick
-        assert set(last) == {"data", "mon_m0", "mon_m1"}
-        streaming = SimConfig(seed=47, rounds=rounds, mode="streaming")
-        assert list(detection_events(p, streaming)) == kept
+    def test_streaming_equals_greedy_dead_time(self, dead, rounds, overrides):
+        # A per-click greedy filter on integer half-period ticks keeps every
+        # click of the walk: the walk's clicks are its fixed point.
+        chunk = walk_session(make_params(dead_time_s=dead * 1e-9, **overrides), rounds, dead, seed=47)
+        for bits in (17 | 34, 68, 136):  # each detector clicks
+            assert np.any(chunk.rows & bits), bits
+        assert greedy_rows(chunk.rounds, chunk.rows, dead) == chunk.rows.tolist()
 
-    # Each gate's detector and time bin, in row bit order.
-    GATES = (("data", "tau0"), ("data", "tau1"), ("mon_m0", "interference"), ("mon_m1", "interference"))
-
-    @pytest.mark.parametrize("mode, dead_time_s, rounds, dark_count_prob", [
-        ("per_pair", 30e-6, 300_000, 1e-3),
-        # Several blocks of dense events.
-        ("per_pair", 30e-6, 200_000, 0.2),
-        ("streaming", 1e-9, 300_000, 1e-3),
-        # The walk, over more than 2^20 rounds.
-        ("streaming", 30e-6, (1 << 20) + 100_000, 1e-3),
-    ])
-    def test_events_carry_the_records_tallies(self, mode, dead_time_s, rounds, dark_count_prob):
-        p = make_params(length_km=20.0, efficiency=0.2, dark_count_prob=dark_count_prob,
+    # Dense clicks at 2 ticks, over several batches, and 30 us over more than 2^20 rounds.
+    @pytest.mark.parametrize("dead_time_s, rounds", [(2e-9, 200_000), (30e-6, (1 << 20) + 100_000)])
+    def test_batches_carry_the_records_tallies(self, dead_time_s, rounds):
+        p = make_params(length_km=20.0, efficiency=0.2, dark_count_prob=1e-3,
                         dead_time_s=dead_time_s, p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
-        cfg = SimConfig(seed=61, rounds=rounds, mode=mode)
-        chunks = list(_events(p, cfg))
-        # The walk's few hundred clicks fill one batch; other sessions come in blocks of rounds.
-        walked = dead_time_s > 1e-9 and mode == "streaming"
-        assert len(chunks) == (1 if walked else -(-rounds // _EVENT_BLOCK))
-        # The events are these rows decoded: a click at each gate with its photon or dark bit set.
-        decoded = [(r, self.GATES[g], row >> g & 17 == 16)
-                   for chunk in chunks for r, row in zip(chunk.rounds.tolist(), chunk.rows.tolist())
-                   for g in range(4) if row >> g & 17]
-        assert len(decoded) > 100
-        assert [(e.round_index, (e.detector, e.time_bin), e.is_dark)
-                for e in detection_events(p, cfg)] == decoded
-        # And the rows tally to the record that simulate_session draws from the same seed.
+        cfg = SimConfig(seed=61, rounds=rounds, mode="streaming")
+        chunk = walk_session(p, rounds, _dead_ticks(p, cfg), seed=61)
+        assert chunk.rows.size > 100
         record = simulate_session(p, cfg)
-        rows = np.concatenate([chunk.rows for chunk in chunks])
-        assert tallies(rows, sum(chunk.sent for chunk in chunks)) == [getattr(record, field) for field in (
-            *_TALLY_ROWS, "n_sent_0z", "n_sent_1z", "n_sent_alpha_alpha", "n_sent_vac")]
+        assert tallies(chunk.rows, chunk.sent) == [getattr(record, field)
+                                                   for field in (*_TALLY_ROWS, *_SENT_FIELDS)]
 
     # A 2-tick dead time and the 30 us of the eta = 0.2 profile, with first
     # rounds on both sides of 2^20.
-    @pytest.mark.parametrize("dead_time_s", [2e-9, 30e-6])
+    @pytest.mark.parametrize("dead", [2, 30_000])
     @pytest.mark.parametrize("n", [(1 << 20) - 5000, (1 << 20) + 5000])
-    def test_streaming_events_in_the_first_rounds_ignore_the_round_count(self, dead_time_s, n):
-        p = make_params(length_km=20.0, efficiency=0.2, dead_time_s=dead_time_s,
+    def test_streaming_events_in_the_first_rounds_ignore_the_round_count(self, dead, n):
+        p = make_params(length_km=20.0, efficiency=0.2, dead_time_s=dead * 1e-9,
                         p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
 
         def first(rounds):
-            events = detection_events(p, SimConfig(seed=67, rounds=rounds, mode="streaming"))
-            return list(itertools.takewhile(lambda e: e.round_index < n, events))
+            chunk = walk_session(p, rounds, dead, seed=67)
+            keep = chunk.rounds < n
+            return chunk.rounds[keep].tolist(), chunk.rows[keep].tolist()
 
-        events = first(n)
-        assert len(events) > 100
-        assert first(n + 1) == first(3 << 20) == events
+        rounds, rows = first(n)
+        assert len(rows) > 100
+        assert first(n + 1) == first(3 << 20) == (rounds, rows)
 
-    @pytest.mark.parametrize("q", [1 / 3, 0.59, 0.9])
-    def test_event_round_gaps_are_geometric(self, q):
-        # Dark counts alone, set so that some gate fires in a round with probability q.
-        p = make_params(length_km=OPAQUE_KM, dark_count_prob=1.0 - (1.0 - q) ** 0.25)
-        chunk = drawn(_events(p, SimConfig(seed=31, rounds=1 << 18)))
-        rounds = chunk.rounds
-        gaps = np.bincount(np.diff(rounds, prepend=-1))[1:]
-        k = np.arange(1, gaps.size + 1)
-        expected = rounds.size * q * (1.0 - q) ** (k - 1)
-        rare = expected < 20.0
-        observed = np.append(gaps[~rare], gaps[rare].sum())
-        expected = np.append(expected[~rare], rounds.size - expected[~rare].sum())
-        assert stats.chisquare(observed, expected).pvalue > 1e-3
+    @pytest.mark.parametrize("dead", [2, 3, 30_000])
+    def test_walk_rounds_strictly_increase(self, dead):
+        p = make_params(length_km=0.0, dark_count_prob=0.05)
+        rounds = 1 << 16
+        chunk = walk_session(p, rounds, dead, seed=23)
+        assert chunk.rows.size > 1
+        assert np.all(np.diff(chunk.rounds) > 0)
+        assert 0 <= chunk.rounds[0] and chunk.rounds[-1] < rounds
 
-    def test_per_pair_events_need_a_session_below_numpys_hypergeometric_limit(self):
-        with pytest.raises(ValidationError, match="below 1e9 rounds"):
-            next(detection_events(sim_params(), SimConfig(seed=1, rounds=10**9)))
-        # The walk has no such limit.
+    # A monitoring port has one gate, at tick 2r, and after a click in round r
+    # it is dead until round r + ceil(dead / 2).  Its rounds are independent,
+    # so its clicks are a renewal process: each gap is that many dead rounds
+    # plus a geometric count of live rounds without a click, whichever gates
+    # of the other detectors are live.
+    @pytest.mark.parametrize("length_km", [0.0, 20.0])
+    @pytest.mark.parametrize("dead, rounds", [(2, 1 << 19), (3, 1 << 19), (30_000, 1 << 26)])
+    def test_monitoring_click_gaps_are_dead_rounds_plus_geometric(self, length_km, dead, rounds):
+        p = make_params(length_km=length_km, dark_count_prob=0.05,
+                        p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14)
+        chunk = walk_session(p, rounds, dead, seed=71)
+        src, fire = p.source, _event_probabilities(p)
+        pi = np.array([src.p_z0, src.p_z1, src.p_decoy_alpha_alpha, src.p_decoy_vacuum])
+        for gate in (2, 3):
+            # A round's chance that the gate clicks, photon or dark, when it is live.
+            q = float(pi @ (1.0 - (1.0 - fire[:, gate]) * (1.0 - fire[:, gate + 4])))
+            clicks = chunk.rounds[chunk.rows & 17 << gate != 0]
+            waits = np.append(clicks[0], np.diff(clicks) - (dead + 1) // 2)
+            assert waits.size > 4000 and waits.min() >= 0, gate
+            mean, sigma = (1.0 - q) / q, math.sqrt((1.0 - q) / q**2 / waits.size)
+            assert abs(waits.mean() - mean) < 4.0 * sigma, (gate, waits.mean(), mean)
+            # Waits of 0 to J - 1 rounds, and J or more, against the geometric law.
+            j = int(math.log(20.0 / waits.size) / math.log(1.0 - q))
+            expected = waits.size * np.append(q * (1.0 - q) ** np.arange(j), (1.0 - q) ** j)
+            observed = np.bincount(np.minimum(waits, j), minlength=j + 1)
+            assert stats.chisquare(observed, expected).pvalue > 1e-3, gate
+
+    def test_a_walk_of_1e9_rounds_without_events(self):
+        # No light and no darks: the walk makes one step and draws the emissions.
         p = sim_params(length_km=OPAQUE_KM, dark_count_prob=0.0)
-        assert list(detection_events(p, SimConfig(seed=1, rounds=10**9, mode="streaming"))) == []
-
-    def test_photonic_clicks_flagged(self):
-        p = sim_params(dark_count_prob=0.0)
-        events = list(detection_events(p, SimConfig(seed=19, rounds=50_000)))
-        assert events
-        assert all(not e.is_dark for e in events)
-
-    def test_events_sorted_by_round(self):
-        p = sim_params()
-        events = list(detection_events(p, SimConfig(seed=23, rounds=50_000)))
-        indices = [e.round_index for e in events]
-        assert indices == sorted(indices)
+        chunk = walk_session(p, 10**9, 50_000, seed=1)
+        assert chunk.rows.size == 0
+        assert chunk.sent.sum() == 10**9
 
 
 class TestEmpiricalGains:
@@ -895,6 +886,21 @@ class TestCountLogNamesEveryBadLine:
         assert str(exc.value) == (
             f"{path}: line 2: n_z: not an integer: 'many'; "
             "line 6: expected 'key = integer', got 'n_aa_m1 3'; missing keys: n_z, n_aa_m1")
+
+    # A count is ASCII -?[0-9]+; int() alone would also read 1_000_000, +10000 and other digits.
+    @pytest.mark.parametrize("text", ["1_000_000", "+10000", "\u0661\u0660\u0660\u0660\u0660", "1e6"])
+    def test_a_count_is_plain_ascii_digits(self, tmp_path, text):
+        path = tmp_path / "counts.txt"
+        path.write_text(self.LOG.replace("n_sent_vac = 150000", f"n_sent_vac = {text}"), encoding="utf-8")
+        with pytest.raises(CountFileError) as exc:
+            replay_counts(path)
+        assert str(exc.value) == f"{path}: line 4: n_sent_vac: not an integer: {text!r}; missing keys: n_sent_vac"
+
+    def test_a_negative_count_is_read_and_refused_by_its_value(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text(self.LOG.replace("n_vac_m1 = 1", "n_vac_m1 = -1"))
+        with pytest.raises(CountFileError, match="n_vac_m1 must be non-negative, got -1"):
+            replay_counts(path)
 
     def test_analyze_exits_2_naming_both_lines(self, capsys, tmp_path):
         path = tmp_path / "counts.txt"
