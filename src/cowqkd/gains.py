@@ -9,7 +9,7 @@ conventions, which makes analytic and empirical gains directly comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,21 +37,27 @@ class GainSet:
 
     data_* fields are data-line gains for the two bit states resolved by time
     bin; mon_* fields are monitoring-line gains for the both-bins decoy, the
-    vacuum decoy, and the two bit states.
+    vacuum decoy, and the two bit states.  A closed-form set holds every
+    field; a set estimated from counts holds None where the record cannot
+    resolve the gain.
     """
 
-    data_0z_tau0: float
-    data_0z_tau1: float
-    data_1z_tau0: float
-    data_1z_tau1: float
-    mon_alpha_alpha_m0: float
-    mon_alpha_alpha_m1: float
-    mon_vac_m0: float
-    mon_vac_m1: float
-    mon_0z_m0: float
-    mon_0z_m1: float
-    mon_1z_m0: float
-    mon_1z_m1: float
+    data_0z_tau0: float | None
+    data_0z_tau1: float | None
+    data_1z_tau0: float | None
+    data_1z_tau1: float | None
+    mon_alpha_alpha_m0: float | None
+    mon_alpha_alpha_m1: float | None
+    mon_vac_m0: float | None
+    mon_vac_m1: float | None
+    mon_0z_m0: float | None
+    mon_0z_m1: float | None
+    mon_1z_m0: float | None
+    mon_1z_m1: float | None
+
+    def as_dict(self) -> dict[str, float]:
+        """A new dict of the fields that hold a value, by name."""
+        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
 
 def _intensity(params: SystemParams, *, monitoring: bool = False) -> float:

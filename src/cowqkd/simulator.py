@@ -55,14 +55,12 @@ from typing import Iterator
 import numpy as np
 
 from .concentration import CLICK_FIELDS, WIRE_KEYS, CountRecord, validate_record
-from .gains import _intensity
+from .gains import GainSet, _intensity
 from .params import SystemParams, ValidationError
 from .params import _check_choice, _is_integer, _parse_lines, _range_violations
 
 __all__ = [
     "SimConfig",
-    "MissingCountError",
-    "EmpiricalGains",
     "CountFileError",
     "simulate_session",
     "empirical_gains",
@@ -100,28 +98,6 @@ class SimConfig:
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         _check_choice("mode", self.mode, SIM_MODES)
-
-
-class MissingCountError(AttributeError):
-    """Requested gain field has no emission data in the record."""
-
-
-class EmpiricalGains:
-    """Gain estimates keyed like GainSet fields; absent fields raise."""
-
-    def __init__(self, values: dict[str, float]):
-        self._values = dict(values)
-
-    def __getattr__(self, name: str) -> float:
-        try:
-            return self.__dict__["_values"][name]
-        except KeyError:
-            raise MissingCountError(
-                f"gain {name!r} unavailable: its state class has no recorded emissions"
-            ) from None
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self._values)
 
 
 class CountFileError(ValueError):
@@ -348,21 +324,18 @@ def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
     return validate_record(CountRecord(rounds=cfg.rounds, **tallies))
 
 
-def empirical_gains(record: CountRecord) -> EmpiricalGains:
+def empirical_gains(record: CountRecord) -> GainSet:
     """Frequency estimates of every gain the record can resolve.
 
     Each gain is its class-conditional click count over the class emission
-    count.  Fields whose class has no recorded emissions are absent, and
-    reading them raises MissingCountError.
+    count.  A field is None where the record lacks the click tally or the
+    class emissions, or the class was never sent.
     """
-    values: dict[str, float] = {}
+    values = {}
     for click_name, (sent_name, field) in CLICK_FIELDS.items():
-        clicks = getattr(record, click_name)
-        sent = getattr(record, sent_name)
-        if clicks is None or sent is None or sent == 0:
-            continue
-        values[field] = clicks / sent
-    return EmpiricalGains(values)
+        clicks, sent = getattr(record, click_name), getattr(record, sent_name)
+        values[field] = clicks / sent if clicks is not None and sent else None
+    return GainSet(**values)
 
 
 def _count(text: str) -> int:

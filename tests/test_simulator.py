@@ -11,9 +11,7 @@ from scipy import stats
 from cowqkd import (
     CountFileError,
     CountRecord,
-    EmpiricalGains,
     GainSet,
-    MissingCountError,
     SimConfig,
     ValidationError,
     analytic_gains,
@@ -441,7 +439,7 @@ class TestRowTally:
         assert greedy_rows(chunk.rounds, chunk.rows, dead) == chunk.rows.tolist()
         # Seed-averaged tallies and emissions, over sessions long enough for
         # several dead periods.
-        n, seeds = (1 << 11 if dead < 100 else 1 << 15), range(40)
+        n, seeds = (1 << 13 if dead < 100 else 1 << 15), range(40)
         walked, filtered = [], []
         for seed in seeds:
             chunk = drawn(_walk(np.random.default_rng(seed), n, walk, dead))
@@ -678,13 +676,25 @@ class TestEmpiricalGains:
         assert g.mon_vac_m0 == pytest.approx(1e-3, rel=1e-12, abs=0.0)
         assert g.mon_vac_m1 == 0.0
 
-    def test_missing_class_raises(self):
+    def test_a_class_never_sent_reads_none(self):
         r = CountRecord(rounds=1000, n_z=0, n_sent_alpha_alpha=0,
                         n_sent_vac=1000, n_aa_m0=0, n_aa_m1=0,
                         n_vac_m0=1, n_vac_m1=0)
         g = empirical_gains(r)
-        with pytest.raises(MissingCountError):
-            g.mon_alpha_alpha_m0
+        assert g.mon_alpha_alpha_m0 is None and g.mon_alpha_alpha_m1 is None
+        assert g.as_dict() == {"mon_vac_m0": 1e-3, "mon_vac_m1": 0.0}
+
+    def test_a_replayed_record_resolves_only_the_decoy_gains(self, tmp_path):
+        # A count log holds the eight wire keys: no bit-state tally or emissions.
+        record, _ = self.full_record()
+        path = tmp_path / "counts.txt"
+        write_counts(record, path)
+        full, g = empirical_gains(record), empirical_gains(replay_counts(path))
+        decoy = ("mon_alpha_alpha_m0", "mon_alpha_alpha_m1", "mon_vac_m0", "mon_vac_m1")
+        bit_state = [f.name for f in dataclasses.fields(GainSet) if f.name not in decoy]
+        assert len(bit_state) == 8
+        assert [name for name in bit_state if getattr(g, name) is not None] == []
+        assert g.as_dict() == {name: getattr(full, name) for name in decoy}
 
     def test_full_simulated_record_resolves_every_field(self):
         record, p = self.full_record()
@@ -692,11 +702,18 @@ class TestEmpiricalGains:
         expected = analytic_gains(p)
         assert gains.data_0z_tau0 == pytest.approx(expected.data_0z_tau0, rel=0.1)
 
-    def test_as_dict_copies(self):
-        g = EmpiricalGains({"mon_vac_m0": 0.5})
+    def test_as_dict_skips_unresolved_fields_and_copies(self):
+        g = GainSet(**dict.fromkeys((f.name for f in dataclasses.fields(GainSet)), None)
+                    | {"mon_vac_m0": 0.5, "mon_vac_m1": 0.0})
         d = g.as_dict()
-        d["mon_vac_m0"] = 0.0
-        assert g.mon_vac_m0 == 0.5
+        assert d == {"mon_vac_m0": 0.5, "mon_vac_m1": 0.0}
+        d["mon_vac_m0"] = 0.25
+        assert g.as_dict() == {"mon_vac_m0": 0.5, "mon_vac_m1": 0.0}
+        assert g.as_dict() is not g.as_dict()
+
+    def test_as_dict_of_a_closed_form_set_holds_every_field(self):
+        expected = analytic_gains(sim_params())
+        assert expected.as_dict() == dataclasses.asdict(expected)
 
 
 class TestCountFileRoundtrip:
