@@ -55,6 +55,16 @@ CASES = [
     ("bad-config.err", ["validate", "--config", str(GOLDEN / "input" / "bad.cfg")], 1),
     ("bad-set.err", ["validate", "--set", "source.mu=abc", "--set", "detectors.bogus=1"], 1),
     ("bad-count-log.err", ["analyze", "--counts", str(GOLDEN / "input" / "bad-count-log.txt")], 2),
+    # Inputs that cannot be read and outputs that cannot be written.
+    ("missing-config.err", ["validate", "--config", str(GOLDEN / "input" / "missing.cfg")], 1),
+    ("directory-config.err", ["validate", "--config", str(GOLDEN / "input")], 1),
+    ("latin-1-config.err", ["validate", "--config", str(GOLDEN / "input" / "latin-1.cfg")], 2),
+    ("missing-count-log.err", ["analyze", "--counts", str(GOLDEN / "input" / "missing-count-log.txt")], 2),
+    ("latin-1-count-log.err", ["analyze", "--counts", str(GOLDEN / "input" / "latin-1-count-log.txt")], 2),
+    ("scan-output-missing-dir.err", ["scan", "--config", "configs/keyrate_eta10_dt50.cfg",
+                                     "--output", str(GOLDEN / "missing" / "scan.csv")], 2),
+    ("simulate-output-missing-dir.err", ["simulate", "--rounds", "1000",
+                                         "--output", str(GOLDEN / "missing" / "counts.txt")], 2),
 ]
 
 
