@@ -20,9 +20,8 @@ import argparse
 import collections
 import dataclasses
 import functools
-import json
+import os
 import sys
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .finite_key import AnalysisConfig, KeyRateResult, evaluate_record
@@ -35,7 +34,7 @@ from .scan import (
     ScanSpec,
     emit,
     find_threshold,
-    json_safe,
+    indented_json,
     key_rate_bps,
     run_scan,
     with_variable,
@@ -94,11 +93,11 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, object]:
     return values
 
 
-def load_config(path: str | Path) -> dict[str, object]:
-    path = Path(path)
+def load_config(path: str | os.PathLike[str]) -> dict[str, object]:
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, origin=str(path))
 
@@ -191,8 +190,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _result_json(result: KeyRateResult, rate_bps: float) -> str:
-    payload = {**vars(result), "key_rate_bps": rate_bps}
-    return json.dumps(json_safe(payload), indent=2) + "\n"
+    return indented_json({**vars(result), "key_rate_bps": rate_bps}) + "\n"
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

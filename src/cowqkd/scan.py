@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -266,20 +266,33 @@ def key_rate_bps(key_bits: float, rounds: int, pulse_pair_rate: float) -> float:
     return key_bits / (rounds / pulse_pair_rate)
 
 
-def json_safe(payload: dict) -> dict:
-    """payload with each NaN float replaced by None, which JSON can carry."""
-    return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in payload.items()}
+def indented_json(payload: dict | list[dict], allow_nan: bool = True) -> str:
+    """A flat dict, or a list of flat dicts, as json.dumps(payload, indent=2) writes
+    it, with each NaN float written as null, which JSON can carry.
+
+    indent= would switch json's C encoder off, so the separators carry each
+    newline and indent, and the brackets are added here.
+    """
+    def braced(row: dict, pad: str) -> str:
+        row = {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+        text = json.dumps(row, separators=(",\n" + pad, ": "), allow_nan=allow_nan)
+        return "{\n" + pad + text[1:-1] + "\n" + pad[2:] + "}" if row else "{}"
+
+    if isinstance(payload, dict):
+        return braced(payload, "  ")
+    return "[\n  " + ",\n  ".join(braced(row, "    ") for row in payload) + "\n]" if payload else "[]"
 
 
-def write_text(text: str, destination: str | Path) -> None:
+def write_text(text: str, destination: str | os.PathLike[str]) -> None:
     """Write text to stdout when destination is "-", else to that file."""
     if destination == "-":
         sys.stdout.write(text)
     else:
-        Path(destination).write_text(text, encoding="utf-8")
+        with open(destination, "w", encoding="utf-8") as file:
+            file.write(text)
 
 
-def emit(rows: Sequence[ScanRow], format: str = "csv", destination: str | Path = "-") -> str:
+def emit(rows: Sequence[ScanRow], format: str = "csv", destination: str | os.PathLike[str] = "-") -> str:
     """Serialize rows to CSV or JSON, byte-stable for identical inputs.
 
     destination "-" writes to stdout; anything else is a file path.
@@ -297,8 +310,7 @@ def emit(rows: Sequence[ScanRow], format: str = "csv", destination: str | Path =
         cells = [*(map(repr, c) for c in numbers), flags, map(quoted.__getitem__, reasons)]
         text = "\n".join([CSV_HEADER, *map(",".join, zip(*cells))]) + "\n"
     else:
-        payload = [json_safe(dict(zip(COLUMNS, row))) for row in rows]
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        text = indented_json([dict(zip(COLUMNS, row)) for row in rows], allow_nan=False) + "\n"
 
     write_text(text, destination)
     return text

@@ -47,9 +47,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -338,10 +338,13 @@ def empirical_gains(record: CountRecord) -> GainSet:
     return GainSet(**values)
 
 
+#: A count: ASCII digits only, as int() would also take 1_000, +5 and non-ASCII digits.  The
+#: sign is read so that a negative count gets validate_record's "must be non-negative".
+_COUNT = re.compile(r"-?[0-9]+")
+
+
 def _count(text: str) -> int:
-    # ASCII digits only: int() would also take 1_000, +5 and non-ASCII digits.  The sign is
-    # read so that a negative count gets validate_record's "must be non-negative".
-    if not re.fullmatch(r"-?[0-9]+", text):
+    if not _COUNT.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
@@ -350,11 +353,15 @@ def _count(text: str) -> int:
 _COUNT_PARSERS = dict.fromkeys((key for key, _ in WIRE_KEYS), _count)
 
 
-def replay_counts(path: str | Path) -> CountRecord:
+def replay_counts(path: str | os.PathLike[str]) -> CountRecord:
     """Parse a count-log file, one "key = integer" line per wire key, into a validated
-    CountRecord; its CountFileError names every bad line, missing key and broken invariant."""
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    CountRecord; its CountFileError names every bad line, missing key and broken invariant,
+    or text that is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            lines = file.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CountFileError(f"{path}: {exc}") from exc
     values, errors = _parse_lines(lines, _COUNT_PARSERS, "line {}".format, form="key = integer")
     if missing := [key for key, _ in WIRE_KEYS if key not in values]:
         errors.append(f"missing keys: {', '.join(missing)}")
@@ -371,5 +378,6 @@ def format_counts(record: CountRecord) -> str:
     return "".join(f"{key} = {getattr(record, field)}\n" for key, field in WIRE_KEYS)
 
 
-def write_counts(record: CountRecord, path: str | Path) -> None:
-    Path(path).write_text(format_counts(record), encoding="utf-8")
+def write_counts(record: CountRecord, path: str | os.PathLike[str]) -> None:
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(format_counts(record))

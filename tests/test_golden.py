@@ -58,7 +58,7 @@ CASES = [
     # Inputs that cannot be read and outputs that cannot be written.
     ("missing-config.err", ["validate", "--config", str(GOLDEN / "input" / "missing.cfg")], 1),
     ("directory-config.err", ["validate", "--config", str(GOLDEN / "input")], 1),
-    ("latin-1-config.err", ["validate", "--config", str(GOLDEN / "input" / "latin-1.cfg")], 2),
+    ("latin-1-config.err", ["validate", "--config", str(GOLDEN / "input" / "latin-1.cfg")], 1),
     ("missing-count-log.err", ["analyze", "--counts", str(GOLDEN / "input" / "missing-count-log.txt")], 2),
     ("latin-1-count-log.err", ["analyze", "--counts", str(GOLDEN / "input" / "latin-1-count-log.txt")], 2),
     ("scan-output-missing-dir.err", ["scan", "--config", "configs/keyrate_eta10_dt50.cfg",

@@ -1059,6 +1059,32 @@ class TestColumnWiseEmit:
         assert capsys.readouterr().out == text
 
 
+class TestIndentedJson:
+    """indented_json lays out a flat dict or a list of them as json.dumps(payload, indent=2) does."""
+
+    FLAT = {"none": None, "yes": True, "no": False, "int": -42, "tiny": 1e-300, "big": 1e16,
+            "negative_zero": -0.0, "text": 'a "quote", a \\ backslash,\na newline and µ, é, 鍵'}
+
+    @pytest.mark.parametrize("payload", [
+        FLAT,
+        {},
+        [FLAT],
+        [FLAT, {**FLAT, "int": 7, "text": "plain"}, {"only": 1.5}, FLAT],
+        [],
+    ], ids=["dict", "empty-dict", "one-row", "several-rows", "no-rows"])
+    def test_matches_json_dumps_indent_2(self, payload):
+        assert cowqkd.scan.indented_json(payload) == json.dumps(payload, indent=2)
+
+    def test_nan_is_null(self):
+        nan_row, null_row = {"qber": math.nan, "x": 1.0}, {"qber": None, "x": 1.0}
+        assert cowqkd.scan.indented_json(nan_row) == json.dumps(null_row, indent=2)
+        assert cowqkd.scan.indented_json([nan_row]) == json.dumps([null_row], indent=2)
+
+    def test_emit_without_rows_is_an_empty_list(self, capsys):
+        assert emit([], format="json") == "[]\n"
+        capsys.readouterr()
+
+
 class TestScanRow:
     ROW = ScanRow(value=10.0, qber=0.01, phase_error_upper=0.2, key_bits=5.0,
                   key_rate_bps=2.5, aborted=False, reason=None)
