@@ -32,6 +32,7 @@ from .scan import (
     THRESHOLD_METRICS,
     NoThresholdError,
     ScanSpec,
+    check_writable,
     emit,
     find_threshold,
     indented_json,
@@ -95,8 +96,8 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, object]:
 
 def load_config(path: str | os.PathLike[str]) -> dict[str, object]:
     try:
-        with open(path, encoding="utf-8") as file:
-            text = file.read()
+        with open(path, "rb") as file:
+            text = file.read().decode()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, origin=str(path))
@@ -167,6 +168,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     # run_scan would make an out-of-range point an error row; here it exits 1 before any row.
     for value in (spec.start, spec.stop):
         validate(with_variable(params, spec.variable, value))
+    if spec.mode == "simulate":  # so does a block that run_scan could not draw
+        SimConfig(seed=spec.sim_seed, rounds=params.rounds)
+    check_writable(args.output)
     rows = run_scan(spec, params, analysis)
     emit(rows, format=args.format, destination=args.output)
     return 0
@@ -185,6 +189,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _, params, _ = _inputs(args)
     rounds = args.rounds if args.rounds is not None else params.rounds
     sim = SimConfig(seed=args.seed, rounds=rounds, mode=args.mode)
+    check_writable(args.output)
     write_text(format_counts(simulate_session(params, sim)), args.output)
     return 0
 

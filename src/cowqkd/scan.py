@@ -292,6 +292,22 @@ def write_text(text: str, destination: str | os.PathLike[str]) -> None:
             file.write(text)
 
 
+def check_writable(destination: str | os.PathLike[str]) -> None:
+    """Raise the OSError that write_text would raise on destination, without creating or
+    truncating it, so that a command can fail before its work.  A path that does not exist
+    is made and removed again, a regular file or a directory is opened for writing, and "-"
+    and other special files, such as a pipe, are not probed."""
+    if destination == "-":
+        return
+    try:
+        os.close(os.open(destination, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        if os.path.isfile(destination) or os.path.isdir(destination):
+            os.close(os.open(destination, os.O_WRONLY))
+    else:
+        os.remove(destination)
+
+
 def emit(rows: Sequence[ScanRow], format: str = "csv", destination: str | os.PathLike[str] = "-") -> str:
     """Serialize rows to CSV or JSON, byte-stable for identical inputs.
 

@@ -37,15 +37,15 @@ set's own law and, when the gap reaches the next revival, draws afresh there.
 
 Each event is held once, as its row state * 256 + pattern, where bits g and
 g + 4 of the pattern are the photon click and the dark count at gate g and the
-state is in _joint_law's order: z0, z1, both-bins, vacuum.  The tallies count
-events per row, so the rules above run once, on all 1,024 rows.  Each session
-draws from one RNG stream seeded with the seed, so a record in either mode is
-a function of the seed and the round count.
+state is in _joint_law's order: z0, z1, both-bins, vacuum.  The rules above are
+a matrix over the 1,024 rows, built at import, so a session's 13 tallies are
+one product of it with the session's count of each row.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import os
 import re
@@ -104,10 +104,19 @@ class CountFileError(ValueError):
     """Count-log file is malformed; message carries line diagnostics."""
 
 
+def _mask_index() -> np.ndarray:
+    """_mask_laws' scatter index, flat: the row (mask * 4 + state) * 256 + kept pattern of each
+    (mask, state, pattern), where live gate g (mask bit g) keeps 17 << g but a d0 click kills d1."""
+    kept = np.arange(256) & 17 * np.arange(16)[:, None, None]
+    kept = np.where(kept & 17, kept & ~34, kept)
+    return (np.arange(64).reshape(16, 4, 1) * 256 + kept).astype(np.int16).ravel()
+
+
 _GATE_ORDER = ("d0", "d1", "m0", "m1")
 
 #: Rows state * 256 + pattern of (state, events), as in the module docstring.
 _ROWS = 4 * 256
+_MASK_INDEX = _mask_index()
 
 
 def _event_probabilities(params: SystemParams) -> np.ndarray:
@@ -142,15 +151,8 @@ def _joint_law(params: SystemParams) -> np.ndarray:
 
 
 def _mask_laws(joint: np.ndarray) -> np.ndarray:
-    """Probability of each (state, kept pattern) in a round whose live gates are
-    the set bits of a mask, shape (16, 4, 256): a dead gate registers nothing,
-    and a d0 click leaves d1 dead, as a dead time of 2 ticks or more does."""
-    mask = np.arange(16)[:, None]
-    kept = np.arange(256) & sum((mask >> g & 1) * (17 << g) for g in range(4))
-    kept = np.where(kept & 17 != 0, kept & ~34, kept)
-    index = (mask[:, :, None] * 4 + np.arange(4)[:, None]) * 256 + kept[:, None, :]
-    return np.bincount(index.ravel(), np.broadcast_to(joint, index.shape).ravel(),
-                       minlength=16 * _ROWS).reshape(16, 4, 256)
+    """Probability of each (state, kept pattern) under each live-gate mask, shape (16, 4, 256)."""
+    return np.bincount(_MASK_INDEX, np.tile(joint.ravel(), 16), minlength=16 * _ROWS).reshape(16, 4, 256)
 
 
 @dataclass(frozen=True)
@@ -194,23 +196,20 @@ def _batch(rounds: list[int], rows: list[int]) -> _Batch:
 
 
 def _draws(draw) -> Iterator[float]:
-    """Endless stream of one kind of draw, in batches growing from 256 to 8,192."""
-    size = 256
-    while True:
-        yield from draw(size).tolist()
-        size = min(2 * size, 1 << 13)
+    """Endless stream of one kind of draw, in batches of 256 up to 8,192, drawn when first needed."""
+    sizes = itertools.chain((256 << k for k in range(5)), itertools.repeat(1 << 13))
+    return itertools.chain.from_iterable(map(np.ndarray.tolist, map(draw, sizes)))
 
 
 def _walk(rng: np.random.Generator, n: int, walk: _Walk, dead: int) -> Iterator[_Batch]:
     """Draw the clicks that live gates register over n rounds under a dead time
     of dead >= 2 ticks, gate k of a detector at tick 2r + k in round r, in
     batches of 4,096; the last also carries the rounds without a click."""
-    exps, uniforms = _draws(rng.standard_exponential), _draws(rng.random)
+    exp, uniform = _draws(rng.standard_exponential).__next__, _draws(rng.random).__next__
     rows_of, cum, scale, up, down = walk.rows, walk.cum, walk.scale, (dead + 1) // 2, dead // 2
-    d0 = d1 = m0 = m1 = 0  # the first round each gate is live in
+    r = d0 = d1 = m0 = m1 = 0  # the round, and the first round each gate is live in
     rounds, rows, idle = [], [], [0] * 16
-    draw, find, add_round, add_row = next, bisect.bisect, rounds.append, rows.append
-    r = 0
+    find, add_round, add_row = bisect.bisect, rounds.append, rows.append
     while r < n:
         # The live gates' mask, and the first round after r where one revives or the session ends.
         if r >= d0:  # d1 revives no later than d0
@@ -228,7 +227,7 @@ def _walk(rng: np.random.Generator, n: int, walk: _Walk, dead: int) -> Iterator[
         elif m1 < stop:
             stop = m1
         # The next live event is floor(x) rounds on; x is NaN where none can fire.
-        x = draw(exps) * scale[mask]
+        x = exp() * scale[mask]
         if not x < stop - r:
             idle[mask] += stop - r
             r = stop
@@ -236,7 +235,7 @@ def _walk(rng: np.random.Generator, n: int, walk: _Walk, dead: int) -> Iterator[
         gap = int(x)
         idle[mask] += gap
         r += gap
-        row = rows_of[mask][find(cum[mask], draw(uniforms))]
+        row = rows_of[mask][find(cum[mask], uniform())]
         add_round(r)
         add_row(row)
         if len(rows) == 4096:  # in arrays a click takes 10 bytes, in the lists about 70
@@ -298,8 +297,9 @@ def _tally_masks(rows: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-#: Rows each click tally counts.
+#: Rows each click tally counts, and the same as a (13, 1,024) matrix in field order.
 _TALLY_ROWS = _tally_masks(np.arange(_ROWS))
+_TALLY_MATRIX = np.array(list(_TALLY_ROWS.values()))
 
 
 def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
@@ -319,7 +319,7 @@ def simulate_session(params: SystemParams, cfg: SimConfig) -> CountRecord:
     else:
         per_row = _row_counts(params, cfg, np.random.default_rng(cfg.seed))
         sent = per_row.reshape(4, 256).sum(axis=1)
-    tallies = {field: int(per_row[rows].sum()) for field, rows in _TALLY_ROWS.items()}
+    tallies = dict(zip(_TALLY_ROWS, np.dot(_TALLY_MATRIX, per_row).tolist()))
     tallies.update(zip(_SENT_FIELDS, sent.tolist()))
     return validate_record(CountRecord(rounds=cfg.rounds, **tallies))
 
@@ -358,8 +358,8 @@ def replay_counts(path: str | os.PathLike[str]) -> CountRecord:
     CountRecord; its CountFileError names every bad line, missing key and broken invariant,
     or text that is not UTF-8."""
     try:
-        with open(path, encoding="utf-8") as file:
-            lines = file.read().splitlines()
+        with open(path, "rb") as file:
+            lines = file.read().decode().splitlines()
     except UnicodeDecodeError as exc:
         raise CountFileError(f"{path}: {exc}") from exc
     values, errors = _parse_lines(lines, _COUNT_PARSERS, "line {}".format, form="key = integer")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from cowqkd import (
     AnalysisConfig,
+    CountFileError,
     NoThresholdError,
     ScanRow,
     ScanSpec,
@@ -25,8 +27,8 @@ from cowqkd import (
 )
 import cowqkd.cli
 import cowqkd.scan
-from cowqkd.cli import (CONFIG_KEYS, ConfigError, _PARAM_SECTIONS, _to_float, build_parser, main,
-                        parse_config_text)
+from cowqkd.cli import (CONFIG_KEYS, ConfigError, _PARAM_SECTIONS, _to_float, build_parser,
+                        load_config, main, parse_config_text)
 from cowqkd.scan import (COLUMNS, CSV_HEADER, MAX_SCAN_POINTS, grid_size, scan_values,
                          with_variable)
 from helpers import EVERY_ANALYSIS, analysis_id, make_params
@@ -1352,3 +1354,124 @@ class TestEveryBadEntryIsNamed:
             parse_config_text("# settings\nsource.mu = 0.5  # note\n", origin="c.cfg")
         assert str(exc.value) == "c.cfg line 2: source.mu: expected a number, got '0.5  # note'"
         assert parse_config_text("scan.replay_path = runs/#3.txt\n") == {"scan.replay_path": "runs/#3.txt"}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestByteReadersSplitLinesAsTextModeDid:
+    """load_config and replay_counts read bytes and decode them once; a file's lines are
+    those that text mode's newline translation and str.splitlines gave."""
+
+    CONFIG = ROOT / "configs" / "keyrate_eta20_dt30.cfg"
+    LOG = ROOT / "tests" / "golden" / "simulate-per_pair.txt"
+
+    @staticmethod
+    def copy(tmp_path, source, newline):
+        data = source.read_bytes()
+        assert b"\r" not in data
+        copy = tmp_path / source.name
+        copy.write_bytes(data.replace(b"\n", newline))
+        return copy
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_config(self, tmp_path, newline):
+        assert load_config(self.copy(tmp_path, self.CONFIG, newline)) == load_config(self.CONFIG)
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_count_log(self, tmp_path, newline):
+        assert replay_counts(self.copy(tmp_path, self.LOG, newline)) == replay_counts(self.LOG)
+
+    def test_mixed_newlines_number_bad_lines_as_text_mode(self, tmp_path):
+        cfg = tmp_path / "mixed.cfg"
+        cfg.write_bytes(b"# a\r\nsource.mu = 0.5\rsource.bogus = 1\n\r\nrounds = many\r")
+        with open(cfg, encoding="utf-8") as file:
+            text = file.read()
+        with pytest.raises(ConfigError) as text_mode:
+            parse_config_text(text, origin=str(cfg))
+        with pytest.raises(ConfigError) as read:
+            load_config(cfg)
+        assert str(read.value) == str(text_mode.value) == (
+            f"{cfg} line 3: unknown key 'source.bogus'; {cfg} line 5: rounds: expected a number, got 'many'")
+
+    def test_a_bom_config_fails_as_before(self, tmp_path):
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + self.CONFIG.read_bytes())
+        with pytest.raises(ConfigError) as exc:
+            load_config(bom)
+        assert str(exc.value) == (
+            f"{bom} line 1: unknown key '\\ufeff# Finite-key rate vs distance, upgraded detector (eta_d'")
+
+    def test_a_bom_count_log_fails_as_before(self, tmp_path):
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + self.LOG.read_bytes())
+        with pytest.raises(CountFileError) as exc:
+            replay_counts(bom)
+        assert str(exc.value) == f"{bom}: line 1: unknown key '\\ufeffrounds'; missing keys: rounds"
+
+
+class TestOutputCheckedBeforeTheWork:
+    """scan and simulate raise the error of an --output they cannot write before they
+    compute, after every exit-1 check, and a failed command leaves that path as it was."""
+
+    SCAN = ["scan", "--config", "configs/keyrate_eta10_dt50.cfg"]
+    SIMULATE = ["simulate", "--rounds", "1000"]
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command computed before it checked --output")
+        monkeypatch.setattr(cowqkd.cli, "run_scan", refuse)
+        monkeypatch.setattr(cowqkd.cli, "simulate_session", refuse)
+
+    @pytest.fixture
+    def fail_after_check(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("failed after the check")
+        monkeypatch.setattr(cowqkd.cli, "run_scan", fail)
+        monkeypatch.setattr(cowqkd.cli, "simulate_session", fail)
+
+    @pytest.mark.parametrize("command", ["scan", "simulate"])
+    def test_a_missing_directory_exits_2_before_the_work(self, capsys, monkeypatch, no_work, command):
+        monkeypatch.chdir(ROOT)
+        argv, name = (self.SCAN, "scan.csv") if command == "scan" else (self.SIMULATE, "counts.txt")
+        assert main(argv + ["--output", f"tests/golden/missing/{name}"]) == 2
+        golden = ROOT / "tests" / "golden" / f"{command}-output-missing-dir.err"
+        assert capsys.readouterr().err == golden.read_text(encoding="utf-8")
+        assert not (ROOT / "tests" / "golden" / "missing").exists()
+
+    @pytest.mark.parametrize("command", ["scan", "simulate"])
+    def test_a_directory_exits_2_before_the_work(self, capsys, monkeypatch, tmp_path, no_work, command):
+        monkeypatch.chdir(ROOT)
+        assert main((self.SCAN if command == "scan" else self.SIMULATE) + ["--output", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--rounds", "0"],
+        ["simulate", "--set", "source.p_decoy_vacuum=0"],
+        ["scan", "--variable", "mu", "--start", "0.4", "--stop", "0.5", "--step", "nan"],
+        ["scan", "--variable", "mu", "--start", "0.4", "--stop", "1e9", "--step", "0.05"],
+        ["scan", "--variable", "mu", "--start", "0.4", "--stop", "0.5", "--step", "0.05",
+         "--mode", "simulate", "--set", f"rounds={2**63}"],
+    ], ids=["rounds", "params", "grid", "end", "block"])
+    def test_exit_1_errors_come_first(self, capsys, tmp_path, no_work, argv):
+        assert main(argv + ["--output", str(tmp_path / "missing" / "out")]) == 1
+        assert "No such file" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scan", "simulate"])
+    def test_a_failed_command_neither_creates_nor_truncates(self, capsys, monkeypatch, tmp_path,
+                                                            fail_after_check, command):
+        monkeypatch.chdir(ROOT)
+        argv = self.SCAN if command == "scan" else self.SIMULATE
+        new, kept = tmp_path / "new.txt", tmp_path / "kept.txt"
+        kept.write_text("keep me\n", encoding="utf-8")
+        for path in (new, kept):
+            assert main(argv + ["--output", str(path)]) == 2
+            assert capsys.readouterr().err == "error: failed after the check\n"
+        assert not new.exists()
+        assert kept.read_text(encoding="utf-8") == "keep me\n"
+
+    def test_stdout_and_special_files_are_not_probed(self, tmp_path):
+        for destination in ("-", os.devnull):
+            cowqkd.scan.check_writable(destination)
+        assert os.listdir(tmp_path) == []

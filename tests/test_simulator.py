@@ -22,14 +22,18 @@ from cowqkd import (
     simulate_session,
     write_counts,
 )
+import cowqkd.simulator
 from cowqkd.cli import build_params, load_config, main
 from cowqkd.concentration import CLICK_FIELDS, validate_record
 from cowqkd.simulator import (
+    _ROWS,
     _SENT_FIELDS,
+    _TALLY_MATRIX,
     _TALLY_ROWS,
     SIM_MODES,
     _Batch,
     _dead_ticks,
+    _draws,
     _event_probabilities,
     _joint_law,
     _mask_laws,
@@ -973,3 +977,72 @@ class TestDeadTimePastTheSession:
                 "--rounds", "1000"]
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("rounds = 1000\n")
+
+
+class TestDrawStreams:
+    """_walk's two streams share one generator, so the record depends on when each
+    stream draws its next batch: exactly when it first needs one."""
+
+    SIZES = [256, 512, 1024, 2048, 4096, 8192, 8192]
+
+    def test_batches_are_drawn_in_the_order_each_stream_first_needs_one(self):
+        rng, by_hand = np.random.default_rng(29), np.random.default_rng(29)
+        streams = {"exp": _draws(rng.standard_exponential), "uniform": _draws(rng.random)}
+        hand_draw = {"exp": by_hand.standard_exponential, "uniform": by_hand.random}
+        sizes = {name: iter(self.SIZES) for name in streams}
+        left = {name: [] for name in streams}  # the batch drawn by hand, reversed for pop()
+        taken = dict.fromkeys(streams, 0)
+        got, expected = [], []
+        # Uneven takes, so that the streams empty their batches at different times and
+        # the exponential stream runs out of the seven batches long before the uniform one.
+        takes = itertools.cycle([("exp", 700), ("uniform", 300), ("uniform", 450), ("exp", 1100)])
+        while min(taken.values()) < sum(self.SIZES):
+            name, want = next(takes)
+            want = min(want, sum(self.SIZES) - taken[name])
+            got += itertools.islice(streams[name], want)
+            for _ in range(want):
+                if not left[name]:
+                    left[name] = hand_draw[name](next(sizes[name])).tolist()[::-1]
+                expected.append(left[name].pop())
+            taken[name] += want
+        assert got == expected
+        assert all(type(x) is float for x in got[:3])
+        assert [next(sizes[name], None) for name in streams] == [None, None]
+        # No stream drew ahead: both generators are at the same point.
+        assert rng.random() == by_hand.random()
+
+
+class TestTallyMatrix:
+    """A session's 13 click tallies are one product of _TALLY_MATRIX with its row counts."""
+
+    def test_rows_are_the_tally_masks_in_field_order(self):
+        assert _TALLY_MATRIX.shape == (len(_TALLY_ROWS), _ROWS) == (13, 1024)
+        assert _TALLY_MATRIX.dtype == np.bool_
+        for row, mask in zip(_TALLY_MATRIX, _TALLY_ROWS.values(), strict=True):
+            assert np.array_equal(row, mask)
+        assert set(_TALLY_ROWS) <= {f.name for f in dataclasses.fields(CountRecord)}
+
+    @staticmethod
+    def counts_with_a_big_row(big_row):
+        counts = np.random.default_rng(big_row).integers(0, 2**40, _ROWS, dtype=np.int64)
+        counts[big_row] = 2**62 - 12_345  # with the rest, the total stays below 2**63
+        return counts
+
+    # z0 with a d0 photon click (n_z, n_0z_tau0), both-bins with an m0 click, vacuum with an m1 click.
+    BIG_ROWS = [1, 2 * 256 + 4, 3 * 256 + 8]
+
+    @pytest.mark.parametrize("big_row", BIG_ROWS)
+    def test_product_is_the_masked_sums_exactly(self, big_row):
+        counts = self.counts_with_a_big_row(big_row)
+        product = np.dot(_TALLY_MATRIX, counts)
+        assert product.dtype == np.int64
+        assert product.tolist() == [sum(map(int, counts[rows])) for rows in _TALLY_ROWS.values()]
+        assert max(product.tolist()) > 2**62
+
+    @pytest.mark.parametrize("big_row", BIG_ROWS)
+    def test_a_session_tallies_its_row_counts_exactly(self, monkeypatch, big_row):
+        counts = self.counts_with_a_big_row(big_row)
+        monkeypatch.setattr(cowqkd.simulator, "_row_counts", lambda params, cfg, rng: counts)
+        record = simulate_session(sim_params(), SimConfig(seed=1, rounds=int(counts.sum())))
+        assert [getattr(record, field) for field in _TALLY_ROWS] == [
+            sum(map(int, counts[rows])) for rows in _TALLY_ROWS.values()]
