@@ -25,7 +25,7 @@ import sys
 from typing import Callable, Sequence
 
 from .finite_key import AnalysisConfig, KeyRateResult, evaluate_record
-from .params import SystemParams, ValidationError, _parse_lines, validate
+from .params import SystemParams, ValidationError, _parse_lines, validate, write_text
 from .scan import (
     OUTPUT_FORMATS,
     SCAN_VARIABLES,
@@ -39,9 +39,8 @@ from .scan import (
     key_rate_bps,
     run_scan,
     with_variable,
-    write_text,
 )
-from .simulator import SIM_MODES, SimConfig, format_counts, replay_counts, simulate_session
+from .simulator import SIM_MODES, SimConfig, replay_counts, simulate_session, write_counts
 
 __all__ = ["ConfigError", "load_config", "parse_assignments", "build_params", "main"]
 
@@ -190,7 +189,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     rounds = args.rounds if args.rounds is not None else params.rounds
     sim = SimConfig(seed=args.seed, rounds=rounds, mode=args.mode)
     check_writable(args.output)
-    write_text(format_counts(simulate_session(params, sim)), args.output)
+    write_counts(simulate_session(params, sim), args.output)
     return 0
 
 

@@ -2,16 +2,20 @@
 
 Holds the immutable configuration of a two-decoy coherent one-way QKD link
 (source, fiber channel, detectors, receiver optics, security targets), the
-channel transmittance model, binary entropy and _parse_lines, which reads the
-"key = value" lines of configs, --set items and count logs.  validate checks
-every parameter against its allowed interval, all listed in one table,
-_RANGES, and the one cross-field rule: the decoy probabilities sum to at most 1.
+channel transmittance model, binary entropy, _parse_lines, which reads the
+"key = value" lines of configs, --set items and count logs, and write_text,
+which writes every output file.  validate checks every parameter against its
+allowed interval, all listed in one table, _RANGES, and the one cross-field
+rule: the decoy probabilities sum to at most 1.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+import stat
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -73,6 +77,24 @@ def _parse_lines(lines: Iterable[str], parsers: Mapping[str, Callable[[str], obj
                 problem = f"{key}: {exc}"
         errors.append(f"{where(lineno)}: {problem}")
     return values, errors
+
+
+def write_text(text: str, destination: str | os.PathLike[str]) -> None:
+    """Write text as UTF-8 to stdout when destination is "-", else to that file.
+
+    A file is written in place from its start and then cut to the written length, never
+    truncated on open: ext4 starts writeback on the close of a file that O_TRUNC emptied
+    and that was written again, which costs more than the write.  The file keeps its
+    inode, mode and links.  A special file such as a pipe is written but not cut, as
+    ftruncate fails on it."""
+    if destination == "-":
+        sys.stdout.write(text)
+        return
+    data = text.encode()
+    with open(os.open(destination, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
+        file.write(data)
+        if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+            file.truncate()
 
 
 def _check_choice(name: str, value: object, allowed: Iterable[str]) -> None:

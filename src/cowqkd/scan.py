@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -14,7 +13,7 @@ import numpy as np
 from .concentration import CountRecord
 from .finite_key import AnalysisConfig, KeyRateResult, evaluate_analytic_point, evaluate_record
 from .gains import analytic_gains, qber
-from .params import SystemParams, ValidationError, _check_choice, raise_float_errors, validate
+from .params import SystemParams, ValidationError, _check_choice, raise_float_errors, validate, write_text
 from .simulator import SimConfig, replay_counts, simulate_session
 
 __all__ = [
@@ -283,20 +282,12 @@ def indented_json(payload: dict | list[dict], allow_nan: bool = True) -> str:
     return "[\n  " + ",\n  ".join(braced(row, "    ") for row in payload) + "\n]" if payload else "[]"
 
 
-def write_text(text: str, destination: str | os.PathLike[str]) -> None:
-    """Write text to stdout when destination is "-", else to that file."""
-    if destination == "-":
-        sys.stdout.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as file:
-            file.write(text)
-
-
 def check_writable(destination: str | os.PathLike[str]) -> None:
     """Raise the OSError that write_text would raise on destination, without creating or
-    truncating it, so that a command can fail before its work.  A path that does not exist
-    is made and removed again, a regular file or a directory is opened for writing, and "-"
-    and other special files, such as a pipe, are not probed."""
+    truncating it, so that a command can fail before its work.  A path that does not exist,
+    or the target of a symlink to one, is made and removed again, a regular file or a
+    directory is opened for writing, and "-" and other special files, such as a pipe, are
+    not probed.  An error names destination as it was given."""
     if destination == "-":
         return
     try:
@@ -304,6 +295,16 @@ def check_writable(destination: str | os.PathLike[str]) -> None:
     except FileExistsError:
         if os.path.isfile(destination) or os.path.isdir(destination):
             os.close(os.open(destination, os.O_WRONLY))
+        elif not os.path.exists(destination):  # a dangling symlink, or a loop of them
+            target = os.path.realpath(destination)
+            try:
+                os.close(os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            except FileExistsError:  # a loop, or a target made since: open as write_text would
+                os.close(os.open(destination, os.O_WRONLY))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, os.fspath(destination)) from None
+            else:
+                os.remove(target)
     else:
         os.remove(destination)
 

@@ -57,7 +57,7 @@ import numpy as np
 from .concentration import CLICK_FIELDS, WIRE_KEYS, CountRecord, validate_record
 from .gains import GainSet, _intensity
 from .params import SystemParams, ValidationError
-from .params import _check_choice, _is_integer, _parse_lines, _range_violations
+from .params import _check_choice, _is_integer, _parse_lines, _range_violations, write_text
 
 __all__ = [
     "SimConfig",
@@ -379,5 +379,4 @@ def format_counts(record: CountRecord) -> str:
 
 
 def write_counts(record: CountRecord, path: str | os.PathLike[str]) -> None:
-    with open(path, "w", encoding="utf-8") as file:
-        file.write(format_counts(record))
+    write_text(format_counts(record), path)

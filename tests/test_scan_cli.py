@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from cowqkd import (
     replay_counts,
     run_scan,
     simulate_session,
+    write_counts,
 )
 import cowqkd.cli
 import cowqkd.scan
@@ -1475,3 +1477,71 @@ class TestOutputCheckedBeforeTheWork:
         for destination in ("-", os.devnull):
             cowqkd.scan.check_writable(destination)
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["scan", "simulate"])
+    @pytest.mark.parametrize("target, code", [("missing/x.csv", errno.ENOENT), ("link", errno.ELOOP)],
+                             ids=["dangling", "loop"])
+    def test_a_symlink_that_cannot_be_written_exits_2_before_the_work(
+            self, capsys, monkeypatch, tmp_path, no_work, command, target, code):
+        monkeypatch.chdir(ROOT)
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        assert main((self.SCAN if command == "scan" else self.SIMULATE) + ["--output", str(link)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{link}'\n"
+        assert os.listdir(tmp_path) == ["link"]
+
+    def test_a_symlink_to_a_new_file_leaves_no_file_at_its_target(self, tmp_path):
+        link = tmp_path / "link"
+        link.symlink_to("new.csv")
+        cowqkd.scan.check_writable(link)
+        assert os.listdir(tmp_path) == ["link"] and link.is_symlink()
+
+
+class TestOutputRewrittenInPlace:
+    """An existing, longer output ends as exactly the bytes of a fresh write, and is the
+    same file with the same mode; a symlink writes through, and a special file is written
+    but not cut."""
+
+    ETA20 = ["--config", str(ROOT / "configs" / "keyrate_eta20_dt30.cfg")]
+    LOG = ROOT / "tests" / "golden" / "simulate-per_pair.txt"
+    COMMANDS = {
+        "scan-csv": ["scan", *ETA20],
+        "scan-json": ["scan", *ETA20, "--format", "json"],
+        "simulate": ["simulate", *ETA20, "--rounds", "1000"],
+        "analyze": ["analyze", *ETA20, "--counts", str(LOG)],
+    }
+
+    def write(self, writer, path):
+        if writer == "write_counts":
+            write_counts(replay_counts(self.LOG), path)
+        else:
+            assert main(self.COMMANDS[writer] + ["--output", str(path)]) == 0
+
+    @pytest.fixture
+    def old(self, tmp_path):
+        path = tmp_path / "old.txt"
+        path.write_bytes(b"x" * 2**20)
+        path.chmod(0o604)
+        return path
+
+    @pytest.mark.parametrize("writer", [*COMMANDS, "write_counts"])
+    def test_an_existing_file_ends_as_a_fresh_write(self, tmp_path, old, writer):
+        before = old.stat()
+        for path in (tmp_path / "fresh.txt", old):
+            self.write(writer, path)
+        after = old.stat()
+        assert old.read_bytes() == (tmp_path / "fresh.txt").read_bytes()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    def test_a_symlink_writes_through_to_its_target(self, tmp_path, old):
+        link = tmp_path / "link"
+        link.symlink_to(old)
+        for path in (tmp_path / "fresh.txt", link):
+            self.write("scan-csv", path)
+        assert link.is_symlink() and os.readlink(link) == str(old)
+        assert old.read_bytes() == (tmp_path / "fresh.txt").read_bytes()
+
+    @pytest.mark.parametrize("writer", ["scan-csv", "simulate", "analyze"])
+    def test_a_special_file_is_written_but_not_cut(self, capsys, writer):
+        self.write(writer, os.devnull)
+        assert capsys.readouterr() == ("", "")
