@@ -91,22 +91,40 @@ class BoundedValue:
             )
 
 
-#: Each click tally of a CountRecord, except n_z: the emission count that
-#: caps it and the GainSet field it estimates, in GainSet order.
-CLICK_FIELDS = {
-    "n_0z_tau0": ("n_sent_0z", "data_0z_tau0"),
-    "n_0z_tau1": ("n_sent_0z", "data_0z_tau1"),
-    "n_1z_tau0": ("n_sent_1z", "data_1z_tau0"),
-    "n_1z_tau1": ("n_sent_1z", "data_1z_tau1"),
-    "n_aa_m0": ("n_sent_alpha_alpha", "mon_alpha_alpha_m0"),
-    "n_aa_m1": ("n_sent_alpha_alpha", "mon_alpha_alpha_m1"),
-    "n_vac_m0": ("n_sent_vac", "mon_vac_m0"),
-    "n_vac_m1": ("n_sent_vac", "mon_vac_m1"),
-    "n_0z_m0": ("n_sent_0z", "mon_0z_m0"),
-    "n_0z_m1": ("n_sent_0z", "mon_0z_m1"),
-    "n_1z_m0": ("n_sent_1z", "mon_1z_m0"),
-    "n_1z_m1": ("n_sent_1z", "mon_1z_m1"),
+#: Emission-count tally of each state: z0, z1, both-bins, vacuum.
+_SENT_FIELDS = ("n_sent_0z", "n_sent_1z", "n_sent_alpha_alpha", "n_sent_vac")
+
+#: The detection gates in the simulator's bit order: data-line time bins, then monitoring ports.
+_GATES = ("d0", "d1", "m0", "m1")
+
+#: The rule of each click tally of a CountRecord but n_z, from which both the
+#: simulator's tallies and the closed-form gains are compiled: the GainSet field
+#: it estimates, the state it counts (an index of _SENT_FIELDS), and the events it
+#: needs at the gates, P a photon click, D a dark count, C either, ~ negating.
+TALLY_RULES = {
+    "n_0z_tau0": ("data_0z_tau0", 0, "P.d0 ~D.d1 ~D.m0 ~D.m1"),
+    "n_0z_tau1": ("data_0z_tau1", 0, "C.d1 ~D.m0 ~D.m1"),
+    "n_1z_tau0": ("data_1z_tau0", 1, "C.d0 ~D.m0 ~D.m1"),
+    "n_1z_tau1": ("data_1z_tau1", 1, "P.d1 ~D.d0 ~D.m0 ~D.m1"),
+    "n_aa_m0": ("mon_alpha_alpha_m0", 2, "C.m0 ~D.m1 ~D.d0 ~C.d1"),
+    "n_aa_m1": ("mon_alpha_alpha_m1", 2, "D.m1 ~P.m1 ~D.m0 ~D.d0 ~C.d1"),
+    "n_vac_m0": ("mon_vac_m0", 3, "C.m0 ~D.m1 ~D.d0 ~D.d1"),
+    "n_vac_m1": ("mon_vac_m1", 3, "C.m1 ~D.m0 ~D.d0 ~D.d1"),
+    "n_0z_m0": ("mon_0z_m0", 0, "C.m0 ~D.m1 ~C.d0 ~D.d1"),
+    "n_0z_m1": ("mon_0z_m1", 0, "C.m1 ~D.m0 ~C.d0 ~D.d1"),
+    "n_1z_m0": ("mon_1z_m0", 1, "C.m0 ~D.m1 ~C.d1 ~D.d0"),
+    "n_1z_m1": ("mon_1z_m1", 1, "C.m1 ~D.m0 ~C.d1 ~D.d0"),
 }
+
+
+def _rule_events(events: str) -> list[tuple[bool, str, int]]:
+    """A rule's events, each written [~]KIND.GATE, as (negated, kind, gate index)."""
+    return [(word[0] == "~", word[-4], _GATES.index(word[-2:])) for word in events.split()]
+
+
+#: Each click tally but n_z: the emission count that caps it and the GainSet
+#: field it estimates.
+CLICK_FIELDS = {click: (_SENT_FIELDS[state], field) for click, (field, state, _) in TALLY_RULES.items()}
 
 _RECORD_FIELDS = tuple(f.name for f in fields(CountRecord))
 

@@ -1,10 +1,8 @@
 """Closed-form click probabilities (gains) and the data-line bit error rate.
 
 A gain is the probability that a named detector registers a click for a given
-emitted state while the other detectors stay silent.  The exclusivity
-conventions are chosen so that the dark-count prefactors come out as exact
-powers of (1 - p_d); the Monte-Carlo simulator tallies events under the same
-conventions, which makes analytic and empirical gains directly comparable.
+emitted state while the other detectors stay silent: the probability of its
+rule in concentration.TALLY_RULES, the rules the simulator tallies by.
 """
 
 from __future__ import annotations
@@ -13,6 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .concentration import TALLY_RULES, _rule_events
 from .params import SystemParams, _any, _check_choice, channel_transmittance
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "analytic_gains",
 ]
 
-# The both-bins decoy reaches the dark interferometer port either through an
-# unattenuated optical switch (exponent doubled) or a 50:50 recombiner.
 M1_MODELS = ("optical_switch", "fifty_fifty")
 
 
@@ -67,45 +64,65 @@ def _intensity(params: SystemParams, *, monitoring: bool = False) -> float:
     return tap * params.source.mu * eta
 
 
-def analytic_gains(params: SystemParams, *, m1_model: str = "optical_switch") -> GainSet:
-    """The closed-form gain set at one parameter point, or over a grid.
+#: The light at each of _GATES per state, in _SENT_FIELDS order, by the name of
+#: its mean photon number in _lights; None where the state sends none.
+_LIGHT = (("a", None, "s", "s"), (None, "a", "s", "s"), ("a", "a", "bright", "dark"), (None,) * 4)
 
-    With a the data line's occupied-bin mean photon number, b the monitoring
-    feed and q = 1 - p_d: a data-line bin clicks, with every dark source
-    silent, with q^3 [1 - exp(-a)] if the pulse is in it and p_d q^2 if not.
-    The both-bins decoy interferes in the delay interferometer; its m0 port
-    sees b (1 + cos phase)/2 photons, q^3 [1 - q exp(-b (1+cos phase)/2)]
-    exp(-a), and its dark m1 port p_d q^3 exp(-2b) exp(-a) in optical_switch
-    mode, exp(-b) in place of exp(-2b) in fifty_fifty mode.  Vacuum registers
-    dark counts only, p_d q^3.  A lone bit-state pulse leaves two copies of
-    b/2 photons in all at each port, q^3 [1 - q exp(-b/2)] exp(-a).
-    """
-    _check_choice("m1_model", m1_model, M1_MODELS)
+
+def _lights(params: SystemParams, cos: float, dark_scale: float | None = None) -> dict:
+    """The mean photon number of each light of _LIGHT, cos the phase's cosine: a
+    in the data line's occupied bin; with b the monitoring feed, s = b/2 of a lone
+    bit-state pulse at each port, and of the interfering both-bins decoy b (1 + cos)/2
+    at the bright port and b (1 - cos)/2, or dark_scale * b as m1_model sets it, at the dark."""
     a, b = _intensity(params), _intensity(params, monitoring=True)
+    dark = b * (1.0 - cos) / 2.0 if dark_scale is None else dark_scale * b
+    return {None: 0.0, "a": a, "s": b / 2.0, "bright": b * (1.0 + cos) / 2.0, "dark": dark}
+
+
+def _compile(state: int, events: str) -> tuple:
+    """A tally rule's probability as (k, j, factors): p_d^k (1 - p_d)^j times the
+    factors in written order, (P, x) a photon click 1 - exp(-x), (C, x) any click
+    1 - (1 - p_d) exp(-x), (N, x) no photon exp(-x), x a light of _LIGHT.  Where the
+    state sends no light C is D, as 1 - (1 - p_d) exp(-0) is not p_d to the bit."""
+    k = j = 0
+    factors = []
+    for negated, kind, gate in _rule_events(events):
+        light = _LIGHT[state][gate]
+        kind = "D" if kind == "C" and light is None else kind
+        if kind == "D" or kind == "C" and negated:
+            k, j = k + (not negated), j + negated
+        if kind != "D":
+            factors.append(("N" if negated else kind, light))
+    return k, j, tuple(factors)
+
+
+#: Each GainSet field's compiled rule, the distinct factors and rules among them (with
+#: factors as indices of _FACTORS), and the index of each field's rule in GainSet order.
+_RULES = {field: _compile(state, events) for field, state, events in TALLY_RULES.values()}
+_FACTORS = list(dict.fromkeys(factor for _, _, factors in _RULES.values() for factor in factors))
+_DISTINCT = list(dict.fromkeys(_RULES.values()))
+_PRODUCTS = [(k, j, [_FACTORS.index(factor) for factor in factors]) for k, j, factors in _DISTINCT]
+_PRODUCT_OF = [_DISTINCT.index(_RULES[field.name]) for field in fields(GainSet)]
+
+
+def analytic_gains(params: SystemParams, *, m1_model: str = "optical_switch") -> GainSet:
+    """The closed-form gain set at one point, or over a grid: each gain is the probability
+    of its TALLY_RULES rule under the light of _lights, where the both-bins decoy reaches the
+    dark port through an unattenuated optical switch, 2b, or a 50:50 recombiner, b."""
+    _check_choice("m1_model", m1_model, M1_MODELS)
     p_d = params.detectors.dark_count_prob
     q = 1.0 - p_d
     log_q = np.log1p(-p_d)  # 1 - q exp(-x) = -expm1(log_q - x), exact as x goes to 0
-    silent_data = np.exp(-a)
-    right = q**3 * -np.expm1(-a)
-    wrong = p_d * q**2
-    bright = b * (1.0 + np.cos(params.receiver.phase_shift)) / 2.0
-    factor = 2.0 if m1_model == "optical_switch" else 1.0
-    vac = p_d * q**3
-    signal = q**3 * -np.expm1(log_q - b / 2.0) * silent_data
-    return GainSet(
-        data_0z_tau0=right,
-        data_0z_tau1=wrong,
-        data_1z_tau0=wrong,
-        data_1z_tau1=right,
-        mon_alpha_alpha_m0=q**3 * -np.expm1(log_q - bright) * silent_data,
-        mon_alpha_alpha_m1=p_d * q**3 * np.exp(-factor * b) * silent_data,
-        mon_vac_m0=vac,
-        mon_vac_m1=vac,
-        mon_0z_m0=signal,
-        mon_0z_m1=signal,
-        mon_1z_m0=signal,
-        mon_1z_m1=signal,
-    )
+    light = _lights(params, np.cos(params.receiver.phase_shift), 2.0 if m1_model == "optical_switch" else 1.0)
+    value = [np.exp(-light[x]) if kind == "N" else -np.expm1(log_q - light[x] if kind == "C" else -light[x])
+             for kind, x in _FACTORS]
+    products = []
+    for k, j, factors in _PRODUCTS:
+        gain = p_d**k * q**j
+        for i in factors:
+            gain = gain * value[i]
+        products.append(gain)
+    return GainSet(*[products[i] for i in _PRODUCT_OF])
 
 
 def qber(gains: GainSet) -> float:

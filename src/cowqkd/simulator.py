@@ -4,23 +4,13 @@ Each round emits one state and has eight independent Bernoulli events: a
 photon click and a dark count at each of four detection gates, the two
 data-line time bins (d0, d1) and the two monitoring-line ports (m0, m1).
 Photon clicks fire with probability 1 - exp(-mean photon number) per gate,
-dark counts with probability p_d.  Tallies apply the same exclusivity
-conventions as the closed-form gains, so each analytic gain but one is the
-expectation of its empirical counterpart, to 1e-15 relative:
-
-  state      tally        condition (P photon click, D dark, C any click)
-  bit 0z     tau0 click   P[d0] and not D[d1], not D[m0], not D[m1]
-  bit 0z     tau1 click   C[d1] and not D[m0], not D[m1]
-  bit 0z     m port       C[m] and not D[other m], not C[d0], not D[d1]
-  both-bins  m0           C[m0] and not D[m1], not D[d0], not C[d1]
-  both-bins  m1           D[m1] and not P[m1], not D[m0], not D[d0], not C[d1]
-  vacuum     m port       C[m] and not D[other m], not D[d0], not D[d1]
-
-with the bit-1z rows mirrored in time.  The both-bins m1 tally counts
-dark-only events, as the closed form does, but the closed form suppresses
-them by exp(-2b), b the monitoring feed, where the tally has exp(-b/2) at
-phase pi/2: at efficiency 0.2 the tally's expectation is above it by 1.51e-2
-at 0 km, 5.99e-3 at 20 km, 1.50e-4 at 100 km and 1.50e-5 at 150 km.
+dark counts with probability p_d.  A click tally counts the rounds that its
+rule in concentration.TALLY_RULES selects, and each closed-form gain is the
+probability of the same rule, so each analytic gain but one is the
+expectation of its empirical counterpart, to 1e-15 relative.  The one
+departure is the light at the both-bins decoy's dark port: b (1 - cos phase)/2
+here, b the monitoring feed, and 2b or b in the closed form, by m1_model; the
+README gives the n_aa_m1 gap this leaves.
 
 Every round is independent, so per_pair mode draws no round on its own: a
 session's counts of the 1,024 (state, pattern) rows, empty patterns included,
@@ -37,8 +27,8 @@ set's own law and, when the gap reaches the next revival, draws afresh there.
 
 Each event is held once, as its row state * 256 + pattern, where bits g and
 g + 4 of the pattern are the photon click and the dark count at gate g and the
-state is in _joint_law's order: z0, z1, both-bins, vacuum.  The rules above are
-a matrix over the 1,024 rows, built at import, so a session's 13 tallies are
+state is in _joint_law's order: z0, z1, both-bins, vacuum.  The rules are a
+matrix over the 1,024 rows, built at import, so a session's 13 tallies are
 one product of it with the session's count of each row.
 """
 
@@ -54,8 +44,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .concentration import CLICK_FIELDS, WIRE_KEYS, CountRecord, validate_record
-from .gains import GainSet, _intensity
+from .concentration import _SENT_FIELDS, CLICK_FIELDS, TALLY_RULES, WIRE_KEYS, CountRecord
+from .concentration import _rule_events, validate_record
+from .gains import _LIGHT, GainSet, _lights
 from .params import SystemParams, ValidationError
 from .params import _check_choice, _is_integer, _parse_lines, _range_violations, write_text
 
@@ -70,9 +61,6 @@ __all__ = [
 ]
 
 SIM_MODES = ("per_pair", "streaming")
-
-#: Emission-count tally of each state, in _joint_law's order.
-_SENT_FIELDS = ("n_sent_0z", "n_sent_1z", "n_sent_alpha_alpha", "n_sent_vac")
 
 
 @dataclass(frozen=True)
@@ -112,30 +100,17 @@ def _mask_index() -> np.ndarray:
     return (np.arange(64).reshape(16, 4, 1) * 256 + kept).astype(np.int16).ravel()
 
 
-_GATE_ORDER = ("d0", "d1", "m0", "m1")
-
 #: Rows state * 256 + pattern of (state, events), as in the module docstring.
 _ROWS = 4 * 256
 _MASK_INDEX = _mask_index()
 
 
 def _event_probabilities(params: SystemParams) -> np.ndarray:
-    """Firing probability of each event per state, shape (4, 8).
-
-    Columns 0-3 are photon clicks at d0, d1, m0, m1 and columns 4-7 dark
-    counts at the same gates.  The monitoring feed b splits per the
-    interferometer phase for the both-bins decoy and into two temporal copies
-    totalling b/2 for lone pulses.
-    """
-    a, b = _intensity(params), _intensity(params, monitoring=True)
-    cos = math.cos(params.receiver.phase_shift)
-    s = b / 2.0
-    means = np.array([
-        [a, 0.0, s, s],
-        [0.0, a, s, s],
-        [a, a, b * (1.0 + cos) / 2.0, b * (1.0 - cos) / 2.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
+    """Firing probability of each event per state, shape (4, 8): columns 0-3
+    are photon clicks at the gates of concentration._GATES under the state's
+    _LIGHT, and columns 4-7 dark counts at the same gates."""
+    light = _lights(params, math.cos(params.receiver.phase_shift))
+    means = np.array([[light[name] for name in row] for row in _LIGHT])
     return np.hstack([-np.expm1(-means), np.full((4, 4), params.detectors.dark_count_prob)])
 
 
@@ -273,28 +248,17 @@ def _row_counts(params: SystemParams, cfg: SimConfig, rng: np.random.Generator) 
 
 
 def _tally_masks(rows: np.ndarray) -> dict[str, np.ndarray]:
-    """Rows each click tally counts, from their state and gate bits, with P, D
-    and C per gate as in the module docstring's table."""
-    P = {g: rows & 1 << j != 0 for j, g in enumerate(_GATE_ORDER)}
-    D = {g: rows & 16 << j != 0 for j, g in enumerate(_GATE_ORDER)}
-    C = {g: P[g] | D[g] for g in _GATE_ORDER}
-    is_z0, is_z1, is_aa, is_vac = (rows >> 8 == k for k in range(4))
-    no_mon_dark = ~D["m0"] & ~D["m1"]
-    return {  # each tally's whole condition, as in the module docstring's table
-        "n_z": (is_z0 | is_z1) & (C["d0"] | C["d1"]),
-        "n_0z_tau0": is_z0 & P["d0"] & ~D["d1"] & no_mon_dark,
-        "n_0z_tau1": is_z0 & C["d1"] & no_mon_dark,
-        "n_1z_tau1": is_z1 & P["d1"] & ~D["d0"] & no_mon_dark,
-        "n_1z_tau0": is_z1 & C["d0"] & no_mon_dark,
-        "n_0z_m0": is_z0 & C["m0"] & ~D["m1"] & ~C["d0"] & ~D["d1"],
-        "n_0z_m1": is_z0 & C["m1"] & ~D["m0"] & ~C["d0"] & ~D["d1"],
-        "n_1z_m0": is_z1 & C["m0"] & ~D["m1"] & ~C["d1"] & ~D["d0"],
-        "n_1z_m1": is_z1 & C["m1"] & ~D["m0"] & ~C["d1"] & ~D["d0"],
-        "n_aa_m0": is_aa & C["m0"] & ~D["m1"] & ~D["d0"] & ~C["d1"],
-        "n_aa_m1": is_aa & D["m1"] & ~P["m1"] & ~D["m0"] & ~D["d0"] & ~C["d1"],
-        "n_vac_m0": is_vac & C["m0"] & ~D["m1"] & ~D["d0"] & ~D["d1"],
-        "n_vac_m1": is_vac & C["m1"] & ~D["m0"] & ~D["d0"] & ~D["d1"],
-    }
+    """Rows each click tally counts: n_z, then each rule of TALLY_RULES, from
+    the rows' state and gate bits."""
+    P, D = (rows & bit << np.arange(4)[:, None] != 0 for bit in (1, 16))
+    event = {"P": P, "D": D, "C": P | D}
+    masks = {"n_z": (rows >> 8 < 2) & (event["C"][0] | event["C"][1])}  # a bit state, any data click
+    for click, (_, state, events) in TALLY_RULES.items():
+        mask = rows >> 8 == state
+        for negated, kind, gate in _rule_events(events):
+            mask &= event[kind][gate] != negated
+        masks[click] = mask
+    return masks
 
 
 #: Rows each click tally counts, and the same as a (13, 1,024) matrix in field order.

@@ -66,9 +66,19 @@ class TestValidateRecord:
         with pytest.raises(ValueError):
             validate_record(record(n_sent_alpha_alpha=600_000, n_sent_vac=600_000))
 
+    def test_decoy_emissions_may_fill_every_round(self):
+        r = record(n_z=0, n_sent_alpha_alpha=600_000, n_sent_vac=400_000)
+        assert validate_record(r) is r
+        with pytest.raises(ValueError, match="decoy emissions 600000 \\+ 400001 exceed rounds"):
+            validate_record(record(n_z=0, n_sent_alpha_alpha=600_000, n_sent_vac=400_001))
+
     def test_sifted_clicks_capped_by_signal_emissions(self):
         with pytest.raises(ValueError, match="n_z"):
             validate_record(record(n_z=990_000))
+
+    def test_sifted_clicks_may_equal_signal_emissions(self):
+        r = record(n_z=980_000)
+        assert validate_record(r) is r
 
     def test_extended_fields_must_sum_to_rounds(self):
         with pytest.raises(ValueError, match="sum"):

@@ -177,6 +177,10 @@ class TestPhaseErrorObserved:
         with pytest.raises(ValueError):
             phase_error_observed_upper(0.1, 200, 100, 1e-11)
 
+    def test_clicks_may_equal_rounds(self):
+        assert phase_error_observed_upper(0.1, 200, 200, 1e-11) == \
+            phase_error_observed_upper(0.1, 200, 201, 1e-11)
+
 
 class TestSecureKeyLength:
     SEC = SecurityParams()
@@ -260,6 +264,19 @@ class TestSecureKeyLength:
         capped = secure_key_length(np.array([1e5, 2e5]), 0.1, 0.01, self.SEC,
                                    ep_expected_upper=np.array([0.3, 0.7]))
         np.testing.assert_array_equal(capped.phase_error_expected_upper, [0.3, 0.5])
+
+    def test_grid_point_without_sifted_clicks_aborts(self):
+        n_z = np.array([1e5, 0.0, 2e5])
+        r = secure_key_length(n_z, np.array([0.1, 0.2, 0.1]), 0.01, self.SEC)
+        assert r.aborted.tolist() == [False, True, False]
+        assert r.abort_reason[1] == "no sifted detections"
+        assert r.phase_error_observed_upper[1] == 0.5
+        assert r.key_length_bits[1] == 0.0
+        for i in (0, 2):
+            point = secure_key_length(n_z[i], 0.1, 0.01, self.SEC)
+            assert r.abort_reason[i] is None and not point.aborted
+            assert r.phase_error_observed_upper[i] == point.phase_error_observed_upper
+            assert r.key_length_bits[i] == point.key_length_bits
 
     def test_looser_security_never_hurts(self):
         tight = secure_key_length(1e5, 0.1, 0.01, SecurityParams())
@@ -394,6 +411,12 @@ class TestEvaluateRecord:
         p = keyrate_profile(length_km=40.0)
         r = evaluate_record(self.modeled_record(p), p)
         assert r.qber == pytest.approx(qber(analytic_gains(p)), rel=1e-12, abs=0.0)
+
+    def test_analytic_qber_when_every_bin_is_empty(self):
+        p = keyrate_profile(length_km=40.0)
+        empty = dataclasses.replace(self.modeled_record(p), n_0z_tau0=0, n_0z_tau1=0,
+                                    n_1z_tau0=0, n_1z_tau1=0)
+        assert evaluate_record(empty, p).qber == qber(analytic_gains(p))
 
     def test_no_decoy_emissions_rejected(self):
         p = keyrate_profile(length_km=40.0)

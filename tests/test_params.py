@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from cowqkd import (
+    AnalysisConfig,
     SourceParams,
     SystemParams,
     ValidationError,
@@ -161,6 +162,11 @@ class TestValidate:
             validate(p)
         assert any("sum" in v for v in exc.value.violations)
 
+    def test_decoy_probabilities_may_sum_to_one(self):
+        src = SourceParams(p_decoy_alpha_alpha=0.5, p_decoy_vacuum=0.5)
+        p = dataclasses.replace(make_params(), source=src)
+        assert validate(p) is p
+
     def test_violations_aggregate(self):
         bad = make_params(mu=1.5, dark_count_prob=1.5)
         with pytest.raises(ValidationError) as exc:
@@ -233,3 +239,20 @@ class TestSystemParams:
         p = make_params()
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.rounds = 5
+
+
+class TestDefaults:
+    # An analysis takes these without saying so wherever a config leaves a key out.
+    def test_every_default_is_pinned(self):
+        assert dataclasses.asdict(SystemParams()) == {
+            "source": {"mu": 0.5, "pulse_pair_rate": 5.0e8, "p_decoy_alpha_alpha": 0.01,
+                       "p_decoy_vacuum": 0.01},
+            "channel": {"length_km": 100.0, "attenuation_db_per_km": 0.2, "extra_loss_db": 0.0},
+            "detectors": {"efficiency": 0.1, "dark_count_prob": 1.8e-6, "dead_time_s": 50e-6},
+            "receiver": {"t_b": 0.9, "phase_shift": math.pi / 2},
+            "security": {"eps_cor": 1e-15, "eps_sec": 1e-10, "eps_1": 1e-11, "eps_2": 1e-11,
+                         "f_ec": 1.1, "qber_abort_threshold": 0.05},
+            "rounds": 500_000_000,
+        }
+        assert AnalysisConfig() == AnalysisConfig(delta_provider="observed", cross_term="mixed",
+                                                  remainder_terms="drop", m1_model="optical_switch")

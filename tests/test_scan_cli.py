@@ -72,6 +72,12 @@ class TestScanSpecValidation:
         with pytest.raises(ValueError):
             ScanSpec(variable="mu", start=0, stop=1, step=-0.1)
 
+    def test_zero_step_is_a_validation_error(self, capsys):
+        with pytest.raises(ValidationError, match="step must be positive, got 0"):
+            ScanSpec(variable="mu", start=0, stop=1, step=0)
+        assert main(["scan", "--variable", "mu", "--start", "0.4", "--stop", "0.5", "--step", "0"]) == 1
+        assert "step must be positive" in capsys.readouterr().err
+
     def test_reversed_range(self):
         with pytest.raises(ValueError):
             ScanSpec(variable="mu", start=1, stop=0, step=0.1)
