@@ -10,7 +10,7 @@ each holding up to its own failure probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -28,9 +28,10 @@ class CountRecord:
     """Integer click tallies from one protocol session.
 
     The first eight fields are required and round-trip through count-log
-    files.  The optional per-class fields are filled by the simulator and
-    allow empirical estimation of every gain; replayed logs leave them at
-    None.
+    files as the log's eight keys, in field order; n_sent_aa, the key of
+    n_sent_alpha_alpha, is the one key that differs from its field.  The
+    optional per-class fields are filled by the simulator and allow
+    empirical estimation of every gain; replayed logs leave them at None.
     """
 
     rounds: int
@@ -53,17 +54,10 @@ class CountRecord:
     n_1z_m1: int | None = None
 
 
-#: Count-log wire keys in canonical order, mapped to CountRecord fields.
-WIRE_KEYS = (
-    ("rounds", "rounds"),
-    ("n_z", "n_z"),
-    ("n_sent_aa", "n_sent_alpha_alpha"),
-    ("n_sent_vac", "n_sent_vac"),
-    ("n_aa_m0", "n_aa_m0"),
-    ("n_aa_m1", "n_aa_m1"),
-    ("n_vac_m0", "n_vac_m0"),
-    ("n_vac_m1", "n_vac_m1"),
-)
+#: Count-log wire keys in canonical order, mapped to CountRecord fields: the
+#: required fields in field order, each its own key but n_sent_alpha_alpha.
+WIRE_KEYS = tuple(({"n_sent_alpha_alpha": "n_sent_aa"}.get(f.name, f.name), f.name)
+                  for f in fields(CountRecord) if f.default is MISSING)
 
 #: Each CountRecord field as errors name it: its count-log key, then the
 #: field in parentheses where the two differ.

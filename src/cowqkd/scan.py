@@ -186,19 +186,12 @@ def run_scan(
     return rows
 
 
-def _midpoints(lo: float, hi: float, tol: float, levels: int = 7) -> list[float]:
-    """Every midpoint that bisecting [lo, hi] down to width tol can visit in
-    its next levels steps, each computed as the bisection computes it."""
-    points, edges = [], [lo, hi]
-    for _ in range(levels):
-        refined = [lo]
-        for a, b in zip(edges, edges[1:]):
-            if b - a > tol:
-                mid = 0.5 * (a + b)
-                points.append(mid)
-                refined.append(mid)
-            refined.append(b)
-        edges = refined
+def _dyadic_points(lo: float, hi: float) -> list[float]:
+    """The 2**7 + 1 points of the next seven levels of bisecting [lo, hi], in order,
+    each midpoint computed as the bisection computes it from its neighbours."""
+    points = [lo, hi]
+    for _ in range(7):
+        points = [p for a, b in zip(points, points[1:]) for p in (a, 0.5 * (a + b))] + [hi]
     return points
 
 
@@ -235,29 +228,29 @@ def find_threshold(
     if not lo < hi:
         raise ValidationError(f"threshold bracket must satisfy lo < hi, got {lo} {hi}")
     tol = 0.01 if variable == "length_km" else 1e-4 * (hi - lo)
-    known: dict[float, bool] = {}
 
-    def evaluate(points: list[float]) -> None:
+    def evaluate(a: float, b: float) -> tuple[list[float], list[bool]]:
+        points = _dyadic_points(a, b)
         with raise_float_errors():
             hits = crossed(with_variable(params, variable, np.asarray(points)))
-        known.update(zip(points, np.broadcast_to(hits, len(points)).tolist()))
+        return points, np.broadcast_to(hits, len(points)).tolist()
 
-    evaluate([lo, hi, *_midpoints(lo, hi, tol)])
-    if known[lo]:
-        raise NoThresholdError(
-            f"{metric} already past target {target} at bracket start {lo}"
-        )
-    if not known[hi]:
+    points, hits = evaluate(lo, hi)
+    if hits[0]:
+        raise NoThresholdError(f"{metric} already past target {target} at bracket start {lo}")
+    if not hits[-1]:
         raise NoThresholdError(f"{metric} never reaches target {target} by bracket end {hi}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid not in known:
-            evaluate(_midpoints(lo, hi, tol))
-        if known[mid]:
-            hi = mid
+    i, j = 0, len(points) - 1
+    while points[j] - points[i] > tol:
+        if j - i == 1:
+            points, hits = evaluate(points[i], points[j])
+            i, j = 0, len(points) - 1
+        mid = (i + j) // 2
+        if hits[mid]:
+            j = mid
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            i = mid
+    return 0.5 * (points[i] + points[j])
 
 
 def key_rate_bps(key_bits: float, rounds: int, pulse_pair_rate: float) -> float:

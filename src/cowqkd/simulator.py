@@ -338,7 +338,8 @@ def replay_counts(path: str | os.PathLike[str]) -> CountRecord:
 
 
 def format_counts(record: CountRecord) -> str:
-    """Render the eight wire keys in canonical order, one per line."""
+    """Render the eight wire keys, one per line: CountRecord's required fields in field
+    order, each under its own name but n_sent_alpha_alpha, written n_sent_aa."""
     return "".join(f"{key} = {getattr(record, field)}\n" for key, field in WIRE_KEYS)
 
 

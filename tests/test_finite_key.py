@@ -92,6 +92,19 @@ class TestXBasisGainUpper:
         with pytest.raises(ValueError):
             xbasis_gain_upper_m1(lower_only, exact(0.0), MU)
 
+    def test_remainder_is_the_documented_tail(self):
+        # (n_minus/n_plus)(e^mu n_minus/4 + e^mu sqrt(g_aa) + sqrt(g_vac)), at a point
+        # where neither value is clamped.
+        g_aa, g_vac = 1e-3, 1e-4
+        kept = xbasis_gain_upper_m1(exact(g_aa), exact(g_vac), MU, include_remainder=True)
+        dropped = xbasis_gain_upper_m1(exact(g_aa), exact(g_vac), MU, include_remainder=False)
+        n_plus, n_minus = _xbasis_norms(MU)
+        e_mu = math.exp(MU)
+        tail = (n_minus / n_plus) * (e_mu * n_minus / 4.0 + e_mu * math.sqrt(g_aa) + math.sqrt(g_vac))
+        assert 0.0 < dropped < kept < 1.0
+        assert kept - dropped == pytest.approx(tail, rel=1e-12, abs=0.0)
+        assert tail == pytest.approx(0.0946605, abs=5e-8)
+
 
 class TestXBasisGainLower:
     def test_all_zero(self):
@@ -129,6 +142,19 @@ class TestXBasisGainLower:
     def test_unknown_cross_term(self):
         with pytest.raises(ValueError):
             xbasis_gain_lower_m0(exact(0.0), exact(0.0), MU, cross_term="bogus")
+
+    @pytest.mark.parametrize("cross_term", ["mixed", "vacuum"])
+    def test_remainder_is_the_documented_tail(self, cross_term):
+        # (n_minus/n_plus)(e^mu sqrt(g_aa) + sqrt(g_vac)), at a point where neither
+        # value is clamped.
+        mu, g_aa, g_vac = 0.1, 0.5, 1e-3
+        kept, dropped = (xbasis_gain_lower_m0(exact(g_aa), exact(g_vac), mu, cross_term=cross_term,
+                                              include_remainder=remainder) for remainder in (True, False))
+        n_plus, n_minus = _xbasis_norms(mu)
+        tail = (n_minus / n_plus) * (math.exp(mu) * math.sqrt(g_aa) + math.sqrt(g_vac))
+        assert 0.0 < kept < dropped < 1.0
+        assert dropped - kept == pytest.approx(tail, rel=1e-12, abs=0.0)
+        assert tail == pytest.approx(0.0406210, abs=5e-8)
 
 
 class TestPhaseErrorExpected:
@@ -367,6 +393,51 @@ class TestEvaluateAnalyticPoint:
     def test_default_analysis_matches_explicit(self):
         p = keyrate_profile(length_km=60.0)
         assert evaluate_analytic_point(p) == evaluate_analytic_point(p, AnalysisConfig())
+
+
+class TestFiniteSizeLimit:
+    """As the block grows, the finite-size terms vanish: evaluate_analytic_point's key
+    rate tends to the asymptotic rate, built here from the public steps alone."""
+
+    #: The low acceptance profile at 50 km, and the blocks 5e8, 5e9, ..., 5e17.
+    PROFILE = dict(efficiency=0.1, dead_time_s=50e-6, length_km=50.0)
+    ROUNDS = [5 * 10**e for e in range(8, 18)]
+
+    def asymptotic_rate(self):
+        """Sifted clicks per second times 1 - h(ep*) - f h(qber), with ep* from the
+        drop sandwich at the exact gains."""
+        p = keyrate_profile(**self.PROFILE)
+        g, mu = analytic_gains(p), p.source.mu
+        upper = xbasis_gain_upper_m1(exact(g.mon_alpha_alpha_m1), exact(g.mon_vac_m1), mu,
+                                     include_remainder=False)
+        lower = xbasis_gain_lower_m0(exact(g.mon_alpha_alpha_m0), exact(g.mon_vac_m0), mu,
+                                     include_remainder=False)
+        ep_star = phase_error_expected_upper(g, upper, lower, mu)
+        fraction = 1.0 - binary_entropy(ep_star) - p.security.f_ec * binary_entropy(qber(g))
+        return ep_star, expected_sifted_clicks(p, 1.0) * fraction
+
+    def test_asymptotic_rate(self):
+        ep_star, rate = self.asymptotic_rate()
+        assert ep_star == pytest.approx(0.31836, abs=5e-6)
+        assert rate == pytest.approx(1813.62, abs=5e-3)
+
+    @pytest.mark.parametrize("provider, settled_from", [("observed", 5 * 10**12),
+                                                        ("hoeffding", 5 * 10**15)])
+    def test_key_rate_tends_to_the_asymptotic_rate(self, provider, settled_from):
+        _, rate = self.asymptotic_rate()
+        analysis = AnalysisConfig(delta_provider=provider)
+        ratios = []
+        for rounds in self.ROUNDS:
+            p = keyrate_profile(**self.PROFILE, rounds=rounds)
+            key = evaluate_analytic_point(p, analysis).key_length_bits
+            ratios.append(key * p.source.pulse_pair_rate / rounds / rate)
+        # The ratio rises at every step once positive, and never passes 1.
+        assert all(b > a or a == b == 0.0 for a, b in zip(ratios, ratios[1:])), ratios
+        assert 0.0 < ratios[-1] < 1.0
+        # Its gap to 1 falls as 1/sqrt(rounds): gap * sqrt(rounds) settles.
+        scaled = [(1.0 - r) * math.sqrt(n) for r, n in zip(ratios, self.ROUNDS)]
+        settled = scaled[self.ROUNDS.index(settled_from):]
+        assert settled == pytest.approx([scaled[-1]] * len(settled), rel=0.02), scaled
 
 
 class TestEvaluateRecord:

@@ -111,3 +111,33 @@ def test_drop_bounds_the_phase_error_below_the_attacks():
     lower = xbasis_gain_lower_m0(exact(gains.mon_alpha_alpha_m0), exact(gains.mon_vac_m0), 0.5,
                                  include_remainder=False)
     assert phase_error_expected_upper(gains, upper, lower, 0.5) == pytest.approx(0.30198, abs=5e-6)
+
+
+def random_measurements(rng, n):
+    """n random 4x4 elements 0 <= M <= I: a random orthogonal basis, with eigenvalues
+    uniform in [0, 1] times one scale per element, 10^U(-6, 0)."""
+    q = np.linalg.qr(rng.standard_normal((n, 4, 4)))[0]
+    eigenvalues = rng.uniform(0.0, 1.0, (n, 4)) * 10.0 ** rng.uniform(-6.0, 0.0, (n, 1))
+    return np.einsum("nij,nj,nkj->nik", q, eigenvalues, q)
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
+def test_include_sandwich_bounds_every_random_measurement(mu):
+    # Every outcome of every per-pair measurement acts on the pairs' span as some
+    # 0 <= M <= I, so the sandwich must hold x = <+|M|+> between the bounds read
+    # off g_aa = <aa|M|aa> and g_vac = <00|M|00> at their exact values.
+    pairs, _, _ = attack(params_at(20.0, mu))
+    m = random_measurements(np.random.default_rng(17), 20_000)
+    g_aa, g_vac, x = (np.einsum("i,nij,j->n", pairs[k], m, pairs[k]) for k in ("aa", "00", "+"))
+
+    def exact(gain):
+        return BoundedValue(observed=gain, lower=gain, upper=gain, failure_prob=0.05)
+
+    assert np.all(xbasis_gain_upper_m1(exact(g_aa), exact(g_vac), mu, include_remainder=True) >= x)
+    for cross_term in ("mixed", "vacuum"):
+        lower = xbasis_gain_lower_m0(exact(g_aa), exact(g_vac), mu, cross_term=cross_term,
+                                     include_remainder=True)
+        assert np.all(lower <= x), cross_term
+    # The draws reach the bound: drop, which leaves the tails out, fails the upper side.
+    dropped = xbasis_gain_upper_m1(exact(g_aa), exact(g_vac), mu, include_remainder=False)
+    assert np.count_nonzero(dropped < x) > 100

@@ -698,6 +698,17 @@ class TestBatchedBisection:
         "key along dead time": ("key_length", 0.0, (0.0, 1e-3),
                                 dict(efficiency=0.2, dead_time_s=30e-6, length_km=80.0,
                                      p_decoy_alpha_alpha=0.14, p_decoy_vacuum=0.14), "dead_time"),
+        # Each evaluation covers seven levels; these brackets need 15 levels (three
+        # evaluations), 8 (a second one with one level left), exactly 7, and none.
+        "qber three batches": ("qber", 0.05, (100.0, 300.0), {}, "length_km"),
+        "qber one level in the second batch": ("qber", 0.05, (155.0, 156.3), {}, "length_km"),
+        "qber one batch": ("qber", 0.05, (155.0, 156.2), {}, "length_km"),
+        "qber bracket narrower than tol": ("qber", 0.05, (155.955, 155.96), {}, "length_km"),
+        # Brackets whose midpoints round: a point computed other than as 0.5 * (a + b)
+        # from its neighbours, as lo + k * (hi - lo) / 128 or a + 0.5 * (b - a) (which
+        # rounds the same only where hi <= 2 lo), moves the crossing by an ulp.
+        "qber bracket off the dyadic grid": ("qber", 0.05, (101.739492, 172.039492), {}, "length_km"),
+        "qber bracket over twice its start": ("qber", 0.05, (45.3, 255.9), {}, "length_km"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
