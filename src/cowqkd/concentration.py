@@ -239,5 +239,10 @@ def bound_gain(bounded_count: BoundedValue, n_emitted: float) -> BoundedValue:
     b = bounded_count
     if _any((n_emitted < 0) | (b.observed > n_emitted)):
         raise ValueError(f"emission count {n_emitted} is negative or below observed count {b.observed}")
-    lower, upper = (None if v is None else _clamp01(v / n_emitted) for v in (b.lower, b.upper))
-    return BoundedValue(_clamp01(b.observed / n_emitted), lower, upper, b.failure_prob)
+    lower, upper = _rescale(b.lower, n_emitted), _rescale(b.upper, n_emitted)
+    return BoundedValue(_rescale(b.observed, n_emitted), lower, upper, b.failure_prob)
+
+
+def _rescale(count: float | None, n_emitted: float) -> float | None:
+    """bound_gain's core: a count over a positive n_emitted, clamped to [0, 1]; None stays None."""
+    return None if count is None else _clamp01(count / n_emitted)

@@ -10,13 +10,11 @@ explicit mode.
 
 The pipeline is elementwise: parameters holding numpy arrays (a scan grid)
 give a KeyRateResult of arrays over the grid.  A check that fails at any
-element raises for the whole call.  Both entry points end in one pass,
-_finish_pipeline, that chains the public steps: bound_expected_count and
-bound_gain give the six decoy bounds as gain BoundedValues, which feed
-xbasis_gain_upper_m1 and xbasis_gain_lower_m0, then
-phase_error_expected_upper, phase_error_observed_upper and
-secure_key_length.  No step has a private core, so every formula has one
-implementation.
+element raises for the whole call.  bound_gain and the two sandwich steps
+check their arguments, then call a private core that holds the formula's
+only copy.  Both entry points end in one pass, _finish_pipeline, that checks
+each decoy count once, in bound_expected_count, chains those cores on plain
+gain bounds, and ends in the public phase-error and key-length steps.
 """
 
 from __future__ import annotations
@@ -33,8 +31,8 @@ from .concentration import (
     BoundedValue,
     CountRecord,
     _LOG_NAMES,
+    _rescale,
     bound_expected_count,
-    bound_gain,
     delta_hoeffding,
 )
 from .gains import M1_MODELS, DegenerateGainsError, GainSet, _intensity, analytic_gains, qber
@@ -152,8 +150,12 @@ def xbasis_gain_upper_m1(
     contains a gain-independent constant and can be dropped.  Clamped to
     [0, 1].
     """
-    g_aa = _require_side(bounded_aa_m1, "upper", "bounded_aa_m1")
-    g_vac = _require_side(bounded_vac_m1, "upper", "bounded_vac_m1")
+    return _xbasis_upper(_require_side(bounded_aa_m1, "upper", "bounded_aa_m1"),
+                         _require_side(bounded_vac_m1, "upper", "bounded_vac_m1"), mu, include_remainder)
+
+
+def _xbasis_upper(g_aa: float, g_vac: float, mu: float, include_remainder: bool) -> float:
+    """xbasis_gain_upper_m1's core, on the upper gain bounds."""
     n_plus, n_minus = _xbasis_norms(mu)
     s_aa, s_vac = np.sqrt(g_aa), np.sqrt(g_vac)
     root = np.exp(mu / 2.0) * s_aa + np.exp(-mu / 2.0) * s_vac
@@ -185,6 +187,12 @@ def xbasis_gain_lower_m0(
     lo_vac = _require_side(bounded_vac_m0, "lower", "bounded_vac_m0")
     up_aa = _require_side(bounded_aa_m0, "upper", "bounded_aa_m0")
     up_vac = _require_side(bounded_vac_m0, "upper", "bounded_vac_m0")
+    return _xbasis_lower(lo_aa, up_aa, lo_vac, up_vac, mu, cross_term, include_remainder)
+
+
+def _xbasis_lower(lo_aa: float, up_aa: float, lo_vac: float, up_vac: float, mu: float,
+                  cross_term: str, include_remainder: bool) -> float:
+    """xbasis_gain_lower_m0's core, on the gain bounds of each decoy, lower then upper."""
     n_plus, n_minus = _xbasis_norms(mu)
     cross = 2.0 * np.sqrt(up_aa * up_vac) if cross_term == "mixed" else 2.0 * up_vac
     e_mu = np.exp(mu)
@@ -314,7 +322,7 @@ def _finish_pipeline(gains: GainSet, counts: Mapping[str, float], qber_value: fl
     tally and decoy emission field to its count.  An emission count that is not
     positive raises ValueError naming its count-log key."""
     sec = params.security
-    # The six decoy bounds, as a gain BoundedValue per click tally.
+    # The six decoy bounds, as (lower, upper) gain bounds per click tally, None where unbounded.
     gain = {}
     for click, direction in _DECOY_SIDES.items():
         sent = CLICK_FIELDS[click][0]
@@ -324,11 +332,10 @@ def _finish_pipeline(gains: GainSet, counts: Mapping[str, float], qber_value: fl
                              "are undefined")
         b = bound_expected_count(counts[click], emitted, sec.eps_1, direction,
                                  provider=analysis.delta_provider)
-        gain[click] = bound_gain(b, emitted)
+        gain[click] = _rescale(b.lower, emitted), _rescale(b.upper, emitted)
     mu, include = params.source.mu, analysis.remainder_terms == "include"
-    xg_up = xbasis_gain_upper_m1(gain["n_aa_m1"], gain["n_vac_m1"], mu, include_remainder=include)
-    xg_lo = xbasis_gain_lower_m0(gain["n_aa_m0"], gain["n_vac_m0"], mu,
-                                 cross_term=analysis.cross_term, include_remainder=include)
+    xg_up = _xbasis_upper(gain["n_aa_m1"][1], gain["n_vac_m1"][1], mu, include)
+    xg_lo = _xbasis_lower(*gain["n_aa_m0"], *gain["n_vac_m0"], mu, analysis.cross_term, include)
     ep_star = phase_error_expected_upper(gains, xg_up, xg_lo, mu)
     # A point without sifted detections aborts; bound it as if it had one.
     ep_obs = phase_error_observed_upper(ep_star, _where(n_z > 0, n_z, 1.0), rounds, sec.eps_2)

@@ -191,7 +191,9 @@ def _dyadic_points(lo: float, hi: float) -> list[float]:
     each midpoint computed as the bisection computes it from its neighbours."""
     points = [lo, hi]
     for _ in range(7):
-        points = [p for a, b in zip(points, points[1:]) for p in (a, 0.5 * (a + b))] + [hi]
+        refined = points + points[1:]
+        refined[::2], refined[1::2] = points, [0.5 * (a + b) for a, b in zip(points, points[1:])]
+        points = refined
     return points
 
 

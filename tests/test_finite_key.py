@@ -571,7 +571,8 @@ PIPELINE_LENGTHS = {"scalar": 60.0, "grid": np.linspace(0.0, 250.0, 127)}
 
 class TestPipelineEqualsPublicSteps:
     """Both entry points equal their public steps chained by hand, exactly, so
-    the private formulas of the flat pass and the public adapters cannot drift
+    the pipeline's chain of private cores, fed values it checked once, and the
+    public steps, which check their arguments before their cores, cannot drift
     apart."""
 
     @pytest.mark.parametrize("analysis", EVERY_ANALYSIS, ids=analysis_id)
@@ -617,6 +618,120 @@ class TestPipelineEqualsPublicSteps:
         result = evaluate_record(record, p, analysis)
         assert_identical(result, expected)
         assert set(result.abort_reason.tolist()) == {"no sifted detections"}
+
+    #: Records whose gain bounds reach the clamps, as the tallies each changes in a
+    #: modeled record of emissions n_aa and n_vac.
+    CLAMPED = {
+        # Every both-bins emission clicks at m0, so its upper gain bound clamps to
+        # 1; the vacuum decoy never clicks at m0, so its lower gain bound is 0.
+        "aa_m0_full-m1_zero": lambda n_aa, n_vac: dict(n_aa_m0=n_aa, n_aa_m1=0, n_vac_m0=0, n_vac_m1=0),
+        # Both upper m0 gain bounds clamp to 1, and with the remainder tails
+        # dropped the phase error lies in (0, 0.5), where an unclamped bound
+        # would move the result.
+        "m0_full": lambda n_aa, n_vac: dict(n_aa_m0=n_aa, n_aa_m1=n_aa * 8 // 100, n_vac_m0=n_vac,
+                                            n_vac_m1=n_vac * 3 // 100),
+    }
+
+    @pytest.mark.parametrize("analysis", EVERY_ANALYSIS, ids=analysis_id)
+    @pytest.mark.parametrize("shape", sorted(PIPELINE_LENGTHS))
+    @pytest.mark.parametrize("tallies", sorted(CLAMPED))
+    def test_record_at_the_gain_clamps(self, tallies, shape, analysis):
+        record = TestEvaluateRecord.modeled_record(keyrate_profile(length_km=40.0), rounds=10**8)
+        n_aa, n_vac = record.n_sent_alpha_alpha, record.n_sent_vac
+        record = dataclasses.replace(record, **self.CLAMPED[tallies](n_aa, n_vac))
+        p = keyrate_profile(length_km=PIPELINE_LENGTHS[shape], rounds=record.rounds)
+        aa_m0 = bound_expected_count(n_aa, n_aa, p.security.eps_1, "both",
+                                     provider=analysis.delta_provider)
+        assert aa_m0.upper > n_aa and bound_gain(aa_m0, n_aa).upper == 1.0
+        gains = analytic_gains(p, m1_model=analysis.m1_model)
+        expected = chained_by_hand(gains, vars(record), qber(gains), float(record.n_z),
+                                   record.rounds, p, analysis)
+        result = evaluate_record(record, p, analysis)
+        assert_identical(result, expected)
+        if tallies == "m0_full" and analysis.remainder_terms == "drop":
+            ep = np.asarray(result.phase_error_expected_upper)
+            assert np.any((ep > 0.0) & (ep < 0.5))
+
+
+def raised(call) -> tuple[type, str]:
+    """The type and message of the exception that call raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestErrorsEqualPublicSteps:
+    """On a bad input that only a hand-built record or unvalidated parameters
+    give, each entry point raises what its public steps chained by hand raise:
+    the same exception type with the same message.  The pipeline checks such an
+    input once, where it enters; the public steps check it where they read it."""
+
+    #: Each bad record as the fields that it changes in a modeled one.
+    BAD_RECORDS = {
+        "negative decoy click count": lambda r: dict(n_vac_m0=-3),
+        "decoy clicks above emissions": lambda r: dict(n_aa_m1=r.n_sent_alpha_alpha + 1),
+        "n_z above rounds": lambda r: dict(n_z=r.rounds + 1),
+        "qber below zero": lambda r: dict(n_0z_tau0=9_000, n_0z_tau1=-30, n_1z_tau0=-40, n_1z_tau1=9_100),
+        # A QBER of 300 / 200.
+        "qber above one": lambda r: dict(n_0z_tau0=-100, n_0z_tau1=300, n_1z_tau0=0, n_1z_tau1=0),
+    }
+
+    @pytest.mark.parametrize("analysis", EVERY_ANALYSIS, ids=analysis_id)
+    @pytest.mark.parametrize("shape", sorted(PIPELINE_LENGTHS))
+    @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+    def test_record(self, case, shape, analysis):
+        record = TestEvaluateRecord.modeled_record(keyrate_profile(length_km=40.0), rounds=10**8)
+        record = dataclasses.replace(record, **self.BAD_RECORDS[case](record))
+        p = keyrate_profile(length_km=PIPELINE_LENGTHS[shape], rounds=record.rounds)
+        gains = analytic_gains(p, m1_model=analysis.m1_model)
+        per_bin = [record.n_0z_tau0, record.n_0z_tau1, record.n_1z_tau0, record.n_1z_tau1]
+        qber_value = ((record.n_0z_tau1 + record.n_1z_tau0) / sum(per_bin) if None not in per_bin
+                      else qber(gains))
+        expected = raised(lambda: chained_by_hand(gains, vars(record), qber_value, float(record.n_z),
+                                                  record.rounds, p, analysis))
+        assert raised(lambda: evaluate_record(record, p, analysis)) == expected
+
+    #: Each bad parameter set as the make_params settings that it changes.
+    BAD_PARAMS = {
+        # A negative dark-count probability makes the gains that need a dark count,
+        # and so the decoy click counts modeled from them, negative.
+        "negative decoy click count": dict(dark_count_prob=-1e-12),
+        # Without dark counts or a monitoring line no bit state clicks at m0 or m1.
+        "zero bit-state monitoring gains": dict(t_b=1.0, dark_count_prob=0.0),
+    }
+
+    @pytest.mark.parametrize("analysis", EVERY_ANALYSIS, ids=analysis_id)
+    @pytest.mark.parametrize("shape", sorted(PIPELINE_LENGTHS))
+    @pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+    def test_analytic_point(self, case, shape, analysis):
+        p = keyrate_profile(length_km=PIPELINE_LENGTHS[shape], **self.BAD_PARAMS[case])
+        gains = analytic_gains(p, m1_model=analysis.m1_model)
+        counts = {"n_sent_alpha_alpha": p.rounds * p.source.p_decoy_alpha_alpha,
+                  "n_sent_vac": p.rounds * p.source.p_decoy_vacuum}
+        for click in ("n_aa_m0", "n_aa_m1", "n_vac_m0", "n_vac_m1"):
+            sent, gain = CLICK_FIELDS[click]
+            counts[click] = counts[sent] * getattr(gains, gain)
+        n_z = expected_sifted_clicks(p, p.block_duration_s())
+        expected = raised(lambda: chained_by_hand(gains, counts, qber(gains), n_z, p.rounds, p,
+                                                  analysis))
+        assert raised(lambda: evaluate_analytic_point(p, analysis)) == expected
+
+    def test_every_kind_of_error_is_reached(self):
+        record = TestEvaluateRecord.modeled_record(keyrate_profile(length_km=40.0), rounds=10**8)
+        p = keyrate_profile(length_km=40.0, rounds=record.rounds)
+        kinds = {case: raised(lambda: evaluate_record(dataclasses.replace(record, **change(record)), p))
+                 for case, change in self.BAD_RECORDS.items()}
+        bad = keyrate_profile(length_km=40.0, **self.BAD_PARAMS["zero bit-state monitoring gains"])
+        kinds["zero gains"] = raised(lambda: evaluate_analytic_point(bad))
+        assert kinds["negative decoy click count"] == (
+            ValueError, "observed count must be non-negative, got -3")
+        assert kinds["decoy clicks above emissions"] == (
+            ValueError, "observed count 14000001 exceeds emission count 14000000")
+        assert kinds["n_z above rounds"] == (ValueError, "n_z = 100000001.0 exceeds rounds = 100000000")
+        assert kinds["qber above one"] == (ValueError, "binary_entropy: p must lie in [0, 1], got 1.5")
+        assert kinds["qber below zero"][1].startswith("binary_entropy: p must lie in [0, 1], got -0.00")
+        assert kinds["zero gains"] == (
+            DegenerateGainsError, "all bit-state monitoring gains are zero, phase error undefined")
 
 
 def test_missing_both_bins_emissions_name_their_log_key():
