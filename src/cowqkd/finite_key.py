@@ -8,9 +8,10 @@ statistical fluctuation step, and the entropic key-length bound are
 implemented here, with every contested algebraic choice exposed as an
 explicit mode.
 
-The pipeline is elementwise: parameters holding numpy arrays (a scan grid)
-give a KeyRateResult of arrays over the grid.  A check that fails at any
-element raises for the whole call.  bound_gain and the two sandwich steps
+The pipeline is elementwise, with one body per step for a point and a
+grid: parameters holding numpy arrays (a scan grid) give a KeyRateResult of
+arrays over the grid, scalars give Python scalars.  A check that fails at
+any element raises for the whole call.  bound_gain and the two sandwich steps
 check their arguments, then call a private core that holds the formula's
 only copy.  Both entry points end in one pass, _finish_pipeline, that checks
 each decoy count once, in bound_expected_count, chains those cores on plain
@@ -256,43 +257,37 @@ def secure_key_length(
     key = n_z [1 - h(ep)] - f n_z h(qber) - log2(2/eps_cor) - 2 log2(5/eps_sec),
     floored at zero.  Aborts, in this order of precedence, when there are no
     sifted detections, when the QBER exceeds its threshold, when the
-    phase-error bound reaches 0.5, or when no positive key remains.
+    phase-error bound reaches 0.5, or when no positive key remains (a NaN
+    key length included).  One body serves a point and a grid: when the key
+    length is an array every field is an array of its shape, otherwise a
+    Python scalar.
     """
     threshold = sec.qber_abort_threshold
     correctness = math.log2(2.0 / sec.eps_cor)
     secrecy = 2.0 * math.log2(5.0 / sec.eps_sec)
     leak_ec = sec.f_ec * n_z * binary_entropy(qber_value)
     # An ep at or above 0.5 aborts before raw is read.
-    h_ep = binary_entropy(_min(ep_observed_upper, 0.5))
-    raw = n_z * (1.0 - h_ep) - leak_ec - correctness - secrecy
+    ep_capped = _min(ep_observed_upper, 0.5)
+    raw = n_z * (1.0 - binary_entropy(ep_capped)) - leak_ec - correctness - secrecy
+    # A grid's fields are arrays of raw's shape, a point's Python scalars.
+    shape = np.shape(raw)
+    spread = lambda v: v if getattr(v, "shape", None) == shape else np.full(shape, v)
+    where, least, out = (np.where, np.minimum, spread) if shape else (_where, _min, float)
     # The code of the first abort cause that holds per point, 0 where none does.
-    stops = (n_z <= 0, qber_value > threshold, ep_observed_upper >= 0.5, raw <= 0.0)
-    # Without sifted detections (cause 1) the phase error is reported at its 0.5 cap.
-    if np.ndim(raw) == 0:
-        cause = next((code for code in (1, 2, 3, 4) if stops[code - 1]), 0)
-        reason = _ABORT_REASONS[cause]
-        ep_obs = 0.5 if cause == 1 else ep_observed_upper
-        return KeyRateResult(
-            float(qber_value), float(_min(ep_expected_upper, 0.5)), float(_min(ep_obs, 0.5)),
-            0.0 if cause else float(raw), float(leak_ec), correctness, secrecy,
-            bool(cause), reason and reason.format(qber_value, threshold),
-        )
-    cause = np.zeros(np.shape(raw), int)  # raw's shape is the whole result's
-    for code in (4, 3, 2, 1):
-        np.copyto(cause, code, where=stops[code - 1])
-    shape, aborted, over = cause.shape, cause > 0, cause == 2
-    spread = lambda f: f if np.shape(f) == shape else np.full(shape, f)
-    reasons = _ABORT_REASONS[cause]
+    cause = where(n_z <= 0, 1, where(qber_value > threshold, 2,
+                                     where(ep_observed_upper >= 0.5, 3, where(raw > 0.0, 0, 4))))
+    aborted, over = cause > 0, cause == 2
+    # A new array (0-d for a point), so formatting never writes into the table.
+    reasons = np.asarray(_ABORT_REASONS[cause], object)
     if _any(over):
         qbers = np.broadcast_to(qber_value, shape)
-        for i in zip(*np.nonzero(over)):
-            reasons[i] = reasons[i].format(qbers[i], threshold)
-    ep_obs = spread(np.minimum(ep_observed_upper, 0.5))
-    ep_obs[cause == 1] = 0.5
+        for i in np.flatnonzero(over):
+            reasons.flat[i] = reasons.flat[i].format(qbers.flat[i], threshold)
+    # Without sifted detections (cause 1) the phase error is reported at its 0.5 cap.
     return KeyRateResult(
-        spread(qber_value), spread(np.minimum(ep_expected_upper, 0.5)), ep_obs,
-        np.where(aborted, 0.0, raw), spread(leak_ec), np.full(shape, correctness),
-        np.full(shape, secrecy), aborted, reasons,
+        out(qber_value), out(least(ep_expected_upper, 0.5)), out(where(cause == 1, 0.5, ep_capped)),
+        out(where(aborted, 0.0, raw)), out(leak_ec), out(correctness), out(secrecy), aborted,
+        reasons[()],
     )
 
 

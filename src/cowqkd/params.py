@@ -242,8 +242,9 @@ def _clamp01(x: float) -> float:
 
 
 def binary_entropy(p: float) -> float:
-    """Binary Shannon entropy in bits, with h(0) = h(1) = 0 by continuity."""
-    if _any(p < 0.0) or _any(p > 1.0):
+    """Binary Shannon entropy in bits, with h(0) = h(1) = 0 by continuity; a NaN p is out of range."""
+    inside = (0.0 <= p) & (p <= 1.0)  # False for NaN
+    if not (np.count_nonzero(inside) == inside.size if isinstance(inside, np.ndarray) else inside):
         raise ValueError(f"binary_entropy: p must lie in [0, 1], got {p}")
     q = 1.0 - p
     # 0 log 0 = 0: log2 of 5e-324, the smallest positive float, is finite.

@@ -243,6 +243,16 @@ class TestSecureKeyLength:
         r = secure_key_length(50.0, 0.45, 0.01, self.SEC)
         assert r.aborted and r.abort_reason == "no positive key length"
 
+    def test_exactly_zero_key_length_aborts(self):
+        # Powers of two make both terms exact, 10 and 2 * 10 bits, so 30 clicks
+        # at zero QBER and phase error leave exactly zero bits: not positive.
+        sec = SecurityParams(eps_cor=2.0 ** -9, eps_sec=5.0 * 2.0 ** -10)
+        for n_z in (30.0, np.array([30.0, 31.0])):
+            r = secure_key_length(n_z, 0.0, 0.0, sec)
+            assert np.ravel(r.abort_reason)[0] == "no positive key length"
+            assert np.ravel(r.key_length_bits)[0] == 0.0
+        assert r.key_length_bits[1] == 1.0 and not r.aborted[1]
+
     def test_abort_flag_consistency(self):
         rng = random.Random(23)
         for _ in range(50):
@@ -303,6 +313,91 @@ class TestSecureKeyLength:
             assert r.abort_reason[i] is None and not point.aborted
             assert r.phase_error_observed_upper[i] == point.phase_error_observed_upper
             assert r.key_length_bits[i] == point.key_length_bits
+
+    # One point per abort cause, in code order 0-4, and a second QBER abort at
+    # another QBER; points 1 and 5 also meet every later cause.
+    GRID = {
+        "n_z": np.array([1e5, 0.0, 1e5, 1e5, 50.0, 1e5]),
+        "ep_observed_upper": np.array([0.1, 0.6, 0.1, 0.5, 0.45, 0.7]),
+        "qber_value": np.array([0.01, 0.07, 0.06, 0.01, 0.01, 0.2]),
+        "ep_expected_upper": np.array([0.05, 0.3, 0.7, 0.6, 0.2, 0.1]),
+    }
+    REASONS = [None, "no sifted detections", "qber 0.06 above abort threshold 0.05",
+               "phase error bound at or above 0.5", "no positive key length",
+               "qber 0.2 above abort threshold 0.05"]
+
+    def call(self, args: dict) -> KeyRateResult:
+        return secure_key_length(args["n_z"], args["ep_observed_upper"], args["qber_value"], self.SEC,
+                                 ep_expected_upper=args["ep_expected_upper"])
+
+    def assert_point(self, r: KeyRateResult) -> None:
+        for f in dataclasses.fields(r):
+            v = getattr(r, f.name)
+            if f.name == "aborted":
+                assert type(v) is bool
+            elif f.name == "abort_reason":
+                assert v is None or type(v) is str
+            else:
+                assert type(v) is float, f.name
+
+    @pytest.mark.parametrize("scalar", [None, "n_z", "ep_observed_upper", "qber_value",
+                                        "ep_expected_upper"])
+    def test_grid_of_every_cause_matches_each_point(self, scalar):
+        # Each argument in turn is one scalar over the grid; a grid field is a
+        # full-shape array whose elements are the point evaluations, bit for bit.
+        args = dict(self.GRID)
+        if scalar is not None:
+            args[scalar] = float(args[scalar][2])
+        grid = self.call(args)
+        size = len(self.GRID["n_z"])
+        for f in dataclasses.fields(grid):
+            assert isinstance(getattr(grid, f.name), np.ndarray), f.name
+            assert getattr(grid, f.name).shape == (size,), f.name
+        if scalar is None:
+            assert list(grid.abort_reason) == self.REASONS
+        for i in range(size):
+            at_i = {k: v if np.ndim(v) == 0 else v[i] for k, v in args.items()}
+            for kind in (float, np.float64, np.array):
+                point = self.call({k: kind(v) for k, v in at_i.items()})
+                self.assert_point(point)
+                for f in dataclasses.fields(point):
+                    g, p = getattr(grid, f.name)[i], getattr(point, f.name)
+                    if isinstance(p, float):
+                        assert np.float64(g).tobytes() == np.float64(p).tobytes(), (i, f.name)
+                    else:
+                        assert g == p, (i, f.name)
+
+    def test_nan_probability_is_out_of_range(self):
+        for p in (float("nan"), np.float64("nan"), np.array([0.1, np.nan])):
+            with pytest.raises(ValueError, match=r"binary_entropy: p must lie in \[0, 1\]"):
+                binary_entropy(p)
+
+    @pytest.mark.parametrize("name", ["ep_observed_upper", "qber_value"])
+    def test_nan_phase_error_or_qber_raises(self, name):
+        for nan in (float("nan"), np.array([0.01, np.nan])):
+            args = {"n_z": 1e5, "ep_observed_upper": 0.1, "qber_value": 0.01,
+                    "ep_expected_upper": 0.1, name: nan}
+            with pytest.raises(ValueError, match=r"binary_entropy: p must lie in \[0, 1\]"):
+                self.call(args)
+
+    def test_nan_sifted_count_aborts(self):
+        r = secure_key_length(float("nan"), 0.1, 0.01, self.SEC)
+        self.assert_point(r)
+        assert r.aborted and r.abort_reason == "no positive key length"
+        assert r.key_length_bits == 0.0
+        grid = secure_key_length(np.array([1e5, np.nan]), 0.1, 0.01, self.SEC)
+        point = secure_key_length(1e5, 0.1, 0.01, self.SEC)
+        assert grid.aborted.tolist() == [False, True]
+        assert grid.abort_reason.tolist() == [None, "no positive key length"]
+        assert grid.key_length_bits.tolist() == [point.key_length_bits, 0.0]
+
+    def test_nan_expected_bound_is_reported_and_read_by_nothing(self):
+        point = secure_key_length(1e5, 0.1, 0.01, self.SEC)
+        for nan in (float("nan"), np.array([np.nan, np.nan])):
+            r = secure_key_length(np.array([1e5, 1e5]), 0.1, 0.01, self.SEC, ep_expected_upper=nan)
+            assert np.isnan(r.phase_error_expected_upper).all()
+            assert r.key_length_bits.tolist() == [point.key_length_bits] * 2
+            assert not r.aborted.any()
 
     def test_looser_security_never_hurts(self):
         tight = secure_key_length(1e5, 0.1, 0.01, SecurityParams())
