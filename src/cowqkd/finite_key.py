@@ -258,9 +258,9 @@ def secure_key_length(
     floored at zero.  Aborts, in this order of precedence, when there are no
     sifted detections, when the QBER exceeds its threshold, when the
     phase-error bound reaches 0.5, or when no positive key remains (a NaN
-    key length included).  One body serves a point and a grid: when the key
-    length is an array every field is an array of its shape, otherwise a
-    Python scalar.
+    key length included).  One body serves a point and a grid: when an
+    argument is an array every field is an array of the arguments' broadcast
+    shape, otherwise a Python scalar.
     """
     threshold = sec.qber_abort_threshold
     correctness = math.log2(2.0 / sec.eps_cor)
@@ -269,8 +269,12 @@ def secure_key_length(
     # An ep at or above 0.5 aborts before raw is read.
     ep_capped = _min(ep_observed_upper, 0.5)
     raw = n_z * (1.0 - binary_entropy(ep_capped)) - leak_ec - correctness - secrecy
-    # A grid's fields are arrays of raw's shape, a point's Python scalars.
+    # A grid's fields are arrays of the arguments' broadcast shape, a point's Python scalars;
+    # raw, which ep_expected_upper does not enter, is spread to that shape for the abort causes.
     shape = np.shape(raw)
+    if isinstance(ep_expected_upper, np.ndarray) and ep_expected_upper.shape != shape:
+        shape = np.broadcast_shapes(shape, ep_expected_upper.shape)
+        raw = np.broadcast_to(raw, shape)
     spread = lambda v: v if getattr(v, "shape", None) == shape else np.full(shape, v)
     where, least, out = (np.where, np.minimum, spread) if shape else (_where, _min, float)
     # The code of the first abort cause that holds per point, 0 where none does.

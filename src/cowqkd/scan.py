@@ -38,10 +38,6 @@ SCAN_MODES = ("analytic", "simulate", "replay")
 THRESHOLD_METRICS = ("qber", "key_length")
 OUTPUT_FORMATS = ("csv", "json")
 
-#: Output columns, one per ScanRow field in order; the value column is "variable".
-COLUMNS = ("variable", "qber", "phase_error_upper", "key_bits", "key_rate_bps", "aborted", "reason")
-CSV_HEADER = ",".join(COLUMNS)
-
 #: The most grid points one scan may ask for.
 MAX_SCAN_POINTS = 1_000_000
 
@@ -84,6 +80,11 @@ class ScanRow(NamedTuple):
     key_rate_bps: float
     aborted: bool
     reason: str | None
+
+
+#: Output columns: the ScanRow fields in order, the value column named "variable".
+COLUMNS = ("variable", *ScanRow._fields[1:])
+CSV_HEADER = ",".join(COLUMNS)
 
 
 class NoThresholdError(RuntimeError):
@@ -260,16 +261,16 @@ def key_rate_bps(key_bits: float, rounds: int, pulse_pair_rate: float) -> float:
     return key_bits / (rounds / pulse_pair_rate)
 
 
-def indented_json(payload: dict | list[dict], allow_nan: bool = True) -> str:
+def indented_json(payload: dict | list[dict]) -> str:
     """A flat dict, or a list of flat dicts, as json.dumps(payload, indent=2) writes
-    it, with each NaN float written as null, which JSON can carry.
+    it, with each NaN written as null, which JSON can carry; an infinity raises ValueError.
 
     indent= would switch json's C encoder off, so the separators carry each
     newline and indent, and the brackets are added here.
     """
     def braced(row: dict, pad: str) -> str:
         row = {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
-        text = json.dumps(row, separators=(",\n" + pad, ": "), allow_nan=allow_nan)
+        text = json.dumps(row, separators=(",\n" + pad, ": "), allow_nan=False)
         return "{\n" + pad + text[1:-1] + "\n" + pad[2:] + "}" if row else "{}"
 
     if isinstance(payload, dict):
@@ -279,29 +280,23 @@ def indented_json(payload: dict | list[dict], allow_nan: bool = True) -> str:
 
 def check_writable(destination: str | os.PathLike[str]) -> None:
     """Raise the OSError that write_text would raise on destination, without creating or
-    truncating it, so that a command can fail before its work.  A path that does not exist,
-    or the target of a symlink to one, is made and removed again, a regular file or a
-    directory is opened for writing, and "-" and other special files, such as a pipe, are
-    not probed.  An error names destination as it was given."""
+    truncating it, so that a command can fail before its work.  The path write_text would
+    reach, a symlink's target, is created and removed again if new, else opened for writing
+    when it is a regular file or a directory; "-" and other special files, such as a pipe,
+    are not probed.  An error names destination as it was given."""
     if destination == "-":
         return
+    # Only a symlink is resolved: realpath would strip the trailing slash of "new/".
+    target = os.path.realpath(destination) if os.path.islink(destination) else destination
     try:
-        os.close(os.open(destination, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        os.close(os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
     except FileExistsError:
-        if os.path.isfile(destination) or os.path.isdir(destination):
-            os.close(os.open(destination, os.O_WRONLY))
-        elif not os.path.exists(destination):  # a dangling symlink, or a loop of them
-            target = os.path.realpath(destination)
-            try:
-                os.close(os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
-            except FileExistsError:  # a loop, or a target made since: open as write_text would
-                os.close(os.open(destination, os.O_WRONLY))
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, os.fspath(destination)) from None
-            else:
-                os.remove(target)
+        if not os.path.exists(target) or os.path.isfile(target) or os.path.isdir(target):
+            os.close(os.open(destination, os.O_WRONLY))  # a symlink loop raises ELOOP here
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(destination)) from None
     else:
-        os.remove(destination)
+        os.remove(target)
 
 
 def emit(rows: Sequence[ScanRow], format: str = "csv", destination: str | os.PathLike[str] = "-") -> str:
@@ -322,7 +317,7 @@ def emit(rows: Sequence[ScanRow], format: str = "csv", destination: str | os.Pat
         cells = [*(map(repr, c) for c in numbers), flags, map(quoted.__getitem__, reasons)]
         text = "\n".join([CSV_HEADER, *map(",".join, zip(*cells))]) + "\n"
     else:
-        text = indented_json([dict(zip(COLUMNS, row)) for row in rows], allow_nan=False) + "\n"
+        text = indented_json([dict(zip(COLUMNS, row)) for row in rows]) + "\n"
 
     write_text(text, destination)
     return text

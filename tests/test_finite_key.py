@@ -367,6 +367,27 @@ class TestSecureKeyLength:
                     else:
                         assert g == p, (i, f.name)
 
+    @pytest.mark.parametrize("n_z, shape", [(1e5, (6,)), (np.array([[1e5], [0.0]]), (2, 6))],
+                             ids=["only-expected-bound", "broadcast"])
+    def test_an_expected_bound_grid_sets_the_shape(self, n_z, shape):
+        # The expected bound alone, or with n_z, moves no other field, yet every
+        # field is an array of the broadcast shape whose elements are the points.
+        args = {"n_z": n_z, "ep_observed_upper": 0.1, "qber_value": 0.01,
+                "ep_expected_upper": self.GRID["ep_expected_upper"]}
+        grid = self.call(args)
+        for f in dataclasses.fields(grid):
+            assert isinstance(getattr(grid, f.name), np.ndarray), f.name
+            assert getattr(grid, f.name).shape == shape, f.name
+        for index in np.ndindex(*shape):
+            point = self.call({k: float(np.broadcast_to(v, shape)[index]) for k, v in args.items()})
+            self.assert_point(point)
+            for f in dataclasses.fields(point):
+                g, p = getattr(grid, f.name)[index], getattr(point, f.name)
+                if isinstance(p, float):
+                    assert np.float64(g).tobytes() == np.float64(p).tobytes(), (index, f.name)
+                else:
+                    assert g == p, (index, f.name)
+
     def test_nan_probability_is_out_of_range(self):
         for p in (float("nan"), np.float64("nan"), np.array([0.1, np.nan])):
             with pytest.raises(ValueError, match=r"binary_entropy: p must lie in \[0, 1\]"):

@@ -1101,6 +1101,11 @@ class TestIndentedJson:
         assert cowqkd.scan.indented_json(nan_row) == json.dumps(null_row, indent=2)
         assert cowqkd.scan.indented_json([nan_row]) == json.dumps([null_row], indent=2)
 
+    @pytest.mark.parametrize("payload", [{"x": math.inf}, [{"x": -math.inf}]], ids=["dict", "rows"])
+    def test_an_infinity_raises(self, payload):
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            cowqkd.scan.indented_json(payload)
+
     def test_emit_without_rows_is_an_empty_list(self, capsys):
         assert emit([], format="json") == "[]\n"
         capsys.readouterr()
@@ -1496,8 +1501,12 @@ class TestOutputCheckedBeforeTheWork:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["scan", "simulate"])
-    @pytest.mark.parametrize("target, code", [("missing/x.csv", errno.ENOENT), ("link", errno.ELOOP)],
-                             ids=["dangling", "loop"])
+    @pytest.mark.parametrize("target, code", [
+        ("missing/x.csv", errno.ENOENT),
+        ("link", errno.ELOOP),
+        (str(ROOT / "configs"), errno.EISDIR),
+        (str(ROOT / "README.md" / "x"), errno.ENOTDIR),
+    ], ids=["dangling", "loop", "directory", "below-a-file"])
     def test_a_symlink_that_cannot_be_written_exits_2_before_the_work(
             self, capsys, monkeypatch, tmp_path, no_work, command, target, code):
         monkeypatch.chdir(ROOT)
@@ -1512,6 +1521,22 @@ class TestOutputCheckedBeforeTheWork:
         link.symlink_to("new.csv")
         cowqkd.scan.check_writable(link)
         assert os.listdir(tmp_path) == ["link"] and link.is_symlink()
+
+    def test_a_chain_of_symlinks_to_a_new_file_leaves_no_file_behind(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.symlink_to("second")
+        second.symlink_to("new.csv")
+        cowqkd.scan.check_writable(first)
+        assert sorted(os.listdir(tmp_path)) == ["first", "second"]
+
+    @pytest.mark.parametrize("command", ["scan", "simulate"])
+    def test_a_new_path_with_a_trailing_slash_exits_2_before_the_work(
+            self, capsys, monkeypatch, tmp_path, no_work, command):
+        monkeypatch.chdir(ROOT)
+        new = f"{tmp_path / 'new'}/"
+        assert main((self.SCAN if command == "scan" else self.SIMULATE) + ["--output", new]) == 2
+        assert capsys.readouterr().err == f"error: [Errno {errno.EISDIR}] Is a directory: '{new}'\n"
+        assert os.listdir(tmp_path) == []
 
 
 class TestOutputRewrittenInPlace:
